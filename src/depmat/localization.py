@@ -1,4 +1,4 @@
-"""Back-tracking fault localization over the dependency closure.
+"""Back-tracking fault localization over the dependency relation.
 
 A symptom at node s is explained by anything s transitively depends on,
 i.e. everything reachable from s along dependency edges (edge m -> n reads
@@ -6,12 +6,21 @@ i.e. everything reachable from s along dependency edges (edge m -> n reads
 forward). Candidates are ranked critical-first per the rank policy, and
 symptoms whose fault cannot have propagated from or to anything else are
 flagged independent: such faults sit on the matrix diagonal.
+
+``localize`` works on the adjacency lists, never on a dense matrix: one
+Tarjan pass gives the component ids, per-symptom bitmasks pushed through
+the condensation in topological order give each node's explained symptoms,
+and one multi-source BFS gives the hop distances. It runs in O(n + m) set
+operations plus the size of its output. ``candidate_set`` and
+``independent_faults`` answer the same questions from an explicit closure
+matrix.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import (
     ActivityGraph,
@@ -20,15 +29,14 @@ from .graph import (
     KIND_NON_CRITICAL,
     UnknownNodeError,
     scheduling_subgraph,
+    strongly_connected_components,
 )
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
     DimensionMismatchError,
     NotClosedError,
-    condense_sccs,
-    dependency_matrix,
-    transitive_closure,
+    unpack_mask,
 )
 from .schedule import classify_activities, compute_schedule
 
@@ -133,15 +141,53 @@ def _check_symptoms(known_ids, symptoms) -> tuple[str, ...]:
     return ordered
 
 
-def _bfs_hops(view: ActivityGraph, start: str) -> dict[str, int]:
-    dist = {start: 0}
-    queue = deque([start])
+def _explaining_masks(
+    ids: tuple[str, ...], succ: dict[str, list[str]], ordered: tuple[str, ...]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """SCC ids and, per node, the bitmask of symptoms that reach it (bit i
+    for ``ordered[i]``; zero for nodes no symptom depends on).
+
+    Nodes of one component reach each other, so they share a mask; masks
+    flow from a component to its successors in Kahn order of the
+    condensation.
+    """
+    components = strongly_connected_components(ids, succ)
+    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
+    comp_mask = [0] * len(components)
+    for bit, s in enumerate(ordered):
+        comp_mask[comp_of[s]] |= 1 << bit
+    comp_succ: list[list[int]] = [[] for _ in components]
+    indegree = [0] * len(components)
+    for v in ids:
+        cv = comp_of[v]
+        for w in succ[v]:
+            cw = comp_of[w]
+            if cw != cv:
+                comp_succ[cv].append(cw)
+                indegree[cw] += 1
+    ready = [c for c, d in enumerate(indegree) if d == 0]
+    while ready:
+        c = ready.pop()
+        mask = comp_mask[c]
+        for d in comp_succ[c]:
+            comp_mask[d] |= mask
+            indegree[d] -= 1
+            if indegree[d] == 0:
+                ready.append(d)
+    return comp_of, {v: comp_mask[comp_of[v]] for v in ids}
+
+
+def _hops_from_nearest(succ: dict[str, list[str]], sources: tuple[str, ...]) -> dict[str, int]:
+    """Multi-source BFS: each reachable node's hop count from the nearest
+    source."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
     while queue:
         v = queue.popleft()
-        for e in view.out_edges(v):
-            if e.head not in dist:
-                dist[e.head] = dist[v] + 1
-                queue.append(e.head)
+        for w in succ[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
     return dist
 
 
@@ -160,14 +206,18 @@ def localize(
     error). ``nodes_examined`` counts each distinct node the back-tracking
     traversal visits once: critical nodes are seeded into the worklist
     first, then every symptom's closure is expanded.
+
+    A candidate's ``min_distance`` is its hop count from the nearest
+    symptom that explains it. Only explaining symptoms have a path to it,
+    so this is its distance in one BFS started from all symptoms at once.
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
     ordered = _check_symptoms(g.node_ids, symptoms)
 
     dep_view = scheduling_subgraph(g) if view == VIEW_SCHEDULING else g
-    raw = dependency_matrix(dep_view)
-    closure = transitive_closure(raw)
+    ids = g.node_ids
+    succ = {v: [e.head for e in dep_view.out_edges(v)] for v in ids}
 
     try:
         kinds = classify_activities(g, compute_schedule(g)).kinds
@@ -178,26 +228,22 @@ def localize(
             a.id: (KIND_CRITICAL if a.declared_kind == KIND_CRITICAL else KIND_NON_CRITICAL)
             for a in g.activities
         }
-    criticals = [v for v in g.node_ids if kinds[v] == KIND_CRITICAL]
 
-    sets = {s: candidate_set(closure, s) for s in ordered}
-    union = [v for v in g.node_ids if any(v in sets[s] for s in ordered)]
-    hops = {s: _bfs_hops(dep_view, s) for s in ordered}
-    condensed = condense_sccs(raw)
-    position = {v: i for i, v in enumerate(g.node_ids)}
+    comp_of, masks = _explaining_masks(ids, succ, ordered)
+    hops = _hops_from_nearest(succ, ordered)
+    position = {v: i for i, v in enumerate(ids)}
 
-    candidates = []
-    for node in union:
-        explains = tuple(s for s in ordered if node in sets[s])
-        candidates.append(
-            Candidate(
-                node=node,
-                explains=explains,
-                is_critical=kinds[node] == KIND_CRITICAL,
-                min_distance=min(hops[s][node] for s in explains),
-                scc=condensed.component_of[node],
-            )
+    candidates = [
+        Candidate(
+            node=node,
+            explains=tuple(compress(ordered, unpack_mask(masks[node]))),
+            is_critical=kinds[node] == KIND_CRITICAL,
+            min_distance=hops[node],
+            scc=comp_of[node],
         )
+        for node in ids
+        if masks[node]
+    ]
 
     def sort_key(c: Candidate):
         parts = {
@@ -209,16 +255,18 @@ def localize(
         return tuple(parts[k] for k in policy.keys)
 
     ranked = tuple(sorted(candidates, key=sort_key))
-    independent = independent_faults(closure, ordered)
-    examined = len(set(union) | set(criticals))
+    independent = tuple(
+        s for bit, s in enumerate(ordered) if not succ[s] and masks[s] == 1 << bit
+    )
+    examined = sum(1 for v in ids if masks[v] or kinds[v] == KIND_CRITICAL)
     return LocalizationReport(
         symptoms=ordered,
         candidates=ranked,
-        independent=tuple(s for s in ordered if s in independent),
+        independent=independent,
         nodes_examined=examined,
         policy=policy,
         view=view,
-        node_ids=g.node_ids,
+        node_ids=ids,
     )
 
 

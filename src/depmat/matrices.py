@@ -96,6 +96,16 @@ class CondensedGraph:
         return {v: i for i, comp in enumerate(self.components) for v in comp}
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def unpack_mask(mask: int) -> bytes:
+    """Bits of a non-negative int, least significant first, one byte (0 or
+    1) per bit; ``max(1, mask.bit_length())`` bytes long. Goes through
+    ``bin`` so the work stays in C rather than a shift per bit."""
+    return bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)
+
+
 def _check_capacity(count: int) -> None:
     if count > MAX_DENSE_NODES:
         raise CapacityError(
@@ -156,9 +166,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
         for i in range(n):
             if masks[i] & bit:
                 masks[i] |= row_k
-    rows = tuple(
-        tuple((masks[i] >> j) & 1 for j in range(n)) for i in range(n)
-    )
+    rows = tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in masks)
     return DependencyMatrix(d.node_ids, rows, closed=True)
 
 

@@ -16,7 +16,9 @@ the same way from the trial seed (indices 0, 1, 2).
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .graph import (
     Activity,
@@ -28,7 +30,6 @@ from .graph import (
     build_graph,
 )
 from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
-from .matrices import dependency_matrix, transitive_closure
 from .rng import SplitMix64, derive_seed
 from .schedule import compute_schedule
 
@@ -198,37 +199,42 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
 
     Node i ("n{i}") sits in layer ``i * layer_count // node_count``. Pair
     and weight draws interleave in a single splitmix64 stream, in node
-    order; feedback pairs are then drawn by rejection from the list of all
-    later-to-earlier layer pairs.
+    order; feedback pairs are then drawn by rejection from the row-major
+    list of all later-to-earlier layer pairs, which is indexed
+    arithmetically rather than built.
     """
     params.check()
     rng = SplitMix64(params.seed)
-    n = params.node_count
+    n, layers = params.node_count, params.layer_count
     ids = [f"n{i}" for i in range(n)]
-    layer = [i * params.layer_count // n for i in range(n)]
+    layer = [i * layers // n for i in range(n)]
+    # first node of each layer, plus n as the end of the last one
+    layer_start = [-(-k * n // layers) for k in range(layers + 1)]
 
     edges: list[ActivityEdge] = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if layer[j] != layer[i] + 1:
-                continue
+        if layer[i] + 1 == layers:
+            continue
+        for j in range(layer_start[layer[i] + 1], layer_start[layer[i] + 2]):
             if rng.random() < params.edge_density:
                 weight = 1 + rng.below(params.max_weight)
                 edges.append(
                     ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_SCHEDULING)
                 )
 
-    back_pairs = [
-        (i, j) for i in range(n) for j in range(n) if layer[i] > layer[j]
-    ]
+    # Feedback pick p indexes the later-to-earlier pairs (i, j) listed row
+    # by row, j ascending; row i holds every node before i's layer.
+    row_start = list(accumulate((layer_start[layer[i]] for i in range(n)), initial=0))
+    pair_count = row_start[n]
     wanted = int(params.feedback_edge_fraction * len(edges))
     chosen: set[int] = set()
-    while len(chosen) < min(wanted, len(back_pairs)):
-        pick = rng.below(len(back_pairs))
+    while len(chosen) < min(wanted, pair_count):
+        pick = rng.below(pair_count)
         if pick in chosen:
             continue
         chosen.add(pick)
-        i, j = back_pairs[pick]
+        i = bisect_right(row_start, pick) - 1
+        j = pick - row_start[i]
         weight = 1 + rng.below(params.max_weight)
         edges.append(
             ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY)
@@ -246,14 +252,19 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
         raise UnknownNodeError(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    closure = transitive_closure(dependency_matrix(g))
-    root_col = closure.position(root)
+    affected = {root}
+    stack = [root]
+    while stack:
+        for e in g.in_edges(stack.pop()):
+            if e.tail not in affected:
+                affected.add(e.tail)
+                stack.append(e.tail)
     rng = SplitMix64(seed)
     symptoms: list[str] = []
-    for i, node in enumerate(g.node_ids):
+    for node in g.node_ids:
         if node == root:
             symptoms.append(node)
-        elif closure.rows[i][root_col] and rng.random() < detect_prob:
+        elif node in affected and rng.random() < detect_prob:
             symptoms.append(node)
     return FaultScenario(root, detect_prob, tuple(symptoms), seed)
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (explicit enumeration, boolean
 matrix powers, stdlib ``random``) and shares no code with the
-implementations under test.
+implementations under test, apart from the frozen splitmix64 stream that
+the generator reference must replay.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from depmat.graph import (
     ActivityEdge,
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
+    EDGE_SCHEDULING,
     build_graph,
 )
+from depmat.rng import SplitMix64
 
 
 def bool_matmul(a, b):
@@ -153,3 +156,32 @@ def graph_succ(g: ActivityGraph, kinds=None):
         if kinds is None or e.kind in kinds:
             succ[e.tail].append(e.head)
     return succ
+
+
+def generate_graph_by_pair_lists(params) -> ActivityGraph:
+    """The layered generator as plain O(n^2) loops: every ordered pair is
+    tested for consecutive layers, and feedback picks index an explicit
+    list of every later-to-earlier pair. Same draw sequence as
+    ``depmat.simulation.generate_graph``."""
+    rng = SplitMix64(params.seed)
+    n = params.node_count
+    ids = [f"n{i}" for i in range(n)]
+    layer = [i * params.layer_count // n for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if layer[j] == layer[i] + 1 and rng.random() < params.edge_density:
+                weight = 1 + rng.below(params.max_weight)
+                edges.append(ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_SCHEDULING))
+    back_pairs = [(i, j) for i in range(n) for j in range(n) if layer[i] > layer[j]]
+    wanted = min(int(params.feedback_edge_fraction * len(edges)), len(back_pairs))
+    chosen = set()
+    while len(chosen) < wanted:
+        pick = rng.below(len(back_pairs))
+        if pick in chosen:
+            continue
+        chosen.add(pick)
+        i, j = back_pairs[pick]
+        weight = 1 + rng.below(params.max_weight)
+        edges.append(ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY))
+    return build_graph([Activity(v) for v in ids], edges)

@@ -1,8 +1,14 @@
 import json
 
+import pytest
+
 from depmat.cli import main
+from depmat.fileio import serialize_graph
+from depmat.matrices import MAX_DENSE_NODES
+from depmat.simulation import GeneratorParams, generate_graph
 
 from conftest import ROBOT_PATH
+from oracles import bfs_hops, graph_succ
 
 ROBOT = str(ROBOT_PATH)
 
@@ -218,3 +224,50 @@ def test_cyclic_schedule_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "cpm", str(path))
     assert code == 2
     assert "scheduling cycle" in err
+
+
+@pytest.fixture(scope="module")
+def above_dense_cap(tmp_path_factory):
+    g = generate_graph(
+        GeneratorParams(
+            node_count=5000, layer_count=50, edge_density=0.02,
+            feedback_edge_fraction=0.1, seed=3,
+        )
+    )
+    assert len(g.activities) > MAX_DENSE_NODES
+    path = tmp_path_factory.mktemp("large") / "large.json"
+    path.write_bytes(serialize_graph(g))
+    return g, str(path)
+
+
+def test_localize_above_dense_cap(capsys, above_dense_cap):
+    g, path = above_dense_cap
+    symptoms = ["n4999", "n2500", "n17"]
+    code, out, err = run(
+        capsys, "localize", path, "--symptoms", ",".join(symptoms), "--format", "json"
+    )
+    assert code == 0, err
+    succ = graph_succ(g)
+    nearest: dict[str, int] = {}
+    for s in symptoms:
+        for v, d in bfs_hops(succ, s).items():
+            nearest[v] = min(d, nearest.get(v, d))
+    candidates = json.loads(out)["candidates"]
+    assert {c["node"]: c["min_distance"] for c in candidates} == nearest
+
+
+def test_simulate_above_dense_cap(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--nodes", "5000", "--layers", "50", "--density", "0.02",
+        "--trials", "1",
+    )
+    assert code == 0, err
+    assert "hit_rate=1.0000" in out
+
+
+def test_matrix_above_dense_cap_exits_2(capsys, above_dense_cap):
+    _, path = above_dense_cap
+    code, out, err = run(capsys, "matrix", path)
+    assert code == 2
+    assert out == ""
+    assert f"capped at {MAX_DENSE_NODES}" in err

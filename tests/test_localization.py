@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from depmat.graph import (
     scheduling_subgraph,
 )
 from depmat.localization import (
+    RANK_KEYS,
+    Candidate,
     RankPolicy,
     VIEW_ALL,
     VIEW_SCHEDULING,
@@ -29,7 +32,13 @@ from depmat.matrices import (
 from depmat.schedule import classify_activities, compute_schedule
 from depmat.simulation import inject
 
-from oracles import bfs_hops, closure_by_powers, graph_succ, random_mixed_graph
+from oracles import (
+    bfs_hops,
+    closure_by_powers,
+    cpm_by_enumeration,
+    graph_succ,
+    random_mixed_graph,
+)
 
 
 def closed_zero(n=2):
@@ -281,3 +290,65 @@ def test_localize_all_edges_with_cyclic_schedule_falls_back():
 
     with pytest.raises(CyclicScheduleError):
         localize(g, ["v1"], view=VIEW_SCHEDULING)
+
+
+def localize_by_oracles(g, symptoms, policy, view):
+    """(candidates, independent, nodes_examined) from the boolean-power
+    closure, one BFS per symptom and the all-paths CPM oracle."""
+    ids = list(g.node_ids)
+    pos = {v: i for i, v in enumerate(ids)}
+    succ = graph_succ(g, None if view == VIEW_ALL else ("scheduling", "dummy"))
+    closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
+    reach = {
+        s: {s} | {ids[j] for j, x in enumerate(closed[pos[s]]) if x} for s in symptoms
+    }
+    hops = {s: bfs_hops(succ, s) for s in symptoms}
+    scc: dict[str, int] = {}
+    for v in ids:  # first unnumbered node is its component's first member
+        if v not in scc:
+            number = max(scc.values(), default=-1) + 1
+            for w in ids:
+                if w == v or (closed[pos[v]][pos[w]] and closed[pos[w]][pos[v]]):
+                    scc[w] = number
+    critical = cpm_by_enumeration(g)[3]
+    candidates = []
+    for v in ids:
+        explains = tuple(s for s in symptoms if v in reach[s])
+        if explains:
+            candidates.append(
+                Candidate(v, explains, v in critical, min(hops[s][v] for s in explains), scc[v])
+            )
+
+    def sort_key(c):
+        parts = {
+            "explains": -len(c.explains),
+            "critical": 0 if c.is_critical else 1,
+            "distance": c.min_distance,
+            "input_order": pos[c.node],
+        }
+        return tuple(parts[k] for k in policy.keys)
+
+    candidates.sort(key=sort_key)
+    independent = tuple(
+        s for s in symptoms
+        if reach[s] == {s} and not any(s in reach[t] for t in symptoms if t != s)
+    )
+    union = {c.node for c in candidates}
+    return tuple(candidates), independent, len(union | critical)
+
+
+def test_localize_matches_oracles():
+    policies = [RankPolicy(keys) for keys in itertools.permutations(RANK_KEYS)]
+    for seed in range(150):
+        rnd = random.Random(110_000 + seed)
+        g = random_mixed_graph(rnd, max_nodes=12)
+        ids = list(g.node_ids)
+        for view in (VIEW_ALL, VIEW_SCHEDULING):
+            symptoms = rnd.sample(ids, rnd.randint(1, len(ids)))
+            policy = rnd.choice(policies)
+            report = localize(g, symptoms, policy=policy, view=view)
+            candidates, independent, examined = localize_by_oracles(g, symptoms, policy, view)
+            assert report.candidates == candidates
+            assert report.independent == independent
+            assert report.nodes_examined == examined
+            assert report.symptoms == tuple(symptoms)

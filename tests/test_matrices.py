@@ -13,6 +13,7 @@ from depmat.matrices import (
     dependency_matrix,
     incidence_matrix,
     transitive_closure,
+    unpack_mask,
 )
 
 from oracles import closure_by_powers, random_digraph_rows, random_mixed_graph
@@ -154,6 +155,14 @@ def test_closure_matches_power_oracle():
         rows = random_digraph_rows(random.Random(seed))
         closed = transitive_closure(rows_to_matrix(rows))
         assert [list(r) for r in closed.rows] == closure_by_powers(rows)
+
+
+def test_unpack_mask_least_significant_bit_first():
+    assert unpack_mask(0) == b"\x00"
+    assert unpack_mask(0b1101) == bytes([1, 0, 1, 1])
+    bits = unpack_mask((1 << 5000) | (1 << 7))
+    assert len(bits) == 5001
+    assert [j for j, b in enumerate(bits) if b] == [7, 5000]
 
 
 def test_closure_idempotent_as_reachability():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from depmat.graph import (
     validate,
 )
 from depmat.matrices import dependency_matrix
-from depmat.rng import derive_seed
+from depmat.rng import SplitMix64, derive_seed
 from depmat.schedule import compute_schedule
 from depmat.simulation import (
     GeneratorParams,
@@ -29,7 +30,12 @@ from depmat.simulation import (
 )
 
 from conftest import GOLDENS
-from oracles import closure_by_powers
+from oracles import (
+    closure_by_powers,
+    generate_graph_by_pair_lists,
+    graph_succ,
+    random_mixed_graph,
+)
 
 
 def small_params(**overrides) -> GeneratorParams:
@@ -66,6 +72,23 @@ def test_generate_matches_frozen_golden():
     )
     golden = (GOLDENS / "generated_6n_seed42.json").read_bytes()
     assert serialize_graph(generate_graph(params)) == golden
+
+
+def test_generate_matches_pair_list_reference():
+    for seed in range(200):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 40)
+        params = GeneratorParams(
+            node_count=n,
+            layer_count=rnd.randint(1, n),
+            edge_density=rnd.uniform(0.05, 1.0),
+            max_weight=rnd.randint(1, 9),
+            feedback_edge_fraction=rnd.uniform(0.0, 0.95),
+            seed=seed,
+        )
+        assert serialize_graph(generate_graph(params)) == serialize_graph(
+            generate_graph_by_pair_lists(params)
+        )
 
 
 def test_generate_is_deterministic():
@@ -151,6 +174,23 @@ def test_inject_full_detection_equals_affected_set():
             assert scenario.symptoms == tuple(
                 v for v in g.node_ids if v in affected
             )
+
+
+def test_inject_matches_reverse_reachability_oracle():
+    # cyclic graphs and partial detection: one draw per dependent, node order
+    for seed in range(60):
+        g = random_mixed_graph(random.Random(50_000 + seed), max_nodes=12)
+        ids = g.node_ids
+        succ = graph_succ(g)
+        closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
+        for j, root in enumerate(ids):
+            for detect_prob in (0.3, 0.9):
+                rng = SplitMix64(seed)
+                expected = tuple(
+                    v for i, v in enumerate(ids)
+                    if v == root or (closed[i][j] and rng.random() < detect_prob)
+                )
+                assert inject(g, root, detect_prob, seed=seed).symptoms == expected
 
 
 def test_inject_root_always_self_detects():
