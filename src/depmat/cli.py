@@ -62,6 +62,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
+def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    for row in (header, *rows):
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+
+
 def cmd_validate(args) -> int:
     with open(args.file, "rb") as handle:
         activities, edges, unit = parse_document(handle.read())
@@ -156,10 +163,7 @@ def cmd_cpm(args) -> int:
         )
         for v in graph.node_ids
     ]
-    widths = [max(len(header[c]), *(len(row[c]) for row in table)) for c in range(5)]
-    print("  ".join(header[c].ljust(widths[c]) for c in range(5)).rstrip())
-    for row in table:
-        print("  ".join(row[c].ljust(widths[c]) for c in range(5)).rstrip())
+    _print_table(header, table)
     print("critical nodes: " + ", ".join(schedule.critical_nodes))
     for path in schedule.paths:
         print("critical path: " + " -> ".join(path))
@@ -206,10 +210,7 @@ def cmd_localize(args) -> int:
         )
         for rank, c in enumerate(report.candidates, start=1)
     ]
-    widths = [max(len(header[c]), *(len(row[c]) for row in table)) for c in range(6)]
-    print("  ".join(header[c].ljust(widths[c]) for c in range(6)).rstrip())
-    for row in table:
-        print("  ".join(row[c].ljust(widths[c]) for c in range(6)).rstrip())
+    _print_table(header, table)
     print("independent: " + (", ".join(report.independent) or "(none)"))
     print(f"nodes examined: {report.nodes_examined} of {len(report.node_ids)}")
     return 0

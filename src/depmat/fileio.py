@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 
 from .graph import (
     Activity,
@@ -74,9 +75,11 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
     else:
         text = data
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("nesting too deep", 1, 1) from None
 
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object", "$")
@@ -100,6 +103,15 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
         raise SchemaError("edges must be an array", "edges")
     edges = [_parse_edge(item, f"edges[{i}]") for i, item in enumerate(raw_edges)]
     return activities, edges, unit
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: strict JSON has no last-wins keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise SchemaError(f"duplicate key {key!r}", key)
+    return obj
 
 
 def parse_graph(data: bytes | str) -> ActivityGraph:

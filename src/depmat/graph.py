@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -143,6 +143,25 @@ class ActivityGraph:
                 inc[e.head].append(e)
         return {k: tuple(v) for k, v in inc.items()}
 
+    @cached_property
+    def scheduling_order(self) -> tuple[str, ...]:
+        """Kahn order of the scheduling and dummy edges, computed once per
+        graph. When they are cyclic, Tarjan names a witness cycle instead:
+        raises CyclicScheduleError."""
+        succ = {v: [e.head for e in self._out[v] if e.kind in SCHEDULING_KINDS] for v in self.node_ids}
+        indegree = Counter(w for heads in succ.values() for w in heads)
+        order = [v for v in self.node_ids if indegree[v] == 0]
+        for v in order:  # appended to while iterated: the list is Kahn's FIFO queue
+            for w in succ[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        if len(order) < len(self.node_ids):
+            for comp in strongly_connected_components(self.node_ids, succ):
+                if len(comp) >= 2:
+                    raise CyclicScheduleError(shortest_cycle_through(comp[0], set(comp), succ))
+        return tuple(order)
+
     def has_node(self, node: str) -> bool:
         return node in self._positions
 
@@ -251,16 +270,17 @@ def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
 
     succ_all = {v: [e.head for e in g.out_edges(v)] for v in g.node_ids}
     succ_sched = {v: [e.head for e in g.out_edges(v) if e.kind in SCHEDULING_KINDS] for v in g.node_ids}
+    # every scheduling cycle lies inside one dependency component
+    on_sched_cycle = {
+        v for sub in strongly_connected_components(g.node_ids, succ_sched) if len(sub) >= 2 for v in sub
+    }
     for comp in strongly_connected_components(g.node_ids, succ_all):
         if len(comp) < 2:
             continue
         members = set(comp)
-        sched_cyclic = any(
-            len(sub) >= 2
-            for sub in strongly_connected_components(comp, {v: [w for w in succ_sched[v] if w in members] for v in comp})
-        )
-        if sched_cyclic:
-            cycle = shortest_cycle_through(comp[0], members, succ_sched)
+        start = next((v for v in comp if v in on_sched_cycle), None)
+        if start is not None:
+            cycle = shortest_cycle_through(start, members, succ_sched)
             warn("scheduling-cycle", "scheduling cycle: " + "->".join(cycle), *comp)
         else:
             cycle = shortest_cycle_through(comp[0], members, succ_all)
@@ -274,16 +294,12 @@ def scheduling_subgraph(g: ActivityGraph) -> ActivityGraph:
     Raises CyclicScheduleError (with one witness cycle) when the projected
     edge set is cyclic.
     """
-    sub = ActivityGraph(
+    g.scheduling_order  # raises CyclicScheduleError with the witness
+    return ActivityGraph(
         g.activities,
         tuple(e for e in g.edges if e.kind in SCHEDULING_KINDS),
         unit=g.unit,
     )
-    succ = {v: [e.head for e in sub.out_edges(v)] for v in sub.node_ids}
-    for comp in strongly_connected_components(sub.node_ids, succ):
-        if len(comp) >= 2:
-            raise CyclicScheduleError(shortest_cycle_through(comp[0], set(comp), succ))
-    return sub
 
 
 def strongly_connected_components(

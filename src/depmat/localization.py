@@ -25,10 +25,11 @@ from itertools import compress
 from .graph import (
     ActivityGraph,
     CyclicScheduleError,
+    EDGE_KINDS,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
+    SCHEDULING_KINDS,
     UnknownNodeError,
-    scheduling_subgraph,
     strongly_connected_components,
 )
 from .matrices import (
@@ -215,14 +216,14 @@ def localize(
         raise ValueError(f"unknown view: {view!r}")
     ordered = _check_symptoms(g.node_ids, symptoms)
 
-    dep_view = scheduling_subgraph(g) if view == VIEW_SCHEDULING else g
     ids = g.node_ids
-    succ = {v: [e.head for e in dep_view.out_edges(v)] for v in ids}
+    edge_kinds = SCHEDULING_KINDS if view == VIEW_SCHEDULING else EDGE_KINDS
+    succ = {v: [e.head for e in g.out_edges(v) if e.kind in edge_kinds] for v in ids}
 
     try:
         kinds = classify_activities(g, compute_schedule(g)).kinds
     except CyclicScheduleError:
-        if view == VIEW_SCHEDULING:  # pragma: no cover - subgraph raised first
+        if view == VIEW_SCHEDULING:
             raise
         kinds = {
             a.id: (KIND_CRITICAL if a.declared_kind == KIND_CRITICAL else KIND_NON_CRITICAL)

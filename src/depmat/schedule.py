@@ -8,17 +8,14 @@ All arithmetic is exact integer arithmetic in the graph's declared unit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import (
     ActivityGraph,
-    CyclicScheduleError,
     KIND_AUTO,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
     SCHEDULING_KINDS,
-    scheduling_subgraph,
 )
 
 
@@ -49,38 +46,11 @@ class Classification:
     overrides: tuple[str, ...]
 
 
-def _scheduling_edges(g: ActivityGraph):
-    return [e for e in g.edges if e.kind in SCHEDULING_KINDS]
-
-
-def _topological_order(g: ActivityGraph) -> list[str]:
-    edges = _scheduling_edges(g)
-    indegree = {v: 0 for v in g.node_ids}
-    succ: dict[str, list[str]] = {v: [] for v in g.node_ids}
-    for e in edges:
-        indegree[e.head] += 1
-        succ[e.tail].append(e.head)
-    ready = deque(v for v in g.node_ids if indegree[v] == 0)
-    order: list[str] = []
-    while ready:
-        v = ready.popleft()
-        order.append(v)
-        for w in succ[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    if len(order) != len(g.node_ids):
-        scheduling_subgraph(g)  # raises CyclicScheduleError with a witness
-        raise CyclicScheduleError(())  # unreachable
-    return order
-
-
 def forward_pass(g: ActivityGraph) -> dict[str, int]:
     """Earliest event times: longest scheduling-path distance from the
     sources (sources start at 0). Node input order is preserved."""
-    order = _topological_order(g)
     earliest = {v: 0 for v in g.node_ids}
-    for v in order:
+    for v in g.scheduling_order:
         for e in g.out_edges(v):
             if e.kind in SCHEDULING_KINDS:
                 candidate = earliest[v] + e.weight
@@ -91,9 +61,8 @@ def forward_pass(g: ActivityGraph) -> dict[str, int]:
 
 def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
     """Latest event times; every sink is seeded with the project duration."""
-    order = _topological_order(g)
     latest = {v: duration for v in g.node_ids}
-    for v in reversed(order):
+    for v in reversed(g.scheduling_order):
         for e in g.out_edges(v):
             if e.kind in SCHEDULING_KINDS:
                 candidate = latest[e.head] - e.weight
@@ -110,45 +79,42 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     """
     if not g.activities:
         raise EmptyGraphError("cannot schedule a graph with no activities")
-    view = scheduling_subgraph(g)
-    earliest = forward_pass(view)
+    earliest = forward_pass(g)
     duration = max(earliest.values())
-    latest = backward_pass(view, duration)
-    slack = {v: latest[v] - earliest[v] for v in view.node_ids}
-    critical = tuple(v for v in view.node_ids if slack[v] == 0)
-    paths = _critical_paths(view, earliest, slack, duration)
+    latest = backward_pass(g, duration)
+    slack = {v: latest[v] - earliest[v] for v in g.node_ids}
+    critical = tuple(v for v in g.node_ids if slack[v] == 0)
+    paths = _critical_paths(g, earliest, slack, duration)
     return Schedule(earliest, latest, slack, duration, critical, paths)
 
 
 def _critical_paths(
-    view: ActivityGraph,
+    g: ActivityGraph,
     earliest: dict[str, int],
     slack: dict[str, int],
     duration: int,
 ) -> tuple[tuple[str, ...], ...]:
     """Enumerate every source->sink path of zero-slack nodes whose tight
-    edges sum to the duration, depth-first in node input order."""
-    position = {v: i for i, v in enumerate(view.node_ids)}
-    outdeg = {v: len(view.out_edges(v)) for v in view.node_ids}
-    indeg = {v: 0 for v in view.node_ids}
-    for e in view.edges:
-        indeg[e.head] += 1
+    scheduling edges sum to the duration, depth-first in node input order."""
+    position = {v: i for i, v in enumerate(g.node_ids)}
+    out = {v: [e for e in g.out_edges(v) if e.kind in SCHEDULING_KINDS] for v in g.node_ids}
+    has_predecessor = {e.head for edges in out.values() for e in edges}
 
     def tight_successors(v: str) -> list[str]:
         heads = {
             e.head
-            for e in view.out_edges(v)
+            for e in out[v]
             if slack[e.head] == 0 and earliest[v] + e.weight == earliest[e.head]
         }
         return sorted(heads, key=position.__getitem__)
 
-    starts = [v for v in view.node_ids if indeg[v] == 0 and slack[v] == 0]
+    starts = [v for v in g.node_ids if v not in has_predecessor and slack[v] == 0]
     paths: list[tuple[str, ...]] = []
     for start in starts:
         stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]
         while stack:
             v, acc = stack.pop()
-            if outdeg[v] == 0:
+            if not out[v]:
                 if earliest[v] == duration:
                     paths.append(acc)
                 continue

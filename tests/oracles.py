@@ -16,6 +16,7 @@ from depmat.graph import (
     ActivityEdge,
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
+    EDGE_DUMMY,
     EDGE_SCHEDULING,
     build_graph,
 )
@@ -104,6 +105,34 @@ def cpm_by_enumeration(g: ActivityGraph):
     return duration, earliest, latest, critical
 
 
+def critical_paths_by_enumeration(g: ActivityGraph):
+    """Every source-to-sink path over scheduling and dummy edges whose
+    weight equals the duration, as distinct node sequences sorted by node
+    input positions."""
+    out_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in g.node_ids}
+    has_in = set()
+    for e in g.edges:
+        if e.kind in ("scheduling", "dummy"):
+            out_edges[e.tail].append((e.head, e.weight))
+            has_in.add(e.head)
+    duration = cpm_by_enumeration(g)[0]
+    found = set()
+
+    def walk(path, total):
+        if not out_edges[path[-1]]:
+            if total == duration:
+                found.add(tuple(path))
+            return
+        for head, weight in out_edges[path[-1]]:
+            walk(path + [head], total + weight)
+
+    for v in g.node_ids:
+        if v not in has_in:
+            walk([v], 0)
+    position = {v: i for i, v in enumerate(g.node_ids)}
+    return tuple(sorted(found, key=lambda p: [position[v] for v in p]))
+
+
 def random_digraph_rows(rnd: random.Random, max_nodes: int = 12):
     """Random boolean adjacency rows with a zero diagonal."""
     n = rnd.randint(1, max_nodes)
@@ -147,6 +176,21 @@ def random_mixed_graph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph
             )
         )
     return build_graph(base.activities, edges)
+
+
+def random_kinded_digraph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph:
+    """Random digraph whose edges take any kind in any direction, so the
+    scheduling view itself may be cyclic."""
+    n = rnd.randint(1, max_nodes)
+    density = rnd.uniform(0.05, 0.4)
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and rnd.random() < density:
+                kind = rnd.choice((EDGE_SCHEDULING, EDGE_DEPENDENCY_ONLY, EDGE_DUMMY))
+                weight = 0 if kind == EDGE_DUMMY else rnd.randint(0, 9)
+                edges.append(ActivityEdge(f"e{len(edges)}", f"n{i}", f"n{j}", weight, kind))
+    return build_graph([Activity(f"n{i}") for i in range(n)], edges)
 
 
 def graph_succ(g: ActivityGraph, kinds=None):

@@ -226,6 +226,47 @@ def test_cyclic_schedule_exits_2(tmp_path, capsys):
     assert "scheduling cycle" in err
 
 
+def test_validate_scheduling_cycle_inside_dependency_cycle(tmp_path, capsys):
+    doc = {
+        "format_version": 1,
+        "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "edges": [
+            {"id": "x", "from": "b", "to": "c", "weight": 1},
+            {"id": "y", "from": "c", "to": "b", "weight": 1},
+            {"id": "z", "from": "a", "to": "b", "weight": 1, "kind": "dependency_only"},
+            {"id": "w", "from": "b", "to": "a", "weight": 1, "kind": "dependency_only"},
+        ],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0
+    assert err == ""
+    assert "warning: scheduling cycle: b->c->b" in out.splitlines()
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "cpm", str(path))
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err
+
+
+def test_duplicate_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"format_version":1,"nodes":[{"id":"v0"},{"id":"v1"}],'
+        '"edges":[{"id":"x","from":"v0","to":"v1","weight":3,"weight":5}]}'
+    )
+    code, out, err = run(capsys, "cpm", str(path))
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err
+    assert "duplicate key 'weight'" in err
+
+
 @pytest.fixture(scope="module")
 def above_dense_cap(tmp_path_factory):
     g = generate_graph(

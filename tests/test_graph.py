@@ -17,7 +17,7 @@ from depmat.graph import (
     validate,
 )
 
-from oracles import graph_succ, has_cycle, random_mixed_graph
+from oracles import graph_succ, has_cycle, random_kinded_digraph, random_mixed_graph
 
 
 def codes(exc_or_report):
@@ -199,6 +199,19 @@ def test_validate_dependency_only_cycle_witness():
         i.code == "dependency-only-cycle" and i.message == "dependency-only cycle: a->b->a"
         for i in report.warnings
     )
+
+
+def test_validate_scheduling_cycle_warning_matches_oracle():
+    for seed in range(300):
+        g = random_kinded_digraph(random.Random(80_000 + seed))
+        succ = graph_succ(g, SCHEDULING_KINDS)
+        report = validate(g)
+        warned = [i for i in report.warnings if i.code == "scheduling-cycle"]
+        assert bool(warned) == has_cycle(g.node_ids, succ)
+        for issue in warned:
+            cycle = issue.message.removeprefix("scheduling cycle: ").split("->")
+            assert cycle[0] == cycle[-1]
+            assert all(cycle[i + 1] in succ[cycle[i]] for i in range(len(cycle) - 1))
 
 
 def test_subgraph_matches_kind_filter_and_oracle():

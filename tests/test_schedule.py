@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+import depmat.graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
@@ -9,9 +11,11 @@ from depmat.graph import (
     EDGE_DUMMY,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
+    SCHEDULING_KINDS,
     build_graph,
     scheduling_subgraph,
 )
+from depmat.localization import VIEW_SCHEDULING, localize
 from depmat.matrices import dependency_matrix, transitive_closure
 from depmat.schedule import (
     EmptyGraphError,
@@ -21,7 +25,15 @@ from depmat.schedule import (
     forward_pass,
 )
 
-from oracles import cpm_by_enumeration, random_dag
+from oracles import (
+    cpm_by_enumeration,
+    critical_paths_by_enumeration,
+    graph_succ,
+    has_cycle,
+    random_dag,
+    random_kinded_digraph,
+    random_mixed_graph,
+)
 
 
 def test_forward_pass_robot(robot):
@@ -100,6 +112,17 @@ def test_schedule_cyclic_scheduling_view():
         compute_schedule(g)
 
 
+def test_acyclic_view_runs_no_cycle_search(robot, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("cycle search on an acyclic scheduling view")
+
+    monkeypatch.setattr(depmat.graph, "strongly_connected_components", forbidden)
+    monkeypatch.setattr(depmat.graph, "scheduling_subgraph", forbidden)
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)  # nothing cached yet
+    assert compute_schedule(g).duration == 15
+    assert localize(g, ["v4"], view=VIEW_SCHEDULING).candidates
+
+
 def test_classify_robot(robot):
     c = classify_activities(robot, compute_schedule(robot))
     assert c.kinds == {
@@ -145,14 +168,43 @@ def test_matching_declaration_is_not_an_override(robot):
 
 
 def test_schedule_matches_enumeration_oracle():
-    for seed in range(60):
-        g = random_dag(random.Random(seed))
+    # mixed graphs are scheduled whole: dependency-only edges must be ignored
+    for sample, seed in itertools.product((random_dag, random_mixed_graph), range(60)):
+        g = sample(random.Random(seed))
         duration, earliest, latest, critical = cpm_by_enumeration(g)
         s = compute_schedule(g)
         assert s.duration == duration
         assert s.earliest == earliest
         assert s.latest == latest
         assert set(s.critical_nodes) == critical
+        assert s.paths == critical_paths_by_enumeration(g)
+
+
+def test_cyclic_view_witness_is_shared():
+    checked = 0
+    for seed in range(300):
+        rnd = random.Random(70_000 + seed)
+        g = random_kinded_digraph(rnd)
+        if not has_cycle(g.node_ids, graph_succ(g, SCHEDULING_KINDS)):
+            continue
+        with pytest.raises(CyclicScheduleError) as expected:
+            scheduling_subgraph(g)
+        cycle = expected.value.cycle
+        assert cycle[0] == cycle[-1]
+        succ = graph_succ(g, SCHEDULING_KINDS)
+        assert all(cycle[i + 1] in succ[cycle[i]] for i in range(len(cycle) - 1))
+        symptoms = [rnd.choice(g.node_ids)]
+        for call in (
+            lambda: compute_schedule(g),
+            lambda: forward_pass(g),
+            lambda: backward_pass(g, 0),
+            lambda: localize(g, symptoms, view=VIEW_SCHEDULING),
+        ):
+            with pytest.raises(CyclicScheduleError) as raised:
+                call()
+            assert raised.value.cycle == cycle
+        checked += 1
+    assert checked > 50
 
 
 def test_duration_monotone_in_edge_weights():
