@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 internal error, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
 from .fileio import (
     ParseError,
     SchemaError,
+    dumps_json,
     export_dot,
     matrix_csv,
     matrix_text,
@@ -59,7 +59,7 @@ def _load(path: str) -> ActivityGraph:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(dumps_json(payload))
 
 
 def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
@@ -82,7 +82,7 @@ def cmd_validate(args) -> int:
                         "severity": i.severity,
                         "code": i.code,
                         "message": i.message,
-                        "ids": list(i.ids),
+                        "ids": i.ids,
                     }
                     for i in report.issues
                 ],
@@ -108,14 +108,12 @@ def cmd_matrix(args) -> int:
     if args.format == "csv":
         print(matrix_csv(matrix), end="")
     elif args.format == "json":
-        row_labels = matrix.node_ids
-        col_labels = matrix.edge_ids if args.kind == "incidence" else matrix.node_ids
         payload = {
             "kind": args.kind,
             "unit": graph.unit,
-            "row_labels": list(row_labels),
-            "col_labels": list(col_labels),
-            "rows": [list(row) for row in matrix.rows],
+            "row_labels": matrix.node_ids,
+            "col_labels": matrix.edge_ids if args.kind == "incidence" else matrix.node_ids,
+            "rows": matrix.rows,
         }
         if args.kind == "closure":
             payload["closed"] = True
@@ -145,8 +143,8 @@ def cmd_cpm(args) -> int:
                     }
                     for v in graph.node_ids
                 ],
-                "critical_nodes": list(schedule.critical_nodes),
-                "critical_paths": [list(p) for p in schedule.paths],
+                "critical_nodes": schedule.critical_nodes,
+                "critical_paths": schedule.paths,
             }
         )
         return 0
@@ -178,21 +176,21 @@ def cmd_localize(args) -> int:
         _emit_json(
             {
                 "view": report.view,
-                "symptoms": list(report.symptoms),
+                "symptoms": report.symptoms,
                 "candidates": [
                     {
                         "node": c.node,
-                        "explains": list(c.explains),
+                        "explains": c.explains,
                         "is_critical": c.is_critical,
                         "min_distance": c.min_distance,
                         "scc": c.scc,
                     }
                     for c in report.candidates
                 ],
-                "independent": list(report.independent),
+                "independent": report.independent,
                 "nodes_examined": report.nodes_examined,
                 "node_count": len(report.node_ids),
-                "policy": list(report.policy.keys),
+                "policy": report.policy.keys,
             }
         )
         return 0

@@ -17,10 +17,12 @@ edge order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
 from collections import Counter
+from json.encoder import encode_basestring
 
 from .graph import (
     Activity,
@@ -162,7 +164,7 @@ def _parse_node(item, locus: str) -> Activity:
     if label is not None and not isinstance(label, str):
         raise SchemaError("label must be a string", f"{locus}.label")
     kind = item.get("kind", KIND_AUTO)
-    if kind not in NODE_KINDS:
+    if not isinstance(kind, str) or kind not in NODE_KINDS:
         raise SchemaError(f"unknown node kind {kind!r}", f"{locus}.kind")
     return Activity(node_id, label, kind)
 
@@ -192,7 +194,7 @@ def _parse_edge(item, locus: str) -> ActivityEdge:
             f"edge {edge_id!r}: weight must be non-negative", f"{locus}.weight"
         )
     kind = item.get("kind", EDGE_SCHEDULING)
-    if kind not in EDGE_KINDS:
+    if not isinstance(kind, str) or kind not in EDGE_KINDS:
         raise SchemaError(f"unknown edge kind {kind!r}", f"{locus}.kind")
     return ActivityEdge(edge_id, tail, head, weight, kind)
 
@@ -217,7 +219,73 @@ def serialize_graph(g: ActivityGraph) -> bytes:
         "nodes": nodes,
         "edges": edges,
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (dumps_json(doc) + "\n").encode("utf-8")
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def dumps_json(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, ensure_ascii=False)``, rendered
+    mostly by the stdlib C encoder. ``json.dumps`` uses its C encoder only
+    without ``indent``; with it, every value goes through Python generators.
+    Here each container whose values are all scalars is one C call whose
+    item separator carries the newline and indentation."""
+    chunks: list[str] = []
+    _append_json(obj, 0, chunks)
+    return "".join(chunks)
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """C-backed encoder whose item separator indents to ``depth``."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
+
+
+def _append_json(obj, depth: int, chunks: list[str]) -> None:
+    if isinstance(obj, dict):
+        values, opening, closing = obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        values, opening, closing = obj, "[", "]"
+    elif type(obj) is str:
+        chunks.append(encode_basestring(obj))
+        return
+    elif type(obj) is int:
+        chunks.append(int.__repr__(obj))
+        return
+    else:
+        chunks.append(_encoder(0).encode(obj))
+        return
+    if not obj:
+        chunks.append(opening + closing)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        text = _encoder(depth + 1).encode(obj)
+        chunks += (opening, inner, text[1:-1], outer, closing)
+        return
+    chunks.append(opening)
+    lead = inner
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            chunks += (lead, _json_key(key), ": ")
+            lead = "," + inner
+            _append_json(value, depth + 1, chunks)
+    else:
+        for value in obj:
+            chunks.append(lead)
+            lead = "," + inner
+            _append_json(value, depth + 1, chunks)
+    chunks += (outer, closing)
+
+
+def _json_key(key) -> str:
+    """``key`` as a quoted JSON object key. ``json`` quotes the scalar form
+    of a float, int, bool or None key and rejects any other type."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    return _encoder(0).encode({key: None})[1:-7]  # drop '{' and ': null}'
 
 
 def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:

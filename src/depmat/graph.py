@@ -208,10 +208,10 @@ def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
             err("duplicate-id", f"duplicate activity id: {a.id}", a.id)
         else:
             seen_nodes.add(a.id)
-        if a.declared_kind not in NODE_KINDS:
+        if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
             err("invalid-kind", f"activity {a.id}: unknown kind {a.declared_kind!r}", a.id)
 
-    declared = {a.id for a in g.activities}
+    declared = {a.id for a in g.activities if isinstance(a.id, str)}
     seen_edges: set[str] = set()
     for e in g.edges:
         if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
@@ -220,7 +220,7 @@ def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
             err("duplicate-id", f"duplicate edge id: {e.id}", e.id)
         else:
             seen_edges.add(e.id)
-        if e.kind not in EDGE_KINDS:
+        if not isinstance(e.kind, str) or e.kind not in EDGE_KINDS:
             err("invalid-kind", f"edge {e.id}: unknown kind {e.kind!r}", e.id)
         if not isinstance(e.weight, int) or isinstance(e.weight, bool):
             err("invalid-weight", f"edge {e.id}: weight must be an integer", e.id)
@@ -229,7 +229,7 @@ def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
         elif e.kind == EDGE_DUMMY and e.weight != 0:
             err("dummy-nonzero", f"dummy edge {e.id} has non-zero weight {e.weight}", e.id)
         for endpoint in (e.tail, e.head):
-            if endpoint not in declared:
+            if not isinstance(endpoint, str) or endpoint not in declared:
                 err("unknown-endpoint", f"edge {e.id}: unknown node {endpoint!r}", e.id, str(endpoint))
         if e.tail == e.head:
             err("self-loop", f"edge {e.id}: self-loop on {e.tail}", e.id)

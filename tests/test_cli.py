@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from depmat.cli import main
 from depmat.fileio import serialize_graph
@@ -312,3 +315,127 @@ def test_matrix_above_dense_cap_exits_2(capsys, above_dense_cap):
     assert code == 2
     assert out == ""
     assert f"capped at {MAX_DENSE_NODES}" in err
+
+
+@pytest.fixture(scope="module")
+def generated_path(tmp_path_factory):
+    g = generate_graph(
+        GeneratorParams(
+            node_count=40, layer_count=5, edge_density=0.2, feedback_edge_fraction=0.2, seed=11
+        )
+    )
+    path = tmp_path_factory.mktemp("generated") / "generated.json"
+    path.write_bytes(serialize_graph(g))
+    return str(path)
+
+
+_FILE_JSON_COMMANDS = [
+    ("validate",),
+    ("matrix", "--kind", "incidence"),
+    ("matrix", "--kind", "adjacency"),
+    ("matrix", "--kind", "dependency"),
+    ("matrix", "--kind", "closure"),
+    ("cpm",),
+    ("localize", "--view", "all"),
+    ("localize", "--view", "scheduling"),
+]
+
+
+@pytest.mark.parametrize("command", _FILE_JSON_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("source", ["robot", "generated"])
+def test_json_output_is_indented_json_dumps(capsys, generated_path, source, command):
+    path, symptoms = (ROBOT, "v4,v2") if source == "robot" else (generated_path, "n39,n20,n3")
+    argv = [command[0], path, *command[1:], "--format", "json"]
+    if command[0] == "localize":
+        argv += ["--symptoms", symptoms]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+
+def test_simulate_json_is_indented_json_dumps(capsys):
+    code, out, err = run(capsys, "simulate", "--seed", "42", "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"format_version":1,"nodes":[{"id":"a","kind":[]}],"edges":[]}',
+        '{"format_version":1,"nodes":[{"id":"a"},{"id":"b"}],'
+        '"edges":[{"id":"e","from":"a","to":"b","weight":1,"kind":{}}]}',
+    ],
+    ids=["node-kind-list", "edge-kind-object"],
+)
+@pytest.mark.parametrize("command", ["validate", "cpm", "matrix"])
+def test_non_string_kind_exits_2(tmp_path, capsys, document, command):
+    path = tmp_path / "kind.json"
+    path.write_text(document)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err
+    assert ".kind: unknown" in err
+
+
+_ROBOT_DOC = json.loads(ROBOT_PATH.read_text())
+_FUZZ_ARGV = [
+    ("validate",),
+    ("validate", "--format", "json"),
+    ("cpm", "--format", "json"),
+    ("matrix",),
+    ("matrix", "--kind", "closure", "--format", "json"),
+    ("localize", "--symptoms", "v4"),
+    ("localize", "--symptoms", "v1,v3", "--view", "scheduling", "--format", "json"),
+    ("export",),
+    ("export", "--symptoms", "v4"),
+]
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _slots(holder, key):
+    """Every (container, key) position below ``holder[key]``, itself included."""
+    yield holder, key
+    value = holder[key]
+    if isinstance(value, (dict, list)):
+        for k in list(value.keys() if isinstance(value, dict) else range(len(value))):
+            yield from _slots(value, k)
+
+
+@st.composite
+def _mutated_robot(draw):
+    holder = [copy.deepcopy(_ROBOT_DOC)]
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(holder, 0))))
+        action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if action == "replace" or container is holder:
+            container[key] = draw(_junk)
+        elif action == "drop":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        else:
+            container[key] = draw(_junk)
+    return json.dumps(holder[0]).encode()
+
+
+@given(st.one_of(_mutated_robot(), st.binary(max_size=120)))
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_fuzzed_input_never_exits_1(tmp_path_factory, capsys, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    for argv in _FUZZ_ARGV:
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code in (0, 2, 3), (argv, err)
+        assert "internal error" not in err, (argv, err)

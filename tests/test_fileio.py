@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from depmat.fileio import (
     ParseError,
     SchemaError,
+    dumps_json,
     export_dot,
     matrix_csv,
     matrix_text,
@@ -268,3 +269,31 @@ def test_export_dot_dummy_edges_dotted():
         [ActivityEdge("x", "a", "b", 0, EDGE_DUMMY)],
     )
     assert "style=dotted" in export_dot(g).decode()
+
+
+_json_text = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u2028é中\U0001f600a'))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**100),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _json_text,
+)
+_json_keys = st.one_of(_json_text, st.integers(), st.floats(), st.booleans(), st.none())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_json_values)
+@settings(max_examples=100, deadline=None)
+def test_dumps_json_matches_indented_json_dumps(value):
+    assert dumps_json(value) == json.dumps(value, indent=2, ensure_ascii=False)

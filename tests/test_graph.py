@@ -167,6 +167,21 @@ def test_validate_unknown_endpoint_not_ok():
     assert "unknown-endpoint" in {i.code for i in report.errors}
 
 
+@pytest.mark.parametrize(
+    "activities, edges, code",
+    [
+        ((Activity("a", None, []),), (), "invalid-kind"),
+        ((Activity("a"), Activity("b")), (ActivityEdge("e", "a", "b", 1, {}),), "invalid-kind"),
+        ((Activity([]),), (), "invalid-id"),
+        ((Activity("a"),), (ActivityEdge("e", [], "a", 1),), "unknown-endpoint"),
+    ],
+)
+def test_validate_unhashable_fields_are_issues(activities, edges, code):
+    report = validate(ActivityGraph(activities, edges))
+    assert not report.ok
+    assert code in {i.code for i in report.errors}
+
+
 def test_validate_isolated_node():
     g = build_graph(
         [Activity("v0"), Activity("v1"), Activity("v2")],
