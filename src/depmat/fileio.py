@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import re
 from collections import Counter
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 
 from .graph import (
     Activity,
@@ -290,14 +290,29 @@ def _json_key(key) -> str:
 
 def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:
     """CSV with column labels in the header row and the row node id in the
-    first column."""
+    first column.
+
+    ``csv.writer`` renders the header and quotes every label; the cells are
+    bare integers, so each row's cells are one ``join``. A dependency row
+    is its packed mask's bits in column order.
+    """
     row_labels, col_labels = _matrix_labels(matrix)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([""] + list(col_labels))
-    for label, row in zip(row_labels, matrix.rows):
-        writer.writerow([label, *row])
-    return buffer.getvalue()
+    if isinstance(matrix, DependencyMatrix):
+        width = len(col_labels)
+        rows = (bin(mask)[:1:-1].ljust(width, "0") for mask in matrix.masks)
+    else:
+        rows = (map(str, row) for row in matrix.rows)
+    written: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
+    writer.writerow(["", *col_labels])
+    # Each label is written as a record's first field, then followed by
+    # the comma before its cells; with no columns it stands alone, where
+    # the writer renders an empty label as '""'.
+    rest = ("",) if col_labels else ()
+    for label, row in zip(row_labels, rows):
+        writer.writerow((label, *rest))
+        written[-1] = written[-1][:-1] + ",".join(row) + "\n"
+    return "".join(written)
 
 
 def matrix_text(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:

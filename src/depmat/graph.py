@@ -16,12 +16,11 @@ order everywhere downstream.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
@@ -306,49 +305,56 @@ def strongly_connected_components(
     ids: Sequence[str], succ: Mapping[str, Sequence[str]]
 ) -> list[list[str]]:
     """Tarjan's algorithm, iterative. Components are returned sorted by the
-    input position of their first member, members in input order."""
+    input position of their first member, members in input order.
+
+    ``low`` doubles as the on-stack test: once a component is emitted its
+    members' lowlinks are raised past every DFS index, so an edge into an
+    emitted component never lowers a lowlink.
+    """
     position = {v: i for i, v in enumerate(ids)}
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
+    low: dict[str, int] = {}
     stack: list[str] = []
     components: list[list[str]] = []
-    counter = itertools.count()
+    emitted = len(ids)
+    counter = 0
 
     for root in ids:
-        if root in index_of:
+        if root in low:
             continue
-        index_of[root] = lowlink[root] = next(counter)
+        low[root] = counter
         stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(succ.get(root, ())))]
+        work: list[tuple[str, Iterator[str], int]] = [(root, iter(succ.get(root, ())), counter)]
+        counter += 1
         while work:
-            v, children = work[-1]
-            descended = False
+            v, children, index = work[-1]
             for w in children:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = next(counter)
+                if w not in low:
+                    low[w] = counter
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    descended = True
+                    work.append((w, iter(succ.get(w, ())), counter))
+                    counter += 1
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] != index:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    continue
+                if stack[-1] == v:
+                    stack.pop()
+                    low[v] = emitted
+                    components.append([v])
+                    continue
+                start = len(stack) - 1
+                while stack[start] != v:
+                    start -= 1
+                component = stack[start:]
+                del stack[start:]
+                for w in component:
+                    low[w] = emitted
                 component.sort(key=position.__getitem__)
                 components.append(component)
     components.sort(key=lambda c: position[c[0]])

@@ -30,13 +30,13 @@ from .graph import (
     KIND_NON_CRITICAL,
     SCHEDULING_KINDS,
     UnknownNodeError,
-    strongly_connected_components,
 )
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
     DimensionMismatchError,
     NotClosedError,
+    condensation,
     unpack_mask,
 )
 from .schedule import classify_activities, compute_schedule
@@ -99,8 +99,8 @@ def candidate_set(closure: DependencyMatrix, symptom: str) -> set[str]:
     """The symptom plus everything it transitively depends on."""
     if not closure.closed:
         raise NotClosedError("candidate_set requires a transitive closure")
-    row = closure.rows[closure.position(symptom)]
-    out = {closure.node_ids[j] for j, v in enumerate(row) if v}
+    row = closure.masks[closure.position(symptom)]
+    out = set(compress(closure.node_ids, unpack_mask(row)))
     out.add(symptom)
     return out
 
@@ -116,12 +116,14 @@ def independent_faults(closure: DependencyMatrix, symptoms: tuple[str, ...] | li
     if not closure.closed:
         raise NotClosedError("independent_faults requires a transitive closure")
     ordered = _check_symptoms(closure.node_ids, symptoms)
-    sets = {s: candidate_set(closure, s) for s in ordered}
+    rows = [(s, closure.position(s)) for s in ordered]
+    masks = closure.masks
     independent: set[str] = set()
-    for s in ordered:
-        if sets[s] != {s}:
+    for s, i in rows:
+        bit = 1 << i
+        if masks[i] & ~bit:
             continue
-        if any(s in sets[t] for t in ordered if t != s):
+        if any(masks[j] & bit for _, j in rows if j != i):
             continue
         independent.add(s)
     return independent
@@ -152,29 +154,15 @@ def _explaining_masks(
     flow from a component to its successors in Kahn order of the
     condensation.
     """
-    components = strongly_connected_components(ids, succ)
-    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
-    comp_mask = [0] * len(components)
+    cond = condensation(ids, succ)
+    comp_of = cond.component_of
+    comp_mask = [0] * len(cond.components)
     for bit, s in enumerate(ordered):
         comp_mask[comp_of[s]] |= 1 << bit
-    comp_succ: list[list[int]] = [[] for _ in components]
-    indegree = [0] * len(components)
-    for v in ids:
-        cv = comp_of[v]
-        for w in succ[v]:
-            cw = comp_of[w]
-            if cw != cv:
-                comp_succ[cv].append(cw)
-                indegree[cw] += 1
-    ready = [c for c, d in enumerate(indegree) if d == 0]
-    while ready:
-        c = ready.pop()
+    for c in cond.order:
         mask = comp_mask[c]
-        for d in comp_succ[c]:
+        for d in cond.successors[c]:
             comp_mask[d] |= mask
-            indegree[d] -= 1
-            if indegree[d] == 0:
-                ready.append(d)
     return comp_of, {v: comp_mask[comp_of[v]] for v in ids}
 
 
@@ -285,10 +273,9 @@ def annotate_matrix(d: DependencyMatrix, report: LocalizationReport) -> Annotate
     candidate_nodes = {c.node for c in report.candidates}
     suspects: list[tuple[str, str]] = []
     for s in report.symptoms:
-        row = d.rows[d.position(s)]
-        for j, value in enumerate(row):
-            head = d.node_ids[j]
-            if value and head in candidate_nodes:
+        row = d.masks[d.position(s)]
+        for head in compress(d.node_ids, unpack_mask(row)):
+            if head in candidate_nodes:
                 suspects.append((s, head))
     return AnnotatedMatrix(
         matrix=d,

@@ -5,8 +5,13 @@ Three dense views share the graph's node/edge order:
 * incidence   — node x edge, each edge's weight at its tail row
 * adjacency   — node x node, max edge weight per ordered pair
 * dependency  — node x node boolean support of all edges, plus its
-                transitive closure (Warshall) whose diagonal marks cycle
-                membership
+                transitive closure whose diagonal marks cycle membership
+
+A dependency matrix stores each row as one packed int (bit j of row i is
+entry (i, j)). The closure condenses strongly connected components first
+(Purdom 1970, Nuutila 1995) and ORs whole rows through the condensation in
+reverse topological order, so it costs O(n + m) word-wide ORs; only the
+n x n output itself is quadratic.
 
 Dense representation is capped at MAX_DENSE_NODES nodes; bigger inputs
 are rejected rather than silently thrashing.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import ActivityGraph, UnknownNodeError, strongly_connected_components
 
@@ -51,7 +57,7 @@ class AdjacencyMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DependencyMatrix:
     """Boolean node x node matrix; entry (m, n) = 1 iff m depends on n.
 
@@ -59,11 +65,39 @@ class DependencyMatrix:
     ``closed=True`` marks a transitive closure: entry (m, n) = 1 iff a
     directed path of length >= 1 runs from m to n, so a diagonal 1 means
     the node lies on a cycle.
+
+    Rows are stored packed: bit j of ``masks[i]`` is entry (i, j). The
+    constructor packs explicit rows (any truthy cell is a 1); ``rows``
+    unpacks them again, once, for callers that want int tuples.
     """
 
     node_ids: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     closed: bool = False
+
+    def __init__(self, node_ids, rows, closed: bool = False):
+        n = len(node_ids)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise DimensionMismatchError(f"dependency matrix rows must be {n} x {n}")
+        masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
+        self._fill(node_ids, masks, closed)
+
+    @classmethod
+    def from_masks(cls, node_ids, masks: tuple[int, ...], closed: bool = False) -> DependencyMatrix:
+        """A matrix over already packed rows, taken as they are."""
+        matrix = cls.__new__(cls)
+        matrix._fill(node_ids, masks, closed)
+        return matrix
+
+    def _fill(self, node_ids, masks, closed) -> None:
+        object.__setattr__(self, "node_ids", node_ids)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "closed", closed)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.node_ids)
+        return tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in self.masks)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -76,7 +110,7 @@ class DependencyMatrix:
             raise UnknownNodeError(node) from None
 
     def entry(self, tail: str, head: str) -> int:
-        return self.rows[self.position(tail)][self.position(head)]
+        return self.masks[self.position(tail)] >> self.position(head) & 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +130,45 @@ class CondensedGraph:
         return {v: i for i, comp in enumerate(self.components) for v in comp}
 
 
+class Condensation(NamedTuple):
+    """Strongly connected components and their acyclic component digraph.
+
+    ``components`` and ``component_of`` number components as
+    ``strongly_connected_components`` orders them; ``successors[c]`` holds
+    the distinct other components that ``c`` has edges into; ``order`` is a
+    Kahn order of the components, each one after all its predecessors.
+    """
+
+    components: list[list]
+    component_of: dict
+    successors: list[set[int]]
+    order: list[int]
+
+
+def condensation(ids: Sequence, succ: Mapping[object, Sequence]) -> Condensation:
+    """One Tarjan pass plus one Kahn sort of the condensation; O(n + m)."""
+    components = strongly_connected_components(ids, succ)
+    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
+    successors: list[set[int]] = [set() for _ in components]
+    for v in ids:
+        out = successors[comp_of[v]]
+        for w in succ[v]:
+            out.add(comp_of[w])
+    indegree = [0] * len(components)
+    for c, out in enumerate(successors):
+        if out:
+            out.discard(c)
+            for d in out:
+                indegree[d] += 1
+    order = [c for c, d in enumerate(indegree) if d == 0]
+    for c in order:  # appended to while iterated: the list is Kahn's FIFO queue
+        for d in successors[c]:
+            indegree[d] -= 1
+            if indegree[d] == 0:
+                order.append(d)
+    return Condensation(components, comp_of, successors, order)
+
+
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -104,6 +177,19 @@ def unpack_mask(mask: int) -> bytes:
     1) per bit; ``max(1, mask.bit_length())`` bytes long. Goes through
     ``bin`` so the work stays in C rather than a shift per bit."""
     return bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the 1 bits of a non-negative int, ascending. ``find``
+    skips each run of zeros at C speed, so a sparse row costs about one
+    step per set bit."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    j = digits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = digits.find("1", j + 1)
+    return out
 
 
 def _check_capacity(count: int) -> None:
@@ -142,32 +228,40 @@ def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
     """Boolean support of all edges, any kind; diagonal is all zero."""
     _check_capacity(len(g.activities))
-    n = len(g.activities)
     pos = {a.id: i for i, a in enumerate(g.activities)}
-    grid = [[0] * n for _ in range(n)]
+    masks = [0] * len(g.activities)
     for e in g.edges:
-        grid[pos[e.tail]][pos[e.head]] = 1
-    return DependencyMatrix(g.node_ids, tuple(tuple(r) for r in grid), closed=False)
+        masks[pos[e.tail]] |= 1 << pos[e.head]
+    return DependencyMatrix.from_masks(g.node_ids, tuple(masks))
+
+
+def _condense(d: DependencyMatrix) -> Condensation:
+    """Condensation of the matrix's digraph over row positions."""
+    succ = {i: _set_bits(m) for i, m in enumerate(d.masks)}
+    return condensation(range(len(d.node_ids)), succ)
 
 
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
-    """Warshall's boolean closure over paths of length >= 1.
+    """Boolean closure over paths of length >= 1.
 
-    Rows are packed into int bitmasks, so the k-loop is an O(n^2) sweep of
-    word-wide ORs rather than an O(n^3) scalar loop.
+    A component reaches its members' direct successors plus everything its
+    successor components reach, so reverse Kahn order over the condensation
+    fills every component's row with O(n + m) ORs. A member of a cycle
+    reaches itself through the cycle, a self-loop through its own raw bit.
     """
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    n = len(d.node_ids)
-    masks = [sum(1 << j for j, v in enumerate(row) if v) for row in d.rows]
-    for k in range(n):
-        bit = 1 << k
-        row_k = masks[k]
-        for i in range(n):
-            if masks[i] & bit:
-                masks[i] |= row_k
-    rows = tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in masks)
-    return DependencyMatrix(d.node_ids, rows, closed=True)
+    cond = _condense(d)
+    reach = [0] * len(cond.components)
+    for c in reversed(cond.order):
+        mask = 0
+        for v in cond.components[c]:
+            mask |= d.masks[v]
+        for s in cond.successors[c]:
+            mask |= reach[s]
+        reach[c] = mask
+    masks = tuple(reach[cond.component_of[i]] for i in range(len(d.node_ids)))
+    return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 
 def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
@@ -175,19 +269,8 @@ def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
     condensation edges."""
     if d.closed:
         raise AlreadyClosedError("condensation expects the raw matrix, not a closure")
-    n = len(d.node_ids)
-    succ = {
-        d.node_ids[i]: [d.node_ids[j] for j in range(n) if d.rows[i][j]]
-        for i in range(n)
-    }
-    components = tuple(
-        tuple(comp) for comp in strongly_connected_components(d.node_ids, succ)
-    )
-    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
-    edge_set = {
-        (comp_of[d.node_ids[i]], comp_of[d.node_ids[j]])
-        for i in range(n)
-        for j in range(n)
-        if d.rows[i][j] and comp_of[d.node_ids[i]] != comp_of[d.node_ids[j]]
-    }
-    return CondensedGraph(components, tuple(sorted(edge_set)))
+    cond = _condense(d)
+    ids = d.node_ids
+    components = tuple(tuple(ids[i] for i in comp) for comp in cond.components)
+    edges = sorted((c, s) for c, out in enumerate(cond.successors) for s in out)
+    return CondensedGraph(components, tuple(edges))

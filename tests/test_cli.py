@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +13,7 @@ from depmat.fileio import serialize_graph
 from depmat.matrices import MAX_DENSE_NODES
 from depmat.simulation import GeneratorParams, generate_graph
 
-from conftest import ROBOT_PATH
+from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
 from oracles import bfs_hops, graph_succ
 
 ROBOT = str(ROBOT_PATH)
@@ -439,3 +442,48 @@ def test_fuzzed_input_never_exits_1(tmp_path_factory, capsys, data):
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code in (0, 2, 3), (argv, err)
         assert "internal error" not in err, (argv, err)
+
+
+MATRIX_GOLDENS = GOLDENS / "matrix_100n_seed5"
+_MATRIX_SUFFIX = {"text": "txt", "csv": "csv", "json": "json"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("kind", ["incidence", "adjacency", "dependency", "closure"])
+def test_matrix_output_matches_golden(capsys, kind, fmt):
+    """A generated 100-node graph with feedback cycles (two strongly
+    connected components of 7 and 3 nodes), every matrix kind and format."""
+    code, out, err = run(
+        capsys, "matrix", str(MATRIX_GOLDENS / "graph.json"), "--kind", kind, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (MATRIX_GOLDENS / f"{kind}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--nodes", "100", "--layers", "8", "--density", "0.1",
+         "--feedback", "0.05", "--trials", "30", "--detect-prob", "0.9",
+         "--seed", "9", "--format", "json"],
+        ["matrix", str(MATRIX_GOLDENS / "graph.json"), "--kind", "closure", "--format", "csv"],
+        ["localize", str(MATRIX_GOLDENS / "graph.json"), "--symptoms", "n10,n40,n71,n95",
+         "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_is_byte_identical_across_processes(argv):
+    """Separate interpreters with different string hash seeds print the
+    same bytes."""
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "depmat", *argv], env=env, capture_output=True, check=True
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,15 @@ from depmat.graph import (
     build_graph,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
-from depmat.matrices import adjacency_matrix, dependency_matrix, incidence_matrix
+from depmat.matrices import (
+    AdjacencyMatrix,
+    DependencyMatrix,
+    IncidenceMatrix,
+    adjacency_matrix,
+    dependency_matrix,
+    incidence_matrix,
+    transitive_closure,
+)
 from depmat.schedule import compute_schedule
 from depmat.simulation import GeneratorParams, generate_graph
 
@@ -223,6 +232,69 @@ def test_matrix_csv_reimports_with_matching_dimensions(robot):
         assert len(rows) == 6  # header + 5 node rows
         assert all(len(row) == cols + 1 for row in rows)
 
+
+def csv_writer_reference(matrix) -> str:
+    """The matrix rendered cell by cell through ``csv.writer``."""
+    cols = matrix.edge_ids if isinstance(matrix, IncidenceMatrix) else matrix.node_ids
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["", *cols])
+    for label, row in zip(matrix.node_ids, matrix.rows):
+        writer.writerow([label, *row])
+    return buffer.getvalue()
+
+
+AWKWARD_LABELS = ("a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "ünï ✓", "", "plain")
+
+
+def awkward_matrices(labels):
+    n = len(labels)
+    rnd = random.Random(n)
+    square = tuple(tuple(rnd.randint(0, 1) for _ in range(n)) for _ in range(n))
+    weights = tuple(tuple(rnd.choice((0, 0, 3, 12)) for _ in range(n)) for _ in range(n))
+    incidence = tuple(tuple(rnd.choice((0, 7)) for _ in range(n)) for _ in range(n))
+    return (
+        IncidenceMatrix(labels, tuple(reversed(labels)), incidence),
+        IncidenceMatrix(labels, (), tuple(() for _ in labels)),
+        AdjacencyMatrix(labels, weights),
+        DependencyMatrix(labels, square),
+        transitive_closure(DependencyMatrix(labels, square)),
+    )
+
+
+def test_matrix_csv_quotes_labels_as_csv_writer_does():
+    for matrix in awkward_matrices(AWKWARD_LABELS):
+        assert matrix_csv(matrix) == csv_writer_reference(matrix)
+
+
+def test_matrix_csv_single_and_empty_matrices():
+    assert matrix_csv(DependencyMatrix((), ())) == '""\n'
+    assert matrix_csv(AdjacencyMatrix((), ())) == '""\n'
+    assert matrix_csv(IncidenceMatrix(("",), (), ((),))) == '""\n""\n'
+    for labels in ((), ("",), ("x",), (" ",)):
+        for matrix in awkward_matrices(labels):
+            assert matrix_csv(matrix) == csv_writer_reference(matrix)
+
+
+@given(st.lists(st.text(max_size=6), max_size=8, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_matches_csv_writer_for_any_labels(labels):
+    for matrix in awkward_matrices(tuple(labels)):
+        assert matrix_csv(matrix) == csv_writer_reference(matrix)
+
+
+@pytest.mark.parametrize("builder", [incidence_matrix, adjacency_matrix, dependency_matrix])
+def test_matrix_csv_matches_csv_writer_on_generated_graphs(builder):
+    for seed in range(20):
+        g = generate_graph(
+            GeneratorParams(node_count=1 + seed * 4, layer_count=1 + seed % 5,
+                            edge_density=0.3, feedback_edge_fraction=0.2, seed=seed)
+        )
+        matrix = builder(g)
+        assert matrix_csv(matrix) == csv_writer_reference(matrix)
+        if builder is dependency_matrix:
+            closed = transitive_closure(matrix)
+            assert matrix_csv(closed) == csv_writer_reference(closed)
 
 def test_matrix_text_alignment(robot):
     text = matrix_text(dependency_matrix(robot))

@@ -17,7 +17,7 @@ from depmat.graph import (
     validate,
 )
 
-from oracles import graph_succ, has_cycle, random_kinded_digraph, random_mixed_graph
+from oracles import bfs_hops, graph_succ, has_cycle, random_kinded_digraph, random_mixed_graph
 
 
 def codes(exc_or_report):
@@ -267,6 +267,22 @@ def test_strongly_connected_components_partition():
     comps = strongly_connected_components(ids, succ)
     assert comps == [["a", "b"], ["c"], ["d"]]
 
+
+
+def test_strongly_connected_components_match_mutual_reachability():
+    for seed in range(300):
+        rnd = random.Random(seed)
+        ids = [f"x{i}" for i in rnd.sample(range(40), rnd.randint(0, 25))]
+        density = rnd.uniform(0.0, 0.3)
+        succ = {v: [w for w in ids if rnd.random() < density] for v in ids}  # self-loops too
+        reach = {v: set(bfs_hops(succ, v)) for v in ids}
+        comps = strongly_connected_components(ids, succ)
+        position = {v: i for i, v in enumerate(ids)}
+        assert sorted(v for comp in comps for v in comp) == sorted(ids)
+        for comp in comps:
+            assert comp == sorted(comp, key=position.__getitem__)
+            assert {w for w in ids if w in reach[comp[0]] and comp[0] in reach[w]} == set(comp)
+        assert [position[c[0]] for c in comps] == sorted(position[c[0]] for c in comps)
 
 def test_graph_is_immutable(robot):
     with pytest.raises(Exception):

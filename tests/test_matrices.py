@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depmat.graph import Activity, ActivityEdge, build_graph
 from depmat.matrices import (
     AlreadyClosedError,
     CapacityError,
     DependencyMatrix,
+    DimensionMismatchError,
     MAX_DENSE_NODES,
     adjacency_matrix,
     condense_sccs,
@@ -16,7 +19,7 @@ from depmat.matrices import (
     unpack_mask,
 )
 
-from oracles import closure_by_powers, random_digraph_rows, random_mixed_graph
+from oracles import bfs_hops, closure_by_powers, random_digraph_rows, random_mixed_graph
 
 FIG6_ROWS = (
     (0, 1, 0, 1, 1),
@@ -253,3 +256,87 @@ def test_capacity_limit():
         adjacency_matrix(g)
     with pytest.raises(CapacityError):
         incidence_matrix(g)
+
+
+@given(
+    st.integers(0, 40),
+    st.sampled_from([0.0, 0.02, 0.08, 0.3, 1.0]),
+    st.integers(0, 2**32),
+)
+@example(65, 0.3, 1)
+@example(70, 1.0, 2)
+@settings(max_examples=30, deadline=None)
+def test_closure_matches_power_oracle_across_words(n, density, seed):
+    """Random square 0/1 matrices, diagonal 1s included; the examples are
+    wide enough that the packed rows span more than one 64-bit word."""
+    rnd = random.Random(seed)
+    rows = [[1 if rnd.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    closed = transitive_closure(rows_to_matrix(rows))
+    assert closed.closed
+    assert [list(r) for r in closed.rows] == closure_by_powers(rows)
+
+
+@given(st.integers(60, 200), st.sampled_from([0.005, 0.01, 0.03]), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_sparse_wide_closure_matches_bfs_oracle(n, density, seed):
+    """Sparse matrices of one to four 64-bit words per row, diagonal 1s
+    included: each closure row is the set of nodes reached by a walk of
+    one or more edges."""
+    rnd = random.Random(seed)
+    rows = [[1 if rnd.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    succ = {i: [j for j in range(n) if rows[i][j]] for i in range(n)}
+    closed = transitive_closure(rows_to_matrix(rows))
+    for i in range(n):
+        reached = set()
+        for j in succ[i]:
+            reached |= set(bfs_hops(succ, j))
+        assert closed.rows[i] == tuple(int(j in reached) for j in range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 130])
+def test_rows_round_trip_through_masks(n):
+    rnd = random.Random(n)
+    rows = tuple(tuple(rnd.randint(0, 1) for _ in range(n)) for _ in range(n))
+    assert rows_to_matrix(rows).rows == rows
+
+
+def test_masks_are_rows_least_significant_bit_first():
+    m = DependencyMatrix(("a", "b", "c"), ((0, 1, 1), (0, 0, 0), (1, 0, 0)))
+    assert m.masks == (0b110, 0, 0b001)
+    assert m.entry("a", "c") == 1 and m.entry("c", "a") == 1 and m.entry("b", "a") == 0
+    assert DependencyMatrix(("a",), ((1,),)).masks == (1,)
+    assert DependencyMatrix((), ()).masks == ()
+    assert dependency_matrix(chain_graph()).masks == (0b010, 0b100, 0)
+
+
+def test_truthy_cells_pack_to_one():
+    m = DependencyMatrix(("a", "b"), ((2, True), (0, -1)))
+    assert m.masks == (0b11, 0b10)
+    assert m.rows == ((1, 1), (0, 1))
+
+
+def test_non_square_rows_are_rejected():
+    with pytest.raises(DimensionMismatchError):
+        DependencyMatrix(("a", "b"), ((0, 1),))
+    with pytest.raises(DimensionMismatchError):
+        DependencyMatrix(("a", "b"), ((0, 1), (0, 1, 0)))
+
+
+def test_closure_of_a_self_loop_marks_the_diagonal():
+    closed = transitive_closure(rows_to_matrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    assert closed.rows == ((1, 1, 0), (0, 0, 0), (0, 0, 0))
+
+
+def test_condensation_edges_match_reachability_oracle():
+    for seed in range(100):
+        rows = random_digraph_rows(random.Random(5000 + seed), max_nodes=20)
+        matrix = rows_to_matrix(rows)
+        condensed = condense_sccs(matrix)
+        comp = [condensed.component_of[v] for v in matrix.node_ids]
+        expected = {
+            (comp[i], comp[j])
+            for i, row in enumerate(rows)
+            for j, v in enumerate(row)
+            if v and comp[i] != comp[j]
+        }
+        assert condensed.edges == tuple(sorted(expected))
