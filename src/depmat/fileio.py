@@ -23,6 +23,7 @@ import re
 from collections import Counter
 from json.encoder import encode_basestring
 from types import SimpleNamespace
+from typing import Iterator, Sequence
 
 from .graph import (
     Activity,
@@ -89,7 +90,7 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
         if key not in _DOCUMENT_FIELDS:
             raise SchemaError(f"unknown field {key!r}", key)
     version = _get(doc, "format_version", "$")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}", "format_version")
     unit = doc.get("unit", "ms")
     if not isinstance(unit, str) or not unit:
@@ -293,15 +294,9 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     first column.
 
     ``csv.writer`` renders the header and quotes every label; the cells are
-    bare integers, so each row's cells are one ``join``. A dependency row
-    is its packed mask's bits in column order.
+    bare integers, so each row's cells are one ``join``.
     """
     row_labels, col_labels = _matrix_labels(matrix)
-    if isinstance(matrix, DependencyMatrix):
-        width = len(col_labels)
-        rows = (bin(mask)[:1:-1].ljust(width, "0") for mask in matrix.masks)
-    else:
-        rows = (map(str, row) for row in matrix.rows)
     written: list[str] = []
     writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
     writer.writerow(["", *col_labels])
@@ -309,7 +304,7 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     # the comma before its cells; with no columns it stands alone, where
     # the writer renders an empty label as '""'.
     rest = ("",) if col_labels else ()
-    for label, row in zip(row_labels, rows):
+    for label, row in zip(row_labels, _cell_rows(matrix)):
         writer.writerow((label, *rest))
         written[-1] = written[-1][:-1] + ",".join(row) + "\n"
     return "".join(written)
@@ -318,26 +313,23 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
 def matrix_text(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:
     """Aligned plain-text table of the same cells as the CSV form."""
     row_labels, col_labels = _matrix_labels(matrix)
-    cells = [[str(v) for v in row] for row in matrix.rows]
-    label_width = max((len(r) for r in row_labels), default=0)
-    widths = [
-        max(len(col_labels[j]), max((len(row[j]) for row in cells), default=0))
-        for j in range(len(col_labels))
-    ]
-    lines = [
-        (
-            " " * label_width
-            + "".join("  " + col_labels[j].rjust(widths[j]) for j in range(len(col_labels)))
-        ).rstrip()
-    ]
-    for label, row in zip(row_labels, cells):
-        lines.append(
-            (
-                label.ljust(label_width)
-                + "".join("  " + row[j].rjust(widths[j]) for j in range(len(row)))
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    cells = list(_cell_rows(matrix))
+    label_width = max(map(len, row_labels), default=0)
+    widths = [max(map(len, column)) for column in zip(col_labels, *cells)]
+    lines = (
+        "  ".join([label.ljust(label_width), *map(str.rjust, row, widths)]).rstrip() + "\n"
+        for label, row in zip(("", *row_labels), (col_labels, *cells))
+    )
+    return "".join(lines)
+
+
+def _cell_rows(matrix) -> Iterator[Sequence[str]]:
+    """Each row's cells as strings, in column order. A dependency row is its
+    packed mask's binary digits, one character per cell."""
+    if isinstance(matrix, DependencyMatrix):
+        width = len(matrix.node_ids)
+        return (bin(mask)[:1:-1].ljust(width, "0") for mask in matrix.masks)
+    return (list(map(str, row)) for row in matrix.rows)
 
 
 def _matrix_labels(matrix) -> tuple[tuple[str, ...], tuple[str, ...]]:

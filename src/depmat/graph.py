@@ -20,7 +20,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
@@ -143,22 +143,51 @@ class ActivityGraph:
         return {k: tuple(v) for k, v in inc.items()}
 
     @cached_property
-    def scheduling_order(self) -> tuple[str, ...]:
-        """Kahn order of the scheduling and dummy edges, computed once per
-        graph. When they are cyclic, Tarjan names a witness cycle instead:
-        raises CyclicScheduleError."""
-        succ = {v: [e.head for e in self._out[v] if e.kind in SCHEDULING_KINDS] for v in self.node_ids}
-        indegree = Counter(w for heads in succ.values() for w in heads)
-        order = [v for v in self.node_ids if indegree[v] == 0]
+    def dependency_view(self) -> list[tuple[int, ...]]:
+        """Per node position, the head positions of its edges of every kind,
+        in edge order. Edges with an undeclared endpoint are left out."""
+        heads: list[list[int]] = [[] for _ in self.activities]
+        position = self._positions.get
+        for e in self.edges:
+            tail, head = position(e.tail), position(e.head)
+            if tail is not None and head is not None:
+                heads[tail].append(head)
+        # kept as long as the graph: exact-size tuples, all empty ones ``()``
+        return [tuple(h) for h in heads]
+
+    @cached_property
+    def scheduling_view(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Per node position, the head positions and, in a parallel list,
+        the weights of its scheduling and dummy edges, in edge order."""
+        heads: list[list[int]] = [[] for _ in self.activities]
+        weights: list[list[int]] = [[] for _ in self.activities]
+        position = self._positions.get
+        for e in self.edges:
+            if e.kind in SCHEDULING_KINDS:
+                tail, head = position(e.tail), position(e.head)
+                if tail is not None and head is not None:
+                    heads[tail].append(head)
+                    weights[tail].append(e.weight)
+        return [tuple(h) for h in heads], [tuple(w) for w in weights]
+
+    @cached_property
+    def scheduling_order(self) -> tuple[int, ...]:
+        """Node positions in Kahn order of the scheduling view, computed once
+        per graph. When the view is cyclic, Tarjan names a witness cycle
+        instead: raises CyclicScheduleError."""
+        heads = self.scheduling_view[0]
+        indegree = Counter(w for successors in heads for w in successors)
+        order = [v for v in range(len(heads)) if indegree[v] == 0]
         for v in order:  # appended to while iterated: the list is Kahn's FIFO queue
-            for w in succ[v]:
+            for w in heads[v]:
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     order.append(w)
-        if len(order) < len(self.node_ids):
-            for comp in strongly_connected_components(self.node_ids, succ):
+        if len(order) < len(heads):
+            for comp in strongly_connected_components(range(len(heads)), heads):
                 if len(comp) >= 2:
-                    raise CyclicScheduleError(shortest_cycle_through(comp[0], set(comp), succ))
+                    cycle = shortest_cycle_through(comp[0], set(comp), heads)
+                    raise CyclicScheduleError([self.node_ids[v] for v in cycle])
         return tuple(order)
 
     def has_node(self, node: str) -> bool:
@@ -249,41 +278,38 @@ def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
     def warn(code: str, message: str, *ids: str) -> None:
         issues.append(ValidationIssue(SEVERITY_WARNING, code, message, tuple(ids)))
 
-    touched = {e.tail for e in g.edges} | {e.head for e in g.edges}
-    for a in g.activities:
-        if a.id not in touched:
-            warn("isolated-node", f"isolated node: {a.id}", a.id)
+    ids = g.node_ids
+    succ_all = g.dependency_view
+    succ_sched = g.scheduling_view[0]
+    touched = {w for heads in succ_all for w in heads}
+    for i, (v, heads) in enumerate(zip(ids, succ_all)):
+        if not heads and i not in touched:
+            warn("isolated-node", f"isolated node: {v}", v)
 
-    sched_in = {a.id: 0 for a in g.activities}
-    sched_out = {a.id: 0 for a in g.activities}
-    for e in g.edges:
-        if e.kind in SCHEDULING_KINDS:
-            sched_out[e.tail] += 1
-            sched_in[e.head] += 1
-    sources = [v for v in g.node_ids if sched_in[v] == 0]
-    sinks = [v for v in g.node_ids if sched_out[v] == 0]
+    has_predecessor = {w for heads in succ_sched for w in heads}
+    sources = [v for i, v in enumerate(ids) if i not in has_predecessor]
+    sinks = [v for v, heads in zip(ids, succ_sched) if not heads]
     if len(sources) > 1:
         warn("multiple-sources", "multiple sources in scheduling view: " + ", ".join(sources), *sources)
     if len(sinks) > 1:
         warn("multiple-sinks", "multiple sinks in scheduling view: " + ", ".join(sinks), *sinks)
 
-    succ_all = {v: [e.head for e in g.out_edges(v)] for v in g.node_ids}
-    succ_sched = {v: [e.head for e in g.out_edges(v) if e.kind in SCHEDULING_KINDS] for v in g.node_ids}
     # every scheduling cycle lies inside one dependency component
     on_sched_cycle = {
-        v for sub in strongly_connected_components(g.node_ids, succ_sched) if len(sub) >= 2 for v in sub
+        v for sub in strongly_connected_components(range(len(ids)), succ_sched) if len(sub) >= 2 for v in sub
     }
-    for comp in strongly_connected_components(g.node_ids, succ_all):
+    for comp in strongly_connected_components(range(len(ids)), succ_all):
         if len(comp) < 2:
             continue
         members = set(comp)
         start = next((v for v in comp if v in on_sched_cycle), None)
         if start is not None:
             cycle = shortest_cycle_through(start, members, succ_sched)
-            warn("scheduling-cycle", "scheduling cycle: " + "->".join(cycle), *comp)
+            kind = "scheduling"
         else:
             cycle = shortest_cycle_through(comp[0], members, succ_all)
-            warn("dependency-only-cycle", "dependency-only cycle: " + "->".join(cycle), *comp)
+            kind = "dependency-only"
+        warn(f"{kind}-cycle", f"{kind} cycle: " + "->".join(ids[v] for v in cycle), *(ids[v] for v in comp))
     return issues
 
 
@@ -301,20 +327,19 @@ def scheduling_subgraph(g: ActivityGraph) -> ActivityGraph:
     )
 
 
-def strongly_connected_components(
-    ids: Sequence[str], succ: Mapping[str, Sequence[str]]
-) -> list[list[str]]:
-    """Tarjan's algorithm, iterative. Components are returned sorted by the
-    input position of their first member, members in input order.
+def strongly_connected_components(ids: Sequence, succ) -> list[list]:
+    """Tarjan's algorithm, iterative, over the successors ``succ[v]`` of each
+    ``v`` in ``ids`` (by id, or by position with ``ids = range(n)``). Components
+    are sorted by the input position of their first member, members in input order.
 
     ``low`` doubles as the on-stack test: once a component is emitted its
     members' lowlinks are raised past every DFS index, so an edge into an
     emitted component never lowers a lowlink.
     """
     position = {v: i for i, v in enumerate(ids)}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    components: list[list[str]] = []
+    low: dict = {}
+    stack: list = []
+    components: list[list] = []
     emitted = len(ids)
     counter = 0
 
@@ -323,7 +348,7 @@ def strongly_connected_components(
             continue
         low[root] = counter
         stack.append(root)
-        work: list[tuple[str, Iterator[str], int]] = [(root, iter(succ.get(root, ())), counter)]
+        work: list[tuple[object, Iterator, int]] = [(root, iter(succ[root]), counter)]
         counter += 1
         while work:
             v, children, index = work[-1]
@@ -331,7 +356,7 @@ def strongly_connected_components(
                 if w not in low:
                     low[w] = counter
                     stack.append(w)
-                    work.append((w, iter(succ.get(w, ())), counter))
+                    work.append((w, iter(succ[w]), counter))
                     counter += 1
                     break
                 if low[w] < low[v]:
@@ -361,21 +386,19 @@ def strongly_connected_components(
     return components
 
 
-def shortest_cycle_through(
-    start: str, members: set[str], succ: Mapping[str, Sequence[str]]
-) -> tuple[str, ...]:
+def shortest_cycle_through(start, members: set, succ) -> tuple:
     """Shortest directed cycle through `start` inside `members`, found by
     BFS. The caller guarantees such a cycle exists. Returned as a node
     sequence whose first and last entries are `start`."""
-    parent: dict[str, str] = {}
+    parent: dict = {}
     dist = {start: 0}
     queue = deque([start])
-    best: str | None = None
+    best = None
     while queue:
         v = queue.popleft()
         if best is not None and dist[v] >= dist[best]:
             break
-        for w in succ.get(v, ()):
+        for w in succ[v]:
             if w == start:
                 if best is None or dist[v] < dist[best]:
                     best = v

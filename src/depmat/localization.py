@@ -25,10 +25,8 @@ from itertools import compress
 from .graph import (
     ActivityGraph,
     CyclicScheduleError,
-    EDGE_KINDS,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
-    SCHEDULING_KINDS,
     UnknownNodeError,
 )
 from .matrices import (
@@ -144,29 +142,27 @@ def _check_symptoms(known_ids, symptoms) -> tuple[str, ...]:
     return ordered
 
 
-def _explaining_masks(
-    ids: tuple[str, ...], succ: dict[str, list[str]], ordered: tuple[str, ...]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """SCC ids and, per node, the bitmask of symptoms that reach it (bit i
-    for ``ordered[i]``; zero for nodes no symptom depends on).
+def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[dict, list[int]]:
+    """SCC ids and, per node position, the bitmask of symptoms that reach
+    it (bit i for ``sources[i]``; zero for nodes no symptom depends on).
 
     Nodes of one component reach each other, so they share a mask; masks
     flow from a component to its successors in Kahn order of the
     condensation.
     """
-    cond = condensation(ids, succ)
+    cond = condensation(range(len(succ)), succ)
     comp_of = cond.component_of
     comp_mask = [0] * len(cond.components)
-    for bit, s in enumerate(ordered):
+    for bit, s in enumerate(sources):
         comp_mask[comp_of[s]] |= 1 << bit
     for c in cond.order:
         mask = comp_mask[c]
         for d in cond.successors[c]:
             comp_mask[d] |= mask
-    return comp_of, {v: comp_mask[comp_of[v]] for v in ids}
+    return comp_of, [comp_mask[comp_of[v]] for v in range(len(succ))]
 
 
-def _hops_from_nearest(succ: dict[str, list[str]], sources: tuple[str, ...]) -> dict[str, int]:
+def _hops_from_nearest(succ: list[tuple[int, ...]], sources: list[int]) -> dict[int, int]:
     """Multi-source BFS: each reachable node's hop count from the nearest
     source."""
     dist = dict.fromkeys(sources, 0)
@@ -205,8 +201,7 @@ def localize(
     ordered = _check_symptoms(g.node_ids, symptoms)
 
     ids = g.node_ids
-    edge_kinds = SCHEDULING_KINDS if view == VIEW_SCHEDULING else EDGE_KINDS
-    succ = {v: [e.head for e in g.out_edges(v) if e.kind in edge_kinds] for v in ids}
+    succ = g.scheduling_view[0] if view == VIEW_SCHEDULING else g.dependency_view
 
     try:
         kinds = classify_activities(g, compute_schedule(g)).kinds
@@ -218,20 +213,20 @@ def localize(
             for a in g.activities
         }
 
-    comp_of, masks = _explaining_masks(ids, succ, ordered)
-    hops = _hops_from_nearest(succ, ordered)
-    position = {v: i for i, v in enumerate(ids)}
+    sources = [g.position(s) for s in ordered]
+    comp_of, masks = _explaining_masks(succ, sources)
+    hops = _hops_from_nearest(succ, sources)
 
     candidates = [
         Candidate(
-            node=node,
-            explains=tuple(compress(ordered, unpack_mask(masks[node]))),
-            is_critical=kinds[node] == KIND_CRITICAL,
-            min_distance=hops[node],
-            scc=comp_of[node],
+            node=ids[v],
+            explains=tuple(compress(ordered, unpack_mask(mask))),
+            is_critical=kinds[ids[v]] == KIND_CRITICAL,
+            min_distance=hops[v],
+            scc=comp_of[v],
         )
-        for node in ids
-        if masks[node]
+        for v, mask in enumerate(masks)
+        if mask
     ]
 
     def sort_key(c: Candidate):
@@ -239,15 +234,15 @@ def localize(
             "explains": -len(c.explains),
             "critical": 0 if c.is_critical else 1,
             "distance": c.min_distance,
-            "input_order": position[c.node],
+            "input_order": g.position(c.node),
         }
         return tuple(parts[k] for k in policy.keys)
 
     ranked = tuple(sorted(candidates, key=sort_key))
     independent = tuple(
-        s for bit, s in enumerate(ordered) if not succ[s] and masks[s] == 1 << bit
+        s for bit, (s, v) in enumerate(zip(ordered, sources)) if not succ[v] and masks[v] == 1 << bit
     )
-    examined = sum(1 for v in ids if masks[v] or kinds[v] == KIND_CRITICAL)
+    examined = sum(1 for v, mask in zip(ids, masks) if mask or kinds[v] == KIND_CRITICAL)
     return LocalizationReport(
         symptoms=ordered,
         candidates=ranked,

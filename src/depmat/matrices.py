@@ -216,10 +216,9 @@ def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
     (longest-path semantics). Includes dependency-only edges."""
     _check_capacity(len(g.activities))
     n = len(g.activities)
-    pos = {a.id: i for i, a in enumerate(g.activities)}
     grid = [[0] * n for _ in range(n)]
     for e in g.edges:
-        i, j = pos[e.tail], pos[e.head]
+        i, j = g.position(e.tail), g.position(e.head)
         if e.weight > grid[i][j]:
             grid[i][j] = e.weight
     return AdjacencyMatrix(g.node_ids, tuple(tuple(r) for r in grid))
@@ -228,11 +227,8 @@ def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
     """Boolean support of all edges, any kind; diagonal is all zero."""
     _check_capacity(len(g.activities))
-    pos = {a.id: i for i, a in enumerate(g.activities)}
-    masks = [0] * len(g.activities)
-    for e in g.edges:
-        masks[pos[e.tail]] |= 1 << pos[e.head]
-    return DependencyMatrix.from_masks(g.node_ids, tuple(masks))
+    masks = tuple(sum(1 << w for w in set(heads)) for heads in g.dependency_view)
+    return DependencyMatrix.from_masks(g.node_ids, masks)
 
 
 def _condense(d: DependencyMatrix) -> Condensation:

@@ -57,9 +57,10 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased uniform integer in [0, n) via rejection sampling; one
+        64-bit draw covers at most 2**64 values."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("bound must be in [1, 2**64]")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
             value = self.next_u64()

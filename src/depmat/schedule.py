@@ -8,15 +8,10 @@ All arithmetic is exact integer arithmetic in the graph's declared unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .graph import (
-    ActivityGraph,
-    KIND_AUTO,
-    KIND_CRITICAL,
-    KIND_NON_CRITICAL,
-    SCHEDULING_KINDS,
-)
+from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL
 
 
 class EmptyGraphError(ValueError):
@@ -34,7 +29,13 @@ class Schedule:
     slack: dict[str, int]
     duration: int
     critical_nodes: tuple[str, ...]
-    paths: tuple[tuple[str, ...], ...]
+    graph: ActivityGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[str, ...], ...]:
+        """Enumerated on first read only: their number can grow
+        exponentially with the node count."""
+        return _critical_paths(self)
 
 
 @dataclass(frozen=True)
@@ -49,26 +50,26 @@ class Classification:
 def forward_pass(g: ActivityGraph) -> dict[str, int]:
     """Earliest event times: longest scheduling-path distance from the
     sources (sources start at 0). Node input order is preserved."""
-    earliest = {v: 0 for v in g.node_ids}
+    heads, weights = g.scheduling_view
+    earliest = [0] * len(heads)
     for v in g.scheduling_order:
-        for e in g.out_edges(v):
-            if e.kind in SCHEDULING_KINDS:
-                candidate = earliest[v] + e.weight
-                if candidate > earliest[e.head]:
-                    earliest[e.head] = candidate
-    return {v: earliest[v] for v in g.node_ids}
+        for w, weight in zip(heads[v], weights[v]):
+            candidate = earliest[v] + weight
+            if candidate > earliest[w]:
+                earliest[w] = candidate
+    return dict(zip(g.node_ids, earliest))
 
 
 def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
     """Latest event times; every sink is seeded with the project duration."""
-    latest = {v: duration for v in g.node_ids}
+    heads, weights = g.scheduling_view
+    latest = [duration] * len(heads)
     for v in reversed(g.scheduling_order):
-        for e in g.out_edges(v):
-            if e.kind in SCHEDULING_KINDS:
-                candidate = latest[e.head] - e.weight
-                if candidate < latest[v]:
-                    latest[v] = candidate
-    return {v: latest[v] for v in g.node_ids}
+        for w, weight in zip(heads[v], weights[v]):
+            candidate = latest[w] - weight
+            if candidate < latest[v]:
+                latest[v] = candidate
+    return dict(zip(g.node_ids, latest))
 
 
 def compute_schedule(g: ActivityGraph) -> Schedule:
@@ -84,42 +85,32 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     latest = backward_pass(g, duration)
     slack = {v: latest[v] - earliest[v] for v in g.node_ids}
     critical = tuple(v for v in g.node_ids if slack[v] == 0)
-    paths = _critical_paths(g, earliest, slack, duration)
-    return Schedule(earliest, latest, slack, duration, critical, paths)
+    return Schedule(earliest, latest, slack, duration, critical, g)
 
 
-def _critical_paths(
-    g: ActivityGraph,
-    earliest: dict[str, int],
-    slack: dict[str, int],
-    duration: int,
-) -> tuple[tuple[str, ...], ...]:
+def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:
     """Enumerate every source->sink path of zero-slack nodes whose tight
     scheduling edges sum to the duration, depth-first in node input order."""
-    position = {v: i for i, v in enumerate(g.node_ids)}
-    out = {v: [e for e in g.out_edges(v) if e.kind in SCHEDULING_KINDS] for v in g.node_ids}
-    has_predecessor = {e.head for edges in out.values() for e in edges}
-
-    def tight_successors(v: str) -> list[str]:
-        heads = {
-            e.head
-            for e in out[v]
-            if slack[e.head] == 0 and earliest[v] + e.weight == earliest[e.head]
-        }
-        return sorted(heads, key=position.__getitem__)
-
-    starts = [v for v in g.node_ids if v not in has_predecessor and slack[v] == 0]
+    ids = s.graph.node_ids
+    heads, weights = s.graph.scheduling_view
+    early = [s.earliest[v] for v in ids]
+    tight = [s.slack[v] == 0 for v in ids]
+    has_predecessor = {w for successors in heads for w in successors}
+    starts = [v for v in range(len(ids)) if v not in has_predecessor and tight[v]]
     paths: list[tuple[str, ...]] = []
     for start in starts:
-        stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]
+        stack = [(start, (ids[start],))]
         while stack:
             v, acc = stack.pop()
-            if not out[v]:
-                if earliest[v] == duration:
+            if not heads[v]:
+                if early[v] == s.duration:
                     paths.append(acc)
                 continue
-            for head in reversed(tight_successors(v)):
-                stack.append((head, acc + (head,)))
+            successors = {
+                w for w, weight in zip(heads[v], weights[v]) if tight[w] and early[v] + weight == early[w]
+            }
+            for w in sorted(successors, reverse=True):
+                stack.append((w, acc + (ids[w],)))
     return tuple(paths)
 
 

@@ -76,6 +76,8 @@ class GeneratorParams:
             raise InvalidParamsError("edge_density must be in (0, 1]")
         if self.max_weight < 1:
             raise InvalidParamsError("max_weight must be >= 1")
+        if self.max_weight > 2**64:
+            raise InvalidParamsError("max_weight must be at most 2**64")
         if not 0.0 <= self.feedback_edge_fraction < 1.0:
             raise InvalidParamsError("feedback_edge_fraction must be in [0, 1)")
         if not 0 <= self.seed < 2**64:

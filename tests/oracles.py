@@ -178,6 +178,17 @@ def random_mixed_graph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph
     return build_graph(base.activities, edges)
 
 
+def series_diamonds(k: int) -> ActivityGraph:
+    """k equal-weight diamonds in series, 3k + 1 nodes ``d0..d{3k}``: every
+    node is critical and there are 2**k critical paths."""
+    edges = []
+    for i in range(k):
+        a, b, c, d = (f"d{3 * i + j}" for j in range(4))
+        for tail, head in ((a, b), (a, c), (b, d), (c, d)):
+            edges.append(ActivityEdge(f"e{len(edges)}", tail, head, 1, EDGE_SCHEDULING))
+    return build_graph([Activity(f"d{i}") for i in range(3 * k + 1)], edges)
+
+
 def random_kinded_digraph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph:
     """Random digraph whose edges take any kind in any direction, so the
     scheduling view itself may be cyclic."""

@@ -14,7 +14,7 @@ from depmat.matrices import MAX_DENSE_NODES
 from depmat.simulation import GeneratorParams, generate_graph
 
 from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
-from oracles import bfs_hops, graph_succ
+from oracles import bfs_hops, graph_succ, series_diamonds
 
 ROBOT = str(ROBOT_PATH)
 
@@ -192,6 +192,34 @@ def test_simulate_csv(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("trial,seed,root,")
     assert len(lines) == 4
+
+
+def test_simulate_weight_bound_is_one_draw(capsys):
+    # a bound above 2**64 cannot be drawn from one 64-bit output
+    code, out, err = run(capsys, "simulate", "--nodes", "12", "--trials", "2", "--wmax", str(2**64 + 1))
+    assert (code, out) == (2, "")
+    assert "max_weight" in err
+    code, out, err = run(capsys, "simulate", "--nodes", "12", "--trials", "2", "--wmax", str(2**64))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_format_version_must_be_exact_int(tmp_path, capsys, version):
+    path = tmp_path / "version.json"
+    path.write_text(f'{{"format_version":{version},"nodes":[{{"id":"a"}}],"edges":[]}}')
+    for argv in (["validate", str(path)], ["cpm", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "format_version" in err
+
+
+@pytest.mark.parametrize("command", [["localize", "--symptoms", "d0,d61"], ["export"], ["export", "--symptoms", "d5"]])
+def test_exponentially_many_critical_paths_do_not_slow_localize(tmp_path, capsys, command):
+    path = tmp_path / "diamonds.json"
+    path.write_bytes(serialize_graph(series_diamonds(40)))  # 2**40 critical paths
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_simulate_bad_params_exit_2(capsys):

@@ -296,6 +296,37 @@ def test_matrix_csv_matches_csv_writer_on_generated_graphs(builder):
             closed = transitive_closure(matrix)
             assert matrix_csv(closed) == csv_writer_reference(closed)
 
+
+def text_reference(matrix):
+    """Cell-by-cell aligned table: each column as wide as its widest cell
+    or label, two spaces apart, trailing blanks stripped."""
+    col_labels = matrix.edge_ids if isinstance(matrix, IncidenceMatrix) else matrix.node_ids
+    table = [["", *col_labels]] + [[label, *map(str, row)] for label, row in zip(matrix.node_ids, matrix.rows)]
+    widths = [max(len(line[j]) for line in table) for j in range(len(table[0]))]
+    return "".join(
+        "  ".join(
+            cell.ljust(widths[0]) if j == 0 else cell.rjust(widths[j]) for j, cell in enumerate(line)
+        ).rstrip() + "\n"
+        for line in table
+    )
+
+
+@pytest.mark.parametrize("builder", [incidence_matrix, adjacency_matrix, dependency_matrix])
+def test_matrix_text_matches_cell_reference(builder):
+    for seed in range(20):
+        g = generate_graph(
+            GeneratorParams(node_count=1 + seed * 4, layer_count=1 + seed % 5, edge_density=0.3,
+                            max_weight=1 + 10 ** (seed % 4), feedback_edge_fraction=0.2, seed=seed)
+        )
+        matrix = builder(g)
+        assert matrix_text(matrix) == text_reference(matrix)
+        if builder is dependency_matrix:
+            closed = transitive_closure(matrix)
+            assert matrix_text(closed) == text_reference(closed)
+    for matrix in (IncidenceMatrix(("a", "bb"), (), ((), ())), AdjacencyMatrix((), ())):
+        assert matrix_text(matrix) == text_reference(matrix)
+
+
 def test_matrix_text_alignment(robot):
     text = matrix_text(dependency_matrix(robot))
     lines = text.splitlines()

@@ -9,6 +9,8 @@ from depmat.graph import (
     CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
+    EDGE_KINDS,
+    EDGE_SCHEDULING,
     GraphBuildError,
     SCHEDULING_KINDS,
     build_graph,
@@ -283,6 +285,55 @@ def test_strongly_connected_components_match_mutual_reachability():
             assert comp == sorted(comp, key=position.__getitem__)
             assert {w for w in ids if w in reach[comp[0]] and comp[0] in reach[w]} == set(comp)
         assert [position[c[0]] for c in comps] == sorted(position[c[0]] for c in comps)
+
+
+def _view_reference(g, kinds):
+    """Per tail position, (head positions, weights) of the edges of the
+    given kinds, read straight off the edge list."""
+    position = {v: i for i, v in enumerate(g.node_ids)}
+    heads = [[] for _ in g.node_ids]
+    weights = [[] for _ in g.node_ids]
+    for e in g.edges:
+        if e.kind in kinds and e.tail in position and e.head in position:
+            heads[position[e.tail]].append(position[e.head])
+            weights[position[e.tail]].append(e.weight)
+    return [tuple(x) for x in heads], [tuple(x) for x in weights]
+
+
+def test_views_match_edge_list_reference():
+    for seed in range(200):
+        rnd = random.Random(40_000 + seed)
+        base = random_mixed_graph(rnd, 12)
+        edges = list(base.edges)
+        # parallel copies of existing edges, and dummy twins of scheduling
+        # edges (same direction, so the scheduling view stays acyclic)
+        for e in rnd.sample(base.edges, min(len(base.edges), 4)):
+            kind = EDGE_DUMMY if e.kind == EDGE_SCHEDULING and rnd.random() < 0.5 else e.kind
+            weight = 0 if kind == EDGE_DUMMY else e.weight + rnd.randint(0, 2)
+            edges.insert(rnd.randint(0, len(edges)), ActivityEdge(f"p{len(edges)}", e.tail, e.head, weight, kind))
+        g = build_graph(base.activities, edges)
+        assert g.dependency_view == _view_reference(g, EDGE_KINDS)[0]
+        assert g.scheduling_view == _view_reference(g, SCHEDULING_KINDS)
+        rank = {v: i for i, v in enumerate(g.scheduling_order)}
+        assert sorted(rank) == list(range(len(g.node_ids)))
+        assert all(rank[v] < rank[w] for v, heads in enumerate(g.scheduling_view[0]) for w in heads)
+        assert g.dependency_view is g.dependency_view and g.scheduling_view is g.scheduling_view
+
+
+def test_views_drop_undeclared_endpoints():
+    g = ActivityGraph(
+        (Activity("a"), Activity("b")),
+        (
+            ActivityEdge("x", "a", "b", 2),
+            ActivityEdge("y", "a", "zz", 3),
+            ActivityEdge("z", "zz", "b", 4, EDGE_DEPENDENCY_ONLY),
+            ActivityEdge("w", "b", "a", 5, EDGE_DEPENDENCY_ONLY),
+        ),
+    )
+    assert g.dependency_view == [(1,), (0,)]
+    assert g.scheduling_view == ([(1,), ()], [(2,), ()])
+    assert g.scheduling_order == (0, 1)
+
 
 def test_graph_is_immutable(robot):
     with pytest.raises(Exception):

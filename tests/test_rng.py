@@ -49,3 +49,10 @@ def test_below_bounds_and_coverage():
 
 def test_seed_wraps_to_64_bits():
     assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+
+
+def test_below_bound_fits_one_draw():
+    rng = SplitMix64(7)
+    assert SplitMix64(7).below(2**64) == rng.next_u64()
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)

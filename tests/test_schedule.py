@@ -4,6 +4,9 @@ import random
 import pytest
 
 import depmat.graph
+import depmat.schedule
+from depmat.cli import main
+from depmat.fileio import serialize_graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
@@ -24,6 +27,7 @@ from depmat.schedule import (
     compute_schedule,
     forward_pass,
 )
+from depmat.simulation import GeneratorParams, run_experiment
 
 from oracles import (
     cpm_by_enumeration,
@@ -33,6 +37,7 @@ from oracles import (
     random_dag,
     random_kinded_digraph,
     random_mixed_graph,
+    series_diamonds,
 )
 
 
@@ -263,3 +268,34 @@ def test_critical_paths_sum_to_duration():
             total = sum(weight[(path[i], path[i + 1])] for i in range(len(path) - 1))
             assert total == s.duration
             assert all(s.slack[v] == 0 for v in path)
+
+
+def test_critical_paths_enumerated_only_when_read(monkeypatch):
+    calls = []
+    enumerate_paths = depmat.schedule._critical_paths
+    monkeypatch.setattr(
+        depmat.schedule, "_critical_paths", lambda s: calls.append(s) or enumerate_paths(s)
+    )
+    s = compute_schedule(series_diamonds(6))
+    assert calls == []
+    assert len(s.paths) == 2**6
+    assert s.paths is s.paths
+    assert len(calls) == 1
+    assert s == compute_schedule(series_diamonds(6))
+
+
+def test_localize_export_and_experiment_never_enumerate_paths(monkeypatch, tmp_path, capsys):
+    def forbidden(*args):
+        raise AssertionError("critical paths enumerated")
+
+    monkeypatch.setattr(depmat.schedule, "_critical_paths", forbidden)
+    g = series_diamonds(40)
+    report = localize(g, ["d0", "d120"])
+    assert all(c.is_critical for c in report.candidates)
+    path = tmp_path / "diamonds.json"
+    path.write_bytes(serialize_graph(g))
+    assert main(["export", str(path), "--symptoms", "d0,d60"]) == 0
+    assert capsys.readouterr().out.count("shape=doublecircle") == 121
+    assert main(["localize", str(path), "--symptoms", "d3"]) == 0
+    report = run_experiment(GeneratorParams(40, 5, 0.3, feedback_edge_fraction=0.2, seed=9), 6, 0.7)
+    assert len(report.rows) == 6
