@@ -11,8 +11,6 @@ import sys
 from typing import Sequence
 
 from .fileio import (
-    ParseError,
-    SchemaError,
     dumps_json,
     export_dot,
     matrix_csv,
@@ -23,32 +21,17 @@ from .fileio import (
 from .graph import (
     ActivityGraph,
     CyclicScheduleError,
-    GraphBuildError,
-    UnknownNodeError,
     validate,
 )
 from .localization import VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
-    CapacityError,
     adjacency_matrix,
     dependency_matrix,
     incidence_matrix,
     transitive_closure,
 )
 from .schedule import EmptyGraphError, classify_activities, compute_schedule
-from .simulation import GeneratorParams, InvalidParamsError, run_experiment
-
-_INPUT_ERRORS = (
-    ParseError,
-    SchemaError,
-    GraphBuildError,
-    UnknownNodeError,
-    CyclicScheduleError,
-    CapacityError,
-    EmptyGraphError,
-    InvalidParamsError,
-    OSError,
-)
+from .simulation import GeneratorParams, run_experiment
 
 _VIEWS = {"all": VIEW_ALL, "scheduling": VIEW_SCHEDULING}
 
@@ -314,10 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # every input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected; keep the message terse

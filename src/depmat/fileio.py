@@ -124,26 +124,7 @@ def parse_graph(data: bytes | str) -> ActivityGraph:
     try:
         return build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
-        raise _locate_build_error(exc, activities, edges) from None
-
-
-def _locate_build_error(
-    exc: GraphBuildError, activities: list[Activity], edges: list[ActivityEdge]
-) -> SchemaError:
-    issue = exc.issues[0]
-    locus = "$"
-    if issue.ids:
-        target = issue.ids[0]
-        for i, e in enumerate(edges):
-            if e.id == target:
-                locus = f"edges[{i}]"
-                break
-        else:
-            for i, a in enumerate(activities):
-                if a.id == target:
-                    locus = f"nodes[{i}]"
-                    break
-    return SchemaError(issue.message, locus)
+        raise SchemaError(exc.issues[0].message, exc.loci[0]) from None
 
 
 def _get(mapping: dict, key: str, locus: str):

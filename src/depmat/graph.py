@@ -65,10 +65,12 @@ class ValidationReport:
 
 
 class GraphBuildError(ValueError):
-    """Graph construction rejected; carries every error-severity issue."""
+    """Graph construction rejected; carries every error-severity issue and
+    the ``nodes[i]`` or ``edges[i]`` locus of each."""
 
-    def __init__(self, issues: Iterable[ValidationIssue]):
+    def __init__(self, issues: Iterable[ValidationIssue], loci: Iterable[str] = ()):
         self.issues = tuple(issues)
+        self.loci = tuple(loci)
         first = self.issues[0]
         more = f" (+{len(self.issues) - 1} more)" if len(self.issues) > 1 else ""
         super().__init__(f"{first.code}: {first.message}{more}")
@@ -216,20 +218,25 @@ def build_graph(
     """Construct and validate a graph; raises GraphBuildError on any
     structural error (order of activities and edges is preserved)."""
     graph = ActivityGraph(tuple(activities), tuple(edges), unit=unit)
-    errors = _structural_errors(graph)
+    errors, loci = _structural_errors(graph)
     if errors:
-        raise GraphBuildError(errors)
+        raise GraphBuildError(errors, loci)
     return graph
 
 
-def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
+def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[str]]:
+    """Every structural error and, in a parallel list, the item it is on;
+    a duplicate id is on its later copy."""
     issues: list[ValidationIssue] = []
+    loci: list[str] = []
 
     def err(code: str, message: str, *ids: str) -> None:
         issues.append(ValidationIssue(SEVERITY_ERROR, code, message, tuple(ids)))
+        loci.append(f"{array}[{i}]")  # the item the loops below are checking
 
+    array = "nodes"
     seen_nodes: set[str] = set()
-    for a in g.activities:
+    for i, a in enumerate(g.activities):
         if not isinstance(a.id, str) or not ID_PATTERN.match(a.id):
             err("invalid-id", f"activity id {a.id!r} is not a valid token", str(a.id))
         elif a.id in seen_nodes:
@@ -240,8 +247,9 @@ def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
             err("invalid-kind", f"activity {a.id}: unknown kind {a.declared_kind!r}", a.id)
 
     declared = {a.id for a in g.activities if isinstance(a.id, str)}
+    array = "edges"
     seen_edges: set[str] = set()
-    for e in g.edges:
+    for i, e in enumerate(g.edges):
         if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
             err("invalid-id", f"edge id {e.id!r} is not a valid token", str(e.id))
         elif e.id in seen_edges:
@@ -261,12 +269,12 @@ def _structural_errors(g: ActivityGraph) -> list[ValidationIssue]:
                 err("unknown-endpoint", f"edge {e.id}: unknown node {endpoint!r}", e.id, str(endpoint))
         if e.tail == e.head:
             err("self-loop", f"edge {e.id}: self-loop on {e.tail}", e.id)
-    return issues
+    return issues, loci
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
     """Collect all structural errors and advisory warnings (never raises)."""
-    issues = _structural_errors(g)
+    issues = _structural_errors(g)[0]
     if not issues:
         issues.extend(_warnings(g))
     return ValidationReport(tuple(issues))
@@ -331,12 +339,21 @@ def strongly_connected_components(ids: Sequence, succ) -> list[list]:
     """Tarjan's algorithm, iterative, over the successors ``succ[v]`` of each
     ``v`` in ``ids`` (by id, or by position with ``ids = range(n)``). Components
     are sorted by the input position of their first member, members in input order.
+    """
+    position = {v: i for i, v in enumerate(ids)}
+    components = _tarjan(ids, succ, position)
+    components.sort(key=lambda c: position[c[0]])
+    return components
+
+
+def _tarjan(ids: Sequence, succ, position: dict) -> list[list]:
+    """Components in emission order, each after every component it reaches;
+    members sorted by ``position``.
 
     ``low`` doubles as the on-stack test: once a component is emitted its
     members' lowlinks are raised past every DFS index, so an edge into an
     emitted component never lowers a lowlink.
     """
-    position = {v: i for i, v in enumerate(ids)}
     low: dict = {}
     stack: list = []
     components: list[list] = []
@@ -382,7 +399,6 @@ def strongly_connected_components(ids: Sequence, succ) -> list[list]:
                     low[w] = emitted
                 component.sort(key=position.__getitem__)
                 components.append(component)
-    components.sort(key=lambda c: position[c[0]])
     return components
 
 

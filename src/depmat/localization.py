@@ -147,7 +147,7 @@ def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[
     it (bit i for ``sources[i]``; zero for nodes no symptom depends on).
 
     Nodes of one component reach each other, so they share a mask; masks
-    flow from a component to its successors in Kahn order of the
+    flow from a component to its successors in topological order of the
     condensation.
     """
     cond = condensation(range(len(succ)), succ)
@@ -188,9 +188,9 @@ def localize(
     subgraph per ``view``. Criticality is always computed on the scheduling
     view; when that view is cyclic and ``view`` is ``all_edges``, declared
     kinds are used instead (with ``scheduling_only`` the cycle is a hard
-    error). ``nodes_examined`` counts each distinct node the back-tracking
-    traversal visits once: critical nodes are seeded into the worklist
-    first, then every symptom's closure is expanded.
+    error). ``nodes_examined`` counts the nodes that are candidates or
+    critical, each once: the critical nodes plus every node a symptom
+    transitively depends on.
 
     A candidate's ``min_distance`` is its hop count from the nearest
     symptom that explains it. Only explaining symptoms have a path to it,

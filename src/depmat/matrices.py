@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import ActivityGraph, UnknownNodeError, strongly_connected_components
+from .graph import ActivityGraph, UnknownNodeError, _tarjan
 
 MAX_DENSE_NODES = 4096
 
@@ -136,7 +136,8 @@ class Condensation(NamedTuple):
     ``components`` and ``component_of`` number components as
     ``strongly_connected_components`` orders them; ``successors[c]`` holds
     the distinct other components that ``c`` has edges into; ``order`` is a
-    Kahn order of the components, each one after all its predecessors.
+    topological order of the components, each one after all its
+    predecessors: Tarjan's emission order, reversed.
     """
 
     components: list[list]
@@ -146,26 +147,20 @@ class Condensation(NamedTuple):
 
 
 def condensation(ids: Sequence, succ: Mapping[object, Sequence]) -> Condensation:
-    """One Tarjan pass plus one Kahn sort of the condensation; O(n + m)."""
-    components = strongly_connected_components(ids, succ)
+    """One Tarjan pass, whose emission order gives the topological order;
+    O(n + m)."""
+    position = {v: i for i, v in enumerate(ids)}
+    emitted = _tarjan(ids, succ, position)
+    components = sorted(emitted, key=lambda c: position[c[0]])
     comp_of = {v: c for c, comp in enumerate(components) for v in comp}
     successors: list[set[int]] = [set() for _ in components]
     for v in ids:
         out = successors[comp_of[v]]
         for w in succ[v]:
             out.add(comp_of[w])
-    indegree = [0] * len(components)
     for c, out in enumerate(successors):
-        if out:
-            out.discard(c)
-            for d in out:
-                indegree[d] += 1
-    order = [c for c, d in enumerate(indegree) if d == 0]
-    for c in order:  # appended to while iterated: the list is Kahn's FIFO queue
-        for d in successors[c]:
-            indegree[d] -= 1
-            if indegree[d] == 0:
-                order.append(d)
+        out.discard(c)
+    order = [comp_of[comp[0]] for comp in reversed(emitted)]
     return Condensation(components, comp_of, successors, order)
 
 
@@ -241,9 +236,10 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     """Boolean closure over paths of length >= 1.
 
     A component reaches its members' direct successors plus everything its
-    successor components reach, so reverse Kahn order over the condensation
-    fills every component's row with O(n + m) ORs. A member of a cycle
-    reaches itself through the cycle, a self-loop through its own raw bit.
+    successor components reach, so reverse topological order over the
+    condensation fills every component's row with O(n + m) ORs. A member of
+    a cycle reaches itself through the cycle, a self-loop through its own
+    raw bit.
     """
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")

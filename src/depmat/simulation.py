@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 
 from .graph import (
@@ -41,6 +41,11 @@ BASELINE_DESCRIPTION = "exhaustive scan of every node"
 PROPAGATION_DESCRIPTION = (
     "deterministic reachability over the dependency closure with Bernoulli "
     "detection; the injected root always self-detects"
+)
+# field names of an ExperimentReport row: JSON keys and CSV header alike
+_ROW_FIELDS = (
+    "trial", "seed", "root", "symptoms", "candidates", "root_rank",
+    "examined_localizer", "examined_baseline", "hit",
 )
 
 
@@ -124,14 +129,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {
-                "node_count": self.params.node_count,
-                "layer_count": self.params.layer_count,
-                "edge_density": self.params.edge_density,
-                "max_weight": self.params.max_weight,
-                "feedback_edge_fraction": self.params.feedback_edge_fraction,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "model": {
                 "propagation": PROPAGATION_DESCRIPTION,
                 "baseline": BASELINE_DESCRIPTION,
@@ -146,35 +144,22 @@ class ExperimentReport:
                 "mean_examined_ratio": self.mean_examined_ratio,
             },
             "rows": [
-                {
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "root": r.root,
-                    "symptoms": r.symptom_count,
-                    "candidates": r.metrics.candidate_count,
-                    "root_rank": r.metrics.root_rank,
-                    "examined_localizer": r.metrics.nodes_examined_localizer,
-                    "examined_baseline": r.metrics.nodes_examined_baseline,
-                    "hit": r.metrics.hit,
-                }
+                dict(zip(_ROW_FIELDS, (
+                    r.trial, r.seed, r.root, r.symptom_count,
+                    r.metrics.candidate_count, r.metrics.root_rank,
+                    r.metrics.nodes_examined_localizer, r.metrics.nodes_examined_baseline,
+                    r.metrics.hit,
+                )))
                 for r in self.rows
             ],
         }
 
     def to_csv(self) -> str:
-        lines = [
-            "trial,seed,root,symptoms,candidates,root_rank,"
-            "examined_localizer,examined_baseline,hit"
-        ]
-        for r in self.rows:
-            m = r.metrics
-            lines.append(
-                f"{r.trial},{r.seed},{r.root},{r.symptom_count},"
-                f"{m.candidate_count},{m.root_rank},"
-                f"{m.nodes_examined_localizer},{m.nodes_examined_baseline},"
-                f"{str(m.hit).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        """The JSON rows under a header of their keys; ``hit`` as true/false."""
+        lines = [_ROW_FIELDS]
+        for row in self.to_json_dict()["rows"]:
+            lines.append([str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()])
+        return "".join(",".join(line) + "\n" for line in lines)
 
     def to_text(self) -> str:
         p = self.params

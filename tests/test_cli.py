@@ -9,9 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from depmat.cli import main
-from depmat.fileio import serialize_graph
-from depmat.matrices import MAX_DENSE_NODES
-from depmat.simulation import GeneratorParams, generate_graph
+from depmat.fileio import ParseError, SchemaError, serialize_graph
+from depmat.graph import CyclicScheduleError, GraphBuildError, UnknownNodeError
+from depmat.matrices import MAX_DENSE_NODES, CapacityError
+from depmat.schedule import EmptyGraphError
+from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
 
 from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
 from oracles import bfs_hops, graph_succ, series_diamonds
@@ -486,6 +488,64 @@ def test_matrix_output_matches_golden(capsys, kind, fmt):
     )
     assert (code, err) == (0, "")
     assert out.encode() == (MATRIX_GOLDENS / f"{kind}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
+
+
+BAD_DOCUMENTS = GOLDENS / "bad_documents"
+_BAD_DOCUMENT_RUNS = json.loads((GOLDENS / "bad_documents.json").read_text())
+_BAD_DOCUMENT_ARGV = {
+    "cpm": ["cpm"],
+    "validate-text": ["validate"],
+    "validate-json": ["validate", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [(name, command) for name, runs in _BAD_DOCUMENT_RUNS.items() for command in runs],
+)
+def test_bad_document_matches_golden(capsys, name, command):
+    """Every schema error and every structural error a file can carry: the
+    exit code and stderr of ``cpm`` (each error at its locus), and the whole
+    output of ``validate`` in both formats."""
+    expected = _BAD_DOCUMENT_RUNS[name][command]
+    subcommand, *options = _BAD_DOCUMENT_ARGV[command]
+    code, out, err = run(capsys, subcommand, str(BAD_DOCUMENTS / f"{name}.json"), *options)
+    actual = {"code": code, "stdout": out, "stderr": err}
+    assert {key: actual[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ParseError,
+        SchemaError,
+        GraphBuildError,
+        UnknownNodeError,
+        CyclicScheduleError,
+        CapacityError,
+        EmptyGraphError,
+        InvalidParamsError,
+    ],
+)
+def test_input_errors_are_value_errors(error):
+    """``main`` maps ValueError and OSError to exit 2; an input error reaches
+    that exit only as a ValueError."""
+    assert issubclass(error, ValueError)
+
+
+SIMULATE_GOLDENS = GOLDENS / "simulate"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("policy", ["critical_only", "uniform"])
+def test_simulate_output_matches_golden(capsys, policy, fmt):
+    code, out, err = run(
+        capsys, "simulate", "--nodes", "100", "--layers", "8", "--density", "0.1",
+        "--feedback", "0.05", "--trials", "30", "--detect-prob", "0.9", "--seed", "9",
+        "--root-policy", policy, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (SIMULATE_GOLDENS / f"{policy}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,26 @@ def test_parse_build_errors_carry_locus():
     assert "zz" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "nodes,edge_ids,locus",
+    [
+        pytest.param(["a", "b", "a"], ["e"], "nodes[2]", id="node"),
+        pytest.param(["a", "b", "a"], ["a"], "nodes[2]", id="node-named-like-an-edge"),
+        pytest.param(["a", "b"], ["x", "x"], "edges[1]", id="edge"),
+    ],
+)
+def test_duplicate_id_is_located_at_the_later_copy(nodes, edge_ids, locus):
+    doc = {
+        "format_version": 1,
+        "nodes": [{"id": v} for v in nodes],
+        "edges": [{"id": e, "from": "a", "to": "b", "weight": 1} for e in edge_ids],
+    }
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(json.dumps(doc))
+    assert exc.value.locus == locus
+    assert str(exc.value).startswith(f"{locus}: duplicate ")
+
+
 def test_parse_document_skips_structural_validation():
     doc = {
         "format_version": 1,

@@ -12,6 +12,7 @@ from depmat.matrices import (
     DimensionMismatchError,
     MAX_DENSE_NODES,
     adjacency_matrix,
+    condensation,
     condense_sccs,
     dependency_matrix,
     incidence_matrix,
@@ -223,6 +224,20 @@ def test_condensation_is_acyclic():
         for a, b in condensed.edges:
             succ.setdefault(a, []).append(b)
         assert not has_cycle(range(len(condensed.components)), succ)
+
+
+def test_condensation_order_is_topological():
+    for seed in range(100):
+        rnd = random.Random(3500 + seed)
+        rows = random_digraph_rows(rnd)
+        for i, row in enumerate(rows):  # self-loops as well as cycles
+            row[i] = int(rnd.random() < 0.2)
+        succ = [[j for j, v in enumerate(row) if v] for row in rows]
+        cond = condensation(range(len(rows)), succ)
+        assert sorted(cond.order) == list(range(len(cond.components)))
+        place = {c: k for k, c in enumerate(cond.order)}
+        for c, out in enumerate(cond.successors):
+            assert all(place[c] < place[d] for d in out)
 
 
 def test_condense_partition_matches_reachability_oracle():
