@@ -99,12 +99,12 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
     raw_nodes = _get(doc, "nodes", "$")
     if not isinstance(raw_nodes, list):
         raise SchemaError("nodes must be an array", "nodes")
-    activities = [_parse_node(item, f"nodes[{i}]") for i, item in enumerate(raw_nodes)]
+    activities = [_parse_node(item, i) for i, item in enumerate(raw_nodes)]
 
     raw_edges = _get(doc, "edges", "$")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be an array", "edges")
-    edges = [_parse_edge(item, f"edges[{i}]") for i, item in enumerate(raw_edges)]
+    edges = [_parse_edge(item, i) for i, item in enumerate(raw_edges)]
     return activities, edges, unit
 
 
@@ -127,57 +127,65 @@ def parse_graph(data: bytes | str) -> ActivityGraph:
         raise SchemaError(exc.issues[0].message, exc.loci[0]) from None
 
 
-def _get(mapping: dict, key: str, locus: str):
+def _get(mapping: dict, key: str, locus: str, index: int | None = None):
+    """``mapping[key]``; a missing key is reported at ``locus``, or at
+    ``locus[index]`` for an array item."""
     if key not in mapping:
+        if index is not None:
+            locus = f"{locus}[{index}]"
         raise SchemaError(f"missing required field {key!r}", locus)
     return mapping[key]
 
 
-def _parse_node(item, locus: str) -> Activity:
+def _unknown_field(item: dict, fields: set, locus: str) -> SchemaError:
+    key = next(k for k in item if k not in fields)
+    return SchemaError(f"unknown field {key!r}", f"{locus}.{key}")
+
+
+def _parse_node(item, i: int) -> Activity:
+    """One ``nodes[i]`` entry; its locus is formatted only for an error."""
     if not isinstance(item, dict):
-        raise SchemaError("node must be an object", locus)
-    for key in item:
-        if key not in _NODE_FIELDS:
-            raise SchemaError(f"unknown field {key!r}", f"{locus}.{key}")
-    node_id = _get(item, "id", locus)
+        raise SchemaError("node must be an object", f"nodes[{i}]")
+    if not item.keys() <= _NODE_FIELDS:
+        raise _unknown_field(item, _NODE_FIELDS, f"nodes[{i}]")
+    node_id = _get(item, "id", "nodes", i)
     if not isinstance(node_id, str):
-        raise SchemaError("id must be a string", f"{locus}.id")
+        raise SchemaError("id must be a string", f"nodes[{i}].id")
     label = item.get("label")
     if label is not None and not isinstance(label, str):
-        raise SchemaError("label must be a string", f"{locus}.label")
+        raise SchemaError("label must be a string", f"nodes[{i}].label")
     kind = item.get("kind", KIND_AUTO)
     if not isinstance(kind, str) or kind not in NODE_KINDS:
-        raise SchemaError(f"unknown node kind {kind!r}", f"{locus}.kind")
+        raise SchemaError(f"unknown node kind {kind!r}", f"nodes[{i}].kind")
     return Activity(node_id, label, kind)
 
 
-def _parse_edge(item, locus: str) -> ActivityEdge:
+def _parse_edge(item, i: int) -> ActivityEdge:
+    """One ``edges[i]`` entry; its locus is formatted only for an error."""
     if not isinstance(item, dict):
-        raise SchemaError("edge must be an object", locus)
-    for key in item:
-        if key not in _EDGE_FIELDS:
-            raise SchemaError(f"unknown field {key!r}", f"{locus}.{key}")
-    edge_id = _get(item, "id", locus)
+        raise SchemaError("edge must be an object", f"edges[{i}]")
+    if not item.keys() <= _EDGE_FIELDS:
+        raise _unknown_field(item, _EDGE_FIELDS, f"edges[{i}]")
+    edge_id = _get(item, "id", "edges", i)
     if not isinstance(edge_id, str):
-        raise SchemaError("id must be a string", f"{locus}.id")
-    tail = _get(item, "from", locus)
-    head = _get(item, "to", locus)
-    for field_name, value in (("from", tail), ("to", head)):
-        if not isinstance(value, str):
-            raise SchemaError(f"{field_name} must be a string", f"{locus}.{field_name}")
-    weight = _get(item, "weight", locus)
+        raise SchemaError("id must be a string", f"edges[{i}].id")
+    tail = _get(item, "from", "edges", i)
+    head = _get(item, "to", "edges", i)
+    if not isinstance(tail, str):
+        raise SchemaError("from must be a string", f"edges[{i}].from")
+    if not isinstance(head, str):
+        raise SchemaError("to must be a string", f"edges[{i}].to")
+    weight = _get(item, "weight", "edges", i)
     if isinstance(weight, bool) or not isinstance(weight, int):
         raise SchemaError(
             f"edge {edge_id!r}: weight must be an integer number of time units",
-            f"{locus}.weight",
+            f"edges[{i}].weight",
         )
     if weight < 0:
-        raise SchemaError(
-            f"edge {edge_id!r}: weight must be non-negative", f"{locus}.weight"
-        )
+        raise SchemaError(f"edge {edge_id!r}: weight must be non-negative", f"edges[{i}].weight")
     kind = item.get("kind", EDGE_SCHEDULING)
     if not isinstance(kind, str) or kind not in EDGE_KINDS:
-        raise SchemaError(f"unknown edge kind {kind!r}", f"{locus}.kind")
+        raise SchemaError(f"unknown edge kind {kind!r}", f"edges[{i}].kind")
     return ActivityEdge(edge_id, tail, head, weight, kind)
 
 
@@ -212,9 +220,15 @@ def dumps_json(obj) -> str:
     mostly by the stdlib C encoder. ``json.dumps`` uses its C encoder only
     without ``indent``; with it, every value goes through Python generators.
     Here each container whose values are all scalars is one C call whose
-    item separator carries the newline and indentation."""
+    item separator carries the newline and indentation.
+
+    A tuple of scalars that appears more than once at one depth (say, the
+    ``explains`` set that many localization candidates share) is rendered
+    once per call: its text is kept by ``(id, depth)``. That is exact
+    because ``obj`` keeps every tuple alive, so no id is reused, and a
+    tuple of scalars cannot change."""
     chunks: list[str] = []
-    _append_json(obj, 0, chunks)
+    _append_json(obj, 0, chunks, {})
     return "".join(chunks)
 
 
@@ -224,7 +238,10 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
 
 
-def _append_json(obj, depth: int, chunks: list[str]) -> None:
+def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
+    if type(obj) is tuple and (id(obj), depth) in rendered:
+        chunks += rendered[id(obj), depth]
+        return
     if isinstance(obj, dict):
         values, opening, closing = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
@@ -245,7 +262,10 @@ def _append_json(obj, depth: int, chunks: list[str]) -> None:
     outer = "\n" + "  " * depth
     if _SCALAR_TYPES.issuperset(map(type, values)):
         text = _encoder(depth + 1).encode(obj)
-        chunks += (opening, inner, text[1:-1], outer, closing)
+        pieces = (opening, inner, text[1:-1], outer, closing)
+        if type(obj) is tuple:
+            rendered[id(obj), depth] = pieces
+        chunks += pieces
         return
     chunks.append(opening)
     lead = inner
@@ -253,12 +273,12 @@ def _append_json(obj, depth: int, chunks: list[str]) -> None:
         for key, value in obj.items():
             chunks += (lead, _json_key(key), ": ")
             lead = "," + inner
-            _append_json(value, depth + 1, chunks)
+            _append_json(value, depth + 1, chunks, rendered)
     else:
         for value in obj:
             chunks.append(lead)
             lead = "," + inner
-            _append_json(value, depth + 1, chunks)
+            _append_json(value, depth + 1, chunks, rendered)
     chunks += (outer, closing)
 
 

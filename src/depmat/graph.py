@@ -5,10 +5,16 @@ weights in a declared unit (default milliseconds). Edge kinds separate the
 acyclic scheduling structure consumed by critical-path analysis from
 feedback dependencies that participate only in the dependency matrix:
 
-* ``scheduling``       — timed precedence, must be acyclic as a set
+* ``scheduling``       — timed precedence, acyclic as a set wherever a
+                         schedule is needed
 * ``dependency_only``  — dependency edge excluded from scheduling; may
                          close cycles (feedback)
 * ``dummy``            — zero-weight logical precedence, scheduled
+
+A cycle of scheduling and dummy edges does not stop ``build_graph``:
+``validate`` reports it as a warning, and only a schedule
+(``scheduling_order``, hence CPM and ``localize``'s scheduling view)
+raises ``CyclicScheduleError`` for it.
 
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.

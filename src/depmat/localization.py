@@ -11,7 +11,8 @@ flagged independent: such faults sit on the matrix diagonal.
 Tarjan pass gives the component ids, per-symptom bitmasks pushed through
 the condensation in topological order give each node's explained symptoms,
 and one multi-source BFS gives the hop distances. It runs in O(n + m) set
-operations plus the size of its output. ``candidate_set`` and
+operations plus the size of its output, in which candidates that explain
+the same symptoms share one ``explains`` tuple. ``candidate_set`` and
 ``independent_faults`` answer the same questions from an explicit closure
 matrix.
 """
@@ -216,11 +217,13 @@ def localize(
     sources = [g.position(s) for s in ordered]
     comp_of, masks = _explaining_masks(succ, sources)
     hops = _hops_from_nearest(succ, sources)
+    # Upstream nodes mostly share a mask: unpack each distinct one once.
+    explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
 
     candidates = [
         Candidate(
             node=ids[v],
-            explains=tuple(compress(ordered, unpack_mask(mask))),
+            explains=explained[mask],
             is_critical=kinds[ids[v]] == KIND_CRITICAL,
             min_distance=hops[v],
             scc=comp_of[v],

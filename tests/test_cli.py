@@ -490,6 +490,23 @@ def test_matrix_output_matches_golden(capsys, kind, fmt):
     assert out.encode() == (MATRIX_GOLDENS / f"{kind}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
 
 
+LOCALIZE_GOLDENS = GOLDENS / "localize_100n_seed5"
+_LOCALIZE_SYMPTOMS = ",".join(f"n{i}" for i in range(1, 100, 2))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("view", ["all", "scheduling"])
+def test_localize_output_matches_golden(capsys, view, fmt):
+    """50 symptoms on the 100-node matrix golden's graph: many candidates
+    explain the same symptom set, so the output repeats ``explains`` lists."""
+    code, out, err = run(
+        capsys, "localize", str(MATRIX_GOLDENS / "graph.json"), "--symptoms", _LOCALIZE_SYMPTOMS,
+        "--view", view, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (LOCALIZE_GOLDENS / f"{view}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
+
+
 BAD_DOCUMENTS = GOLDENS / "bad_documents"
 _BAD_DOCUMENT_RUNS = json.loads((GOLDENS / "bad_documents.json").read_text())
 _BAD_DOCUMENT_ARGV = {

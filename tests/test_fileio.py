@@ -420,3 +420,35 @@ _json_values = st.recursive(
 @settings(max_examples=100, deadline=None)
 def test_dumps_json_matches_indented_json_dumps(value):
     assert dumps_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+_json_containers = st.one_of(
+    st.lists(_json_scalars, min_size=1, max_size=4).map(tuple),
+    st.lists(_json_scalars, min_size=1, max_size=4),
+    st.dictionaries(_json_keys, _json_scalars, min_size=1, max_size=4),
+    _json_values,
+)
+
+
+@st.composite
+def _json_sharing_objects(draw):
+    """A value whose leaves are drawn from a few container objects, so the
+    same object recurs at one depth and at several, in lists and dicts."""
+    pool = draw(st.lists(_json_containers, min_size=1, max_size=3))
+    return draw(
+        st.recursive(
+            st.sampled_from(pool),
+            lambda inner: st.one_of(
+                st.lists(inner, min_size=1, max_size=5),
+                st.lists(inner, min_size=1, max_size=5).map(tuple),
+                st.dictionaries(_json_keys, inner, min_size=1, max_size=5),
+            ),
+            max_leaves=25,
+        )
+    )
+
+
+@given(_json_sharing_objects())
+@settings(max_examples=150, deadline=None)
+def test_dumps_json_with_shared_objects_matches_json_dumps(value):
+    assert dumps_json(value) == json.dumps(value, indent=2, ensure_ascii=False)

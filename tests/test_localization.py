@@ -352,3 +352,28 @@ def test_localize_matches_oracles():
             assert report.independent == independent
             assert report.nodes_examined == examined
             assert report.symptoms == tuple(symptoms)
+
+
+def test_candidates_with_one_mask_share_explains():
+    """Candidates that explain the same symptoms hold one ``explains`` tuple,
+    and every tuple still lists, in symptom order, the symptoms whose
+    closure-oracle candidate set holds the node."""
+    shared = 0
+    for seed in range(120):
+        rnd = random.Random(130_000 + seed)
+        g = random_mixed_graph(rnd, max_nodes=14)
+        ids = list(g.node_ids)
+        pos = {v: i for i, v in enumerate(ids)}
+        for view in (VIEW_ALL, VIEW_SCHEDULING):
+            succ = graph_succ(g, None if view == VIEW_ALL else ("scheduling", "dummy"))
+            closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
+            symptoms = rnd.sample(ids, rnd.randint(1, len(ids)))
+            report = localize(g, symptoms, view=view)
+            by_set = {}
+            for c in report.candidates:
+                assert c.explains == tuple(
+                    s for s in symptoms if s == c.node or closed[pos[s]][pos[c.node]]
+                )
+                assert by_set.setdefault(c.explains, c.explains) is c.explains
+            shared += len(by_set) < len(report.candidates)
+    assert shared  # some reports do have candidates with equal sets
