@@ -110,6 +110,7 @@ def cmd_cpm(args) -> int:
     graph = _load(args.file)
     schedule = compute_schedule(graph)
     classification = classify_activities(graph, schedule)
+    overrides = set(classification.overrides)
     if args.format == "json":
         _emit_json(
             {
@@ -122,7 +123,7 @@ def cmd_cpm(args) -> int:
                         "latest": schedule.latest[v],
                         "slack": schedule.slack[v],
                         "class": classification.kinds[v],
-                        "override": v in classification.overrides,
+                        "override": v in overrides,
                     }
                     for v in graph.node_ids
                 ],
@@ -140,7 +141,7 @@ def cmd_cpm(args) -> int:
             str(schedule.latest[v]),
             str(schedule.slack[v]),
             classification.kinds[v]
-            + (" (override)" if v in classification.overrides else ""),
+            + (" (override)" if v in overrides else ""),
         )
         for v in graph.node_ids
     ]

@@ -16,6 +16,11 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 (``scheduling_order``, hence CPM and ``localize``'s scheduling view)
 raises ``CyclicScheduleError`` for it.
 
+One mechanism, Tarjan's algorithm over node positions (``_tarjan``),
+answers every order and component question: the topological order of a
+schedule, the ``condensation`` that the closure, ``condense_sccs`` and
+``localize`` walk, and the cycles that ``validate`` warns about.
+
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.
 """
@@ -23,10 +28,10 @@ order everywhere downstream.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
@@ -180,23 +185,19 @@ class ActivityGraph:
 
     @cached_property
     def scheduling_order(self) -> tuple[int, ...]:
-        """Node positions in Kahn order of the scheduling view, computed once
-        per graph. When the view is cyclic, Tarjan names a witness cycle
-        instead: raises CyclicScheduleError."""
+        """Node positions in a topological order of the scheduling view,
+        each before its successors: one Tarjan pass per graph, emission
+        order reversed. When a component is cyclic (two or more members, or
+        one with an edge to itself), raises CyclicScheduleError with the
+        shortest cycle through the first member of the lowest such one."""
         heads = self.scheduling_view[0]
-        indegree = Counter(w for successors in heads for w in successors)
-        order = [v for v in range(len(heads)) if indegree[v] == 0]
-        for v in order:  # appended to while iterated: the list is Kahn's FIFO queue
-            for w in heads[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    order.append(w)
-        if len(order) < len(heads):
-            for comp in strongly_connected_components(range(len(heads)), heads):
-                if len(comp) >= 2:
-                    cycle = shortest_cycle_through(comp[0], set(comp), heads)
-                    raise CyclicScheduleError([self.node_ids[v] for v in cycle])
-        return tuple(order)
+        emitted = _tarjan(heads)
+        cyclic = [c for c in emitted if len(c) > 1 or c[0] in heads[c[0]]]
+        if cyclic:
+            comp = min(cyclic)
+            cycle = shortest_cycle_through(comp[0], set(comp), heads)
+            raise CyclicScheduleError([self.node_ids[v] for v in cycle])
+        return tuple(c[0] for c in reversed(emitted))
 
     def has_node(self, node: str) -> bool:
         return node in self._positions
@@ -309,10 +310,8 @@ def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
         warn("multiple-sinks", "multiple sinks in scheduling view: " + ", ".join(sinks), *sinks)
 
     # every scheduling cycle lies inside one dependency component
-    on_sched_cycle = {
-        v for sub in strongly_connected_components(range(len(ids)), succ_sched) if len(sub) >= 2 for v in sub
-    }
-    for comp in strongly_connected_components(range(len(ids)), succ_all):
+    on_sched_cycle = {v for sub in _tarjan(succ_sched) if len(sub) >= 2 for v in sub}
+    for comp in sorted(_tarjan(succ_all)):
         if len(comp) < 2:
             continue
         members = set(comp)
@@ -342,41 +341,73 @@ def scheduling_subgraph(g: ActivityGraph) -> ActivityGraph:
 
 
 def strongly_connected_components(ids: Sequence, succ) -> list[list]:
-    """Tarjan's algorithm, iterative, over the successors ``succ[v]`` of each
-    ``v`` in ``ids`` (by id, or by position with ``ids = range(n)``). Components
-    are sorted by the input position of their first member, members in input order.
-    """
+    """Strongly connected components of the successors ``succ[v]`` of each
+    ``v`` in ``ids``: components sorted by the input position of their first
+    member, members in input order."""
     position = {v: i for i, v in enumerate(ids)}
-    components = _tarjan(ids, succ, position)
-    components.sort(key=lambda c: position[c[0]])
-    return components
+    heads = [[position[w] for w in succ[v]] for v in ids]
+    return [[ids[i] for i in comp] for comp in sorted(_tarjan(heads))]
 
 
-def _tarjan(ids: Sequence, succ, position: dict) -> list[list]:
-    """Components in emission order, each after every component it reaches;
-    members sorted by ``position``.
+class Condensation(NamedTuple):
+    """Strongly connected components over node positions, numbered by their
+    lowest member (members ascending), with ``component_of[v]`` the number
+    of ``v``'s; ``successors[c]``, the distinct other components that ``c``
+    has edges into; and ``order``, each component after all its
+    predecessors: Tarjan's emission order, reversed."""
 
-    ``low`` doubles as the on-stack test: once a component is emitted its
-    members' lowlinks are raised past every DFS index, so an edge into an
-    emitted component never lowers a lowlink.
+    components: list[list[int]]
+    component_of: list[int]
+    successors: list[set[int]]
+    order: list[int]
+
+
+def condensation(succ: Sequence[Sequence[int]]) -> Condensation:
+    """Condensation of ``succ`` from one Tarjan pass; O(n + m)."""
+    emitted = _tarjan(succ)
+    components = sorted(emitted)
+    comp_of = [0] * len(succ)
+    for c, comp in enumerate(components):
+        for v in comp:
+            comp_of[v] = c
+    successors: list[set[int]] = [set() for _ in components]
+    for v, heads in enumerate(succ):
+        out = successors[comp_of[v]]
+        for w in heads:
+            out.add(comp_of[w])
+    for c, out in enumerate(successors):
+        out.discard(c)
+    order = [comp_of[comp[0]] for comp in reversed(emitted)]
+    return Condensation(components, comp_of, successors, order)
+
+
+def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over positions ``0..len(succ)-1``:
+    components in emission order, each after every component it reaches;
+    members ascending.
+
+    ``low`` doubles as the visited and on-stack test: -1 until a node is
+    reached, and once a component is emitted its members' lowlinks are
+    raised past every DFS index, so an edge into an emitted component never
+    lowers a lowlink.
     """
-    low: dict = {}
-    stack: list = []
-    components: list[list] = []
-    emitted = len(ids)
+    low = [-1] * len(succ)
+    emitted = len(succ)  # above every DFS index
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
 
-    for root in ids:
-        if root in low:
+    for root in range(len(succ)):
+        if low[root] >= 0:
             continue
         low[root] = counter
         stack.append(root)
-        work: list[tuple[object, Iterator, int]] = [(root, iter(succ[root]), counter)]
+        work: list[tuple[int, Iterator[int], int]] = [(root, iter(succ[root]), counter)]
         counter += 1
         while work:
             v, children, index = work[-1]
             for w in children:
-                if w not in low:
+                if low[w] < 0:
                     low[w] = counter
                     stack.append(w)
                     work.append((w, iter(succ[w]), counter))
@@ -403,7 +434,7 @@ def _tarjan(ids: Sequence, succ, position: dict) -> list[list]:
                 del stack[start:]
                 for w in component:
                     low[w] = emitted
-                component.sort(key=position.__getitem__)
+                component.sort()
                 components.append(component)
     return components
 

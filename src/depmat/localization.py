@@ -7,14 +7,15 @@ forward). Candidates are ranked critical-first per the rank policy, and
 symptoms whose fault cannot have propagated from or to anything else are
 flagged independent: such faults sit on the matrix diagonal.
 
-``localize`` works on the adjacency lists, never on a dense matrix: one
-Tarjan pass gives the component ids, per-symptom bitmasks pushed through
-the condensation in topological order give each node's explained symptoms,
-and one multi-source BFS gives the hop distances. It runs in O(n + m) set
-operations plus the size of its output, in which candidates that explain
-the same symptoms share one ``explains`` tuple. ``candidate_set`` and
-``independent_faults`` answer the same questions from an explicit closure
-matrix.
+``localize`` works on the adjacency lists, never on a dense matrix:
+``graph.condensation`` (one Tarjan pass) gives the component ids,
+per-symptom bitmasks pushed through the condensation in topological order
+give each node's explained symptoms, and one multi-source BFS gives the
+hop distances. It runs in O(n + m) set operations plus the size of its
+output, in which candidates that explain the same symptoms share one
+``explains`` tuple. ``candidate_set`` and ``independent_faults`` answer
+the same questions from an explicit closure matrix; ``independent_faults``
+reads each symptom row once.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .graph import (
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
     UnknownNodeError,
+    condensation,
 )
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
     DimensionMismatchError,
     NotClosedError,
-    condensation,
     unpack_mask,
 )
 from .schedule import classify_activities, compute_schedule
@@ -115,16 +116,19 @@ def independent_faults(closure: DependencyMatrix, symptoms: tuple[str, ...] | li
     if not closure.closed:
         raise NotClosedError("independent_faults requires a transitive closure")
     ordered = _check_symptoms(closure.node_ids, symptoms)
-    rows = [(s, closure.position(s)) for s in ordered]
-    masks = closure.masks
+    positions = [closure.position(s) for s in ordered]
+    once = twice = 0  # nodes in at least one, in at least two symptom rows
+    for i in positions:
+        row = closure.masks[i]
+        twice |= once & row
+        once |= row
     independent: set[str] = set()
-    for s, i in rows:
-        bit = 1 << i
-        if masks[i] & ~bit:
-            continue
-        if any(masks[j] & bit for _, j in rows if j != i):
-            continue
-        independent.add(s)
+    for s, i in zip(ordered, positions):
+        row, bit = closure.masks[i], 1 << i
+        # s's row may hold only s itself (a self-loop), and then s is in
+        # another symptom's row iff it is in two rows
+        if not row & ~bit and not (twice if row else once) & bit:
+            independent.add(s)
     return independent
 
 
@@ -143,7 +147,7 @@ def _check_symptoms(known_ids, symptoms) -> tuple[str, ...]:
     return ordered
 
 
-def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[dict, list[int]]:
+def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[list[int], list[int]]:
     """SCC ids and, per node position, the bitmask of symptoms that reach
     it (bit i for ``sources[i]``; zero for nodes no symptom depends on).
 
@@ -151,7 +155,7 @@ def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[
     flow from a component to its successors in topological order of the
     condensation.
     """
-    cond = condensation(range(len(succ)), succ)
+    cond = condensation(succ)
     comp_of = cond.component_of
     comp_mask = [0] * len(cond.components)
     for bit, s in enumerate(sources):
@@ -160,7 +164,7 @@ def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[
         mask = comp_mask[c]
         for d in cond.successors[c]:
             comp_mask[d] |= mask
-    return comp_of, [comp_mask[comp_of[v]] for v in range(len(succ))]
+    return comp_of, [comp_mask[c] for c in comp_of]
 
 
 def _hops_from_nearest(succ: list[tuple[int, ...]], sources: list[int]) -> dict[int, int]:

@@ -9,9 +9,10 @@ Three dense views share the graph's node/edge order:
 
 A dependency matrix stores each row as one packed int (bit j of row i is
 entry (i, j)). The closure condenses strongly connected components first
-(Purdom 1970, Nuutila 1995) and ORs whole rows through the condensation in
-reverse topological order, so it costs O(n + m) word-wide ORs; only the
-n x n output itself is quadratic.
+(Purdom 1970, Nuutila 1995), with ``graph.condensation`` over the rows'
+set bits, and ORs whole rows through the condensation in reverse
+topological order, so it costs O(n + m) word-wide ORs; only the n x n
+output itself is quadratic.
 
 Dense representation is capped at MAX_DENSE_NODES nodes; bigger inputs
 are rejected rather than silently thrashing.
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
 
-from .graph import ActivityGraph, UnknownNodeError, _tarjan
+from .graph import ActivityGraph, UnknownNodeError, condensation
 
 MAX_DENSE_NODES = 4096
 
@@ -130,40 +130,6 @@ class CondensedGraph:
         return {v: i for i, comp in enumerate(self.components) for v in comp}
 
 
-class Condensation(NamedTuple):
-    """Strongly connected components and their acyclic component digraph.
-
-    ``components`` and ``component_of`` number components as
-    ``strongly_connected_components`` orders them; ``successors[c]`` holds
-    the distinct other components that ``c`` has edges into; ``order`` is a
-    topological order of the components, each one after all its
-    predecessors: Tarjan's emission order, reversed.
-    """
-
-    components: list[list]
-    component_of: dict
-    successors: list[set[int]]
-    order: list[int]
-
-
-def condensation(ids: Sequence, succ: Mapping[object, Sequence]) -> Condensation:
-    """One Tarjan pass, whose emission order gives the topological order;
-    O(n + m)."""
-    position = {v: i for i, v in enumerate(ids)}
-    emitted = _tarjan(ids, succ, position)
-    components = sorted(emitted, key=lambda c: position[c[0]])
-    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
-    successors: list[set[int]] = [set() for _ in components]
-    for v in ids:
-        out = successors[comp_of[v]]
-        for w in succ[v]:
-            out.add(comp_of[w])
-    for c, out in enumerate(successors):
-        out.discard(c)
-    order = [comp_of[comp[0]] for comp in reversed(emitted)]
-    return Condensation(components, comp_of, successors, order)
-
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -226,12 +192,6 @@ def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
     return DependencyMatrix.from_masks(g.node_ids, masks)
 
 
-def _condense(d: DependencyMatrix) -> Condensation:
-    """Condensation of the matrix's digraph over row positions."""
-    succ = {i: _set_bits(m) for i, m in enumerate(d.masks)}
-    return condensation(range(len(d.node_ids)), succ)
-
-
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     """Boolean closure over paths of length >= 1.
 
@@ -243,7 +203,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     """
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    cond = _condense(d)
+    cond = condensation([_set_bits(m) for m in d.masks])
     reach = [0] * len(cond.components)
     for c in reversed(cond.order):
         mask = 0
@@ -252,7 +212,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
         for s in cond.successors[c]:
             mask |= reach[s]
         reach[c] = mask
-    masks = tuple(reach[cond.component_of[i]] for i in range(len(d.node_ids)))
+    masks = tuple(reach[c] for c in cond.component_of)
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 
@@ -261,7 +221,7 @@ def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
     condensation edges."""
     if d.closed:
         raise AlreadyClosedError("condensation expects the raw matrix, not a closure")
-    cond = _condense(d)
+    cond = condensation([_set_bits(m) for m in d.masks])
     ids = d.node_ids
     components = tuple(tuple(ids[i] for i in comp) for comp in cond.components)
     edges = sorted((c, s) for c, out in enumerate(cond.successors) for s in out)

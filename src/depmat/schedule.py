@@ -98,19 +98,22 @@ def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:
     has_predecessor = {w for successors in heads for w in successors}
     starts = [v for v in range(len(ids)) if v not in has_predecessor and tight[v]]
     paths: list[tuple[str, ...]] = []
-    for start in starts:
-        stack = [(start, (ids[start],))]
-        while stack:
-            v, acc = stack.pop()
-            if not heads[v]:
-                if early[v] == s.duration:
-                    paths.append(acc)
-                continue
+    path: list[int] = []  # path[d]: the node being tried at depth d
+    pending = [iter(starts)]  # per depth, the nodes still to try there
+    while pending:
+        v = next(pending[-1], None)
+        del path[len(pending) - 1 :]
+        if v is None:
+            pending.pop()
+            continue
+        path.append(v)
+        if heads[v]:
             successors = {
                 w for w, weight in zip(heads[v], weights[v]) if tight[w] and early[v] + weight == early[w]
             }
-            for w in sorted(successors, reverse=True):
-                stack.append((w, acc + (ids[w],)))
+            pending.append(iter(sorted(successors)))
+        elif early[v] == s.duration:
+            paths.append(tuple(ids[u] for u in path))
     return tuple(paths)
 
 

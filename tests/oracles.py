@@ -56,6 +56,19 @@ def bfs_hops(succ, start):
     return dist
 
 
+def lowest_cyclic_component(nodes, succ):
+    """Members, in input order, of the strongly connected component that
+    holds a cycle (two or more members, or a self-loop) and has the
+    lowest-position first member, by mutual BFS reachability; None when
+    the digraph is acyclic. Every member of such a component lies on a
+    cycle, so the first node on a cycle is that component's first member."""
+    reach = {v: bfs_hops(succ, v) for v in nodes}
+    for v in nodes:
+        if any(v in reach[w] for w in succ.get(v, ())):
+            return [w for w in nodes if w in reach[v] and v in reach[w]]
+    return None
+
+
 def has_cycle(nodes, succ):
     """Three-color DFS cycle detection."""
     color = {v: 0 for v in nodes}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
-from depmat.graph import CyclicScheduleError, GraphBuildError, UnknownNodeError
+from depmat.graph import (
+    Activity,
+    ActivityEdge,
+    CyclicScheduleError,
+    GraphBuildError,
+    KIND_NON_CRITICAL,
+    UnknownNodeError,
+    build_graph,
+)
 from depmat.matrices import MAX_DENSE_NODES, CapacityError
 from depmat.schedule import EmptyGraphError
 from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
@@ -315,6 +324,37 @@ def above_dense_cap(tmp_path_factory):
     path = tmp_path_factory.mktemp("large") / "large.json"
     path.write_bytes(serialize_graph(g))
     return g, str(path)
+
+
+@pytest.fixture(scope="module")
+def overridden_chain(tmp_path_factory):
+    """A 40,000-node scheduling chain, every node declared non-critical: the
+    chain is the critical path, so every node's declared kind overrides."""
+    n = 40_000
+    g = build_graph(
+        [Activity(f"n{i}", declared_kind=KIND_NON_CRITICAL) for i in range(n)],
+        [ActivityEdge(f"e{i}", f"n{i}", f"n{i + 1}", 1) for i in range(n - 1)],
+    )
+    path = tmp_path_factory.mktemp("chain") / "chain.json"
+    path.write_bytes(serialize_graph(g))
+    return n, str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cpm_with_every_node_overridden_is_not_quadratic(capsys, overridden_chain, fmt):
+    n, path = overridden_chain
+    start = time.process_time()
+    code, out, err = run(capsys, "cpm", path, "--format", fmt)
+    elapsed = time.process_time() - start
+    assert code == 0, err
+    if fmt == "json":
+        nodes = json.loads(out)["nodes"]
+        assert len(nodes) == n and all(node["override"] for node in nodes)
+    else:
+        lines = out.splitlines()  # duration, header, one row per node, ...
+        assert lines[2 + n].startswith("critical nodes: ")
+        assert all(row.endswith("non_critical (override)") for row in lines[2 : 2 + n])
+    assert elapsed < 8.0
 
 
 def test_localize_above_dense_cap(capsys, above_dense_cap):

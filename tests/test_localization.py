@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -37,6 +38,7 @@ from oracles import (
     closure_by_powers,
     cpm_by_enumeration,
     graph_succ,
+    random_digraph_rows,
     random_mixed_graph,
 )
 
@@ -168,6 +170,35 @@ def test_independent_faults_disconnected_components():
     )
     closure = transitive_closure(dependency_matrix(g))
     assert independent_faults(closure, ("v0", "v2")) == {"v0", "v2"}
+
+
+def test_independent_faults_match_definition():
+    found = 0
+    for seed in range(300):
+        rnd = random.Random(80_000 + seed)
+        rows = random_digraph_rows(rnd)
+        for i, row in enumerate(rows):  # self-loops as well as cycles
+            row[i] = int(rnd.random() < 0.15)
+        ids = tuple(f"n{i}" for i in range(len(rows)))
+        closure = DependencyMatrix(ids, closure_by_powers(rows), closed=True)
+        symptoms = rnd.sample(ids, rnd.randint(1, len(ids)))
+        expected = {
+            s
+            for s in symptoms
+            if candidate_set(closure, s) == {s}
+            and not any(s in candidate_set(closure, t) for t in symptoms if t != s)
+        }
+        assert independent_faults(closure, symptoms) == expected
+        found += bool(expected)
+    assert found > 50
+
+
+def test_independent_faults_is_linear_in_symptoms():
+    ids = tuple(f"n{i}" for i in range(4096))
+    closure = DependencyMatrix.from_masks(ids, (0,) * len(ids), closed=True)
+    start = time.process_time()
+    assert independent_faults(closure, ids) == set(ids)
+    assert time.process_time() - start < 0.5
 
 
 def test_independent_faults_requires_closure(robot):

@@ -233,7 +233,7 @@ def test_condensation_order_is_topological():
         for i, row in enumerate(rows):  # self-loops as well as cycles
             row[i] = int(rnd.random() < 0.2)
         succ = [[j for j, v in enumerate(row) if v] for row in rows]
-        cond = condensation(range(len(rows)), succ)
+        cond = condensation(succ)
         assert sorted(cond.order) == list(range(len(cond.components)))
         place = {c: k for k, c in enumerate(cond.order)}
         for c, out in enumerate(cond.successors):

@@ -10,8 +10,10 @@ from depmat.fileio import serialize_graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
+    ActivityGraph,
     CyclicScheduleError,
     EDGE_DUMMY,
+    EDGE_KINDS,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
     SCHEDULING_KINDS,
@@ -30,10 +32,12 @@ from depmat.schedule import (
 from depmat.simulation import GeneratorParams, run_experiment
 
 from oracles import (
+    bfs_hops,
     cpm_by_enumeration,
     critical_paths_by_enumeration,
     graph_succ,
     has_cycle,
+    lowest_cyclic_component,
     random_dag,
     random_kinded_digraph,
     random_mixed_graph,
@@ -117,11 +121,60 @@ def test_schedule_cyclic_scheduling_view():
         compute_schedule(g)
 
 
+def test_scheduling_self_loop_is_a_cycle():
+    g = ActivityGraph(  # built directly: build_graph rejects the self-loop
+        (Activity("a"), Activity("b"), Activity("c")),
+        (
+            ActivityEdge("x", "a", "b", 2),
+            ActivityEdge("y", "b", "b", 1),
+            ActivityEdge("z", "b", "c", 3),
+        ),
+    )
+    with pytest.raises(CyclicScheduleError) as raised:
+        compute_schedule(g)
+    assert raised.value.cycle == ("b", "b")
+
+
+def test_cycle_witness_is_shortest_through_lowest_cyclic_component():
+    cyclic = acyclic = 0
+    for seed in range(400):
+        rnd = random.Random(75_000 + seed)
+        ids = [f"n{i}" for i in range(rnd.randint(1, 9))]
+        density = rnd.uniform(0.02, 0.3)
+        edges = []
+        for tail in ids:
+            for head in ids:  # self-loops too
+                if rnd.random() < density:
+                    kind = rnd.choice(sorted(EDGE_KINDS))
+                    weight = 0 if kind == EDGE_DUMMY else rnd.randint(0, 9)
+                    edges.append(ActivityEdge(f"e{len(edges)}", tail, head, weight, kind))
+        g = ActivityGraph(tuple(Activity(v) for v in ids), tuple(edges))  # unvalidated
+        succ = graph_succ(g, SCHEDULING_KINDS)
+        component = lowest_cyclic_component(ids, succ)
+        if component is None:
+            rank = {ids[v]: k for k, v in enumerate(g.scheduling_order)}
+            assert sorted(rank) == sorted(ids)
+            assert all(rank[v] < rank[w] for v in ids for w in succ[v])
+            acyclic += 1
+            continue
+        with pytest.raises(CyclicScheduleError) as raised:
+            compute_schedule(g)
+        cycle = raised.value.cycle
+        start = component[0]
+        assert cycle[0] == cycle[-1] == start and set(cycle) <= set(component)
+        assert all(w in succ[v] for v, w in zip(cycle, cycle[1:]))
+        back = [bfs_hops(succ, w).get(start) for w in succ[start]]
+        assert len(cycle) - 1 == 1 + min(d for d in back if d is not None)
+        cyclic += 1
+    assert cyclic > 100 and acyclic > 50
+
+
 def test_acyclic_view_runs_no_cycle_search(robot, monkeypatch):
     def forbidden(*args):
         raise AssertionError("cycle search on an acyclic scheduling view")
 
     monkeypatch.setattr(depmat.graph, "strongly_connected_components", forbidden)
+    monkeypatch.setattr(depmat.graph, "shortest_cycle_through", forbidden)
     monkeypatch.setattr(depmat.graph, "scheduling_subgraph", forbidden)
     g = build_graph(robot.activities, robot.edges, unit=robot.unit)  # nothing cached yet
     assert compute_schedule(g).duration == 15
