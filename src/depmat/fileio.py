@@ -118,13 +118,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_graph(data: bytes | str) -> ActivityGraph:
-    """Parse and fully validate; structural errors surface as SchemaError
-    with the offending array locus."""
+    """Parse and fully validate; structural errors surface as one
+    SchemaError at the first error's array locus, counting the rest."""
     activities, edges, unit = parse_document(data)
     try:
         return build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
-        raise SchemaError(exc.issues[0].message, exc.loci[0]) from None
+        raise SchemaError(exc.issues[0].message + exc.more, exc.loci[0]) from None
 
 
 def _get(mapping: dict, key: str, locus: str, index: int | None = None):

@@ -76,15 +76,16 @@ class ValidationReport:
 
 
 class GraphBuildError(ValueError):
-    """Graph construction rejected; carries every error-severity issue and
-    the ``nodes[i]`` or ``edges[i]`` locus of each."""
+    """Graph construction rejected; carries every error-severity issue, the
+    ``nodes[i]`` or ``edges[i]`` locus of each, and ``more``: `` (+N more)``
+    after the first of several issues, or empty."""
 
     def __init__(self, issues: Iterable[ValidationIssue], loci: Iterable[str] = ()):
         self.issues = tuple(issues)
         self.loci = tuple(loci)
+        self.more = f" (+{len(self.issues) - 1} more)" if len(self.issues) > 1 else ""
         first = self.issues[0]
-        more = f" (+{len(self.issues) - 1} more)" if len(self.issues) > 1 else ""
-        super().__init__(f"{first.code}: {first.message}{more}")
+        super().__init__(f"{first.code}: {first.message}{self.more}")
 
 
 class CyclicScheduleError(ValueError):
@@ -125,7 +126,8 @@ class ActivityEdge:
 
 @dataclass(frozen=True)
 class ActivityGraph:
-    """Immutable activity digraph; safe to share across threads."""
+    """Immutable activity digraph; safe to share across threads. Passes
+    walk only its integer views; ``position`` maps an id to its position."""
 
     activities: tuple[Activity, ...]
     edges: tuple[ActivityEdge, ...]
@@ -138,22 +140,6 @@ class ActivityGraph:
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {a.id: i for i, a in enumerate(self.activities)}
-
-    @cached_property
-    def _out(self) -> dict[str, tuple[ActivityEdge, ...]]:
-        out: dict[str, list[ActivityEdge]] = {a.id: [] for a in self.activities}
-        for e in self.edges:
-            if e.tail in out and e.head in out:
-                out[e.tail].append(e)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def _in(self) -> dict[str, tuple[ActivityEdge, ...]]:
-        inc: dict[str, list[ActivityEdge]] = {a.id: [] for a in self.activities}
-        for e in self.edges:
-            if e.tail in inc and e.head in inc:
-                inc[e.head].append(e)
-        return {k: tuple(v) for k, v in inc.items()}
 
     @cached_property
     def dependency_view(self) -> list[tuple[int, ...]]:
@@ -199,22 +185,11 @@ class ActivityGraph:
             raise CyclicScheduleError([self.node_ids[v] for v in cycle])
         return tuple(c[0] for c in reversed(emitted))
 
-    def has_node(self, node: str) -> bool:
-        return node in self._positions
-
     def position(self, node: str) -> int:
         try:
             return self._positions[node]
         except KeyError:
             raise UnknownNodeError(node) from None
-
-    def out_edges(self, node: str) -> tuple[ActivityEdge, ...]:
-        self.position(node)
-        return self._out[node]
-
-    def in_edges(self, node: str) -> tuple[ActivityEdge, ...]:
-        self.position(node)
-        return self._in[node]
 
 
 def build_graph(

@@ -28,8 +28,6 @@ from .graph import (
     ActivityGraph,
     CyclicScheduleError,
     KIND_CRITICAL,
-    KIND_NON_CRITICAL,
-    UnknownNodeError,
     condensation,
 )
 from .matrices import (
@@ -115,8 +113,7 @@ def independent_faults(closure: DependencyMatrix, symptoms: tuple[str, ...] | li
     """
     if not closure.closed:
         raise NotClosedError("independent_faults requires a transitive closure")
-    ordered = _check_symptoms(closure.node_ids, symptoms)
-    positions = [closure.position(s) for s in ordered]
+    ordered, positions = _symptom_positions(closure, symptoms)
     once = twice = 0  # nodes in at least one, in at least two symptom rows
     for i in positions:
         row = closure.masks[i]
@@ -132,19 +129,21 @@ def independent_faults(closure: DependencyMatrix, symptoms: tuple[str, ...] | li
     return independent
 
 
-def _check_symptoms(known_ids, symptoms) -> tuple[str, ...]:
+def _symptom_positions(owner, symptoms) -> tuple[tuple[str, ...], list[int]]:
+    """The symptoms and their positions by ``owner.position``; the first
+    unknown (UnknownNodeError) or repeated (ValueError) symptom raises."""
     ordered = tuple(symptoms)
     if not ordered:
         raise ValueError("symptom set must be non-empty")
-    seen: set[str] = set()
-    known = set(known_ids)
+    positions: list[int] = []
+    seen: set[int] = set()
     for s in ordered:
-        if s not in known:
-            raise UnknownNodeError(s)
-        if s in seen:
+        v = owner.position(s)
+        if v in seen:
             raise ValueError(f"duplicate symptom: {s}")
-        seen.add(s)
-    return ordered
+        seen.add(v)
+        positions.append(v)
+    return ordered, positions
 
 
 def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[list[int], list[int]]:
@@ -203,22 +202,19 @@ def localize(
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
-    ordered = _check_symptoms(g.node_ids, symptoms)
+    ordered, sources = _symptom_positions(g, symptoms)
 
     ids = g.node_ids
     succ = g.scheduling_view[0] if view == VIEW_SCHEDULING else g.dependency_view
 
     try:
         kinds = classify_activities(g, compute_schedule(g)).kinds
+        critical = [kinds[v] == KIND_CRITICAL for v in ids]
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:
             raise
-        kinds = {
-            a.id: (KIND_CRITICAL if a.declared_kind == KIND_CRITICAL else KIND_NON_CRITICAL)
-            for a in g.activities
-        }
+        critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
 
-    sources = [g.position(s) for s in ordered]
     comp_of, masks = _explaining_masks(succ, sources)
     hops = _hops_from_nearest(succ, sources)
     # Upstream nodes mostly share a mask: unpack each distinct one once.
@@ -228,7 +224,7 @@ def localize(
         Candidate(
             node=ids[v],
             explains=explained[mask],
-            is_critical=kinds[ids[v]] == KIND_CRITICAL,
+            is_critical=critical[v],
             min_distance=hops[v],
             scc=comp_of[v],
         )
@@ -246,10 +242,11 @@ def localize(
         return tuple(parts[k] for k in policy.keys)
 
     ranked = tuple(sorted(candidates, key=sort_key))
-    independent = tuple(
-        s for bit, (s, v) in enumerate(zip(ordered, sources)) if not succ[v] and masks[v] == 1 << bit
+    independent = tuple(  # a self-loop on s still leaves its candidate set {s}
+        s for bit, (s, v) in enumerate(zip(ordered, sources))
+        if masks[v] == 1 << bit and all(w == v for w in succ[v])
     )
-    examined = sum(1 for v, mask in zip(ids, masks) if mask or kinds[v] == KIND_CRITICAL)
+    examined = sum(1 for v, mask in enumerate(masks) if mask or critical[v])
     return LocalizationReport(
         symptoms=ordered,
         candidates=ranked,

@@ -26,7 +26,6 @@ from .graph import (
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
-    UnknownNodeError,
     build_graph,
 )
 from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
@@ -234,26 +233,29 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
     """Propagate a fault at ``root`` to every node that transitively
     depends on it; each affected node except the root joins the symptom
     set independently with probability ``detect_prob`` (one uniform draw
-    per affected node, in node order). The root always self-detects."""
-    if not g.has_node(root):
-        raise UnknownNodeError(root)
+    per affected node, in node order). The root always self-detects.
+    The walk follows the dependency view reversed, built per call since
+    callers inject once per graph."""
+    r = g.position(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    affected = {root}
-    stack = [root]
+    dependents: list[list[int]] = [[] for _ in g.activities]
+    for v, heads in enumerate(g.dependency_view):
+        for w in heads:
+            dependents[w].append(v)
+    affected = {r}
+    stack = [r]
     while stack:
-        for e in g.in_edges(stack.pop()):
-            if e.tail not in affected:
-                affected.add(e.tail)
-                stack.append(e.tail)
+        for v in dependents[stack.pop()]:
+            if v not in affected:
+                affected.add(v)
+                stack.append(v)
     rng = SplitMix64(seed)
-    symptoms: list[str] = []
-    for node in g.node_ids:
-        if node == root:
-            symptoms.append(node)
-        elif node in affected and rng.random() < detect_prob:
-            symptoms.append(node)
-    return FaultScenario(root, detect_prob, tuple(symptoms), seed)
+    symptoms = tuple(
+        node for v, node in enumerate(g.node_ids)
+        if v == r or (v in affected and rng.random() < detect_prob)
+    )
+    return FaultScenario(root, detect_prob, symptoms, seed)
 
 
 def run_trial(

@@ -191,6 +191,20 @@ def random_mixed_graph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph
     return build_graph(base.activities, edges)
 
 
+def with_self_loops(rnd: random.Random, g: ActivityGraph, undeclared_head: bool = False) -> ActivityGraph:
+    """``g`` unvalidated, plus dependency-only self-loops on a random subset
+    of its nodes and, optionally, one dependency-only edge from a declared
+    node to the undeclared id ``zz``; the scheduling view is unchanged."""
+    edges = list(g.edges)
+    for v in g.node_ids:
+        if rnd.random() < 0.4:
+            edges.append(ActivityEdge(f"e{len(edges)}", v, v, rnd.randint(0, 9), EDGE_DEPENDENCY_ONLY))
+    if undeclared_head:
+        tail = rnd.choice(g.node_ids)
+        edges.append(ActivityEdge(f"e{len(edges)}", tail, "zz", 1, EDGE_DEPENDENCY_ONLY))
+    return ActivityGraph(g.activities, tuple(edges))
+
+
 def series_diamonds(k: int) -> ActivityGraph:
     """k equal-weight diamonds in series, 3k + 1 nodes ``d0..d{3k}``: every
     node is critical and there are 2**k critical paths."""

@@ -31,7 +31,7 @@ def test_build_robot_fixture(robot):
     assert [a.id for a in robot.activities] == ["v0", "v1", "v2", "v3", "v4"]
     assert [e.id for e in robot.edges] == list("abcdefghi")
     assert robot.unit == "s"
-    assert robot.out_edges("v3")[0].head == "v1"
+    assert robot.dependency_view[robot.position("v3")][0] == robot.position("v1")
 
 
 def test_build_single_node():

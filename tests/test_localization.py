@@ -40,6 +40,7 @@ from oracles import (
     graph_succ,
     random_digraph_rows,
     random_mixed_graph,
+    with_self_loops,
 )
 
 
@@ -127,6 +128,11 @@ def test_localize_input_checks(robot):
         localize(robot, ["v0", "v0"])
     with pytest.raises(UnknownNodeError):
         localize(robot, ["zz"])
+    # each symptom in order: the repeat is found before the unknown node
+    closure = transitive_closure(dependency_matrix(robot))
+    for check in (lambda s: localize(robot, s), lambda s: independent_faults(closure, s)):
+        with pytest.raises(ValueError, match="^duplicate symptom: v0$"):
+            check(["v0", "v0", "zz"])
     with pytest.raises(ValueError):
         localize(robot, ["v0"], view="sideways")
 
@@ -370,9 +376,11 @@ def localize_by_oracles(g, symptoms, policy, view):
 
 def test_localize_matches_oracles():
     policies = [RankPolicy(keys) for keys in itertools.permutations(RANK_KEYS)]
-    for seed in range(150):
+    for seed in range(300):
         rnd = random.Random(110_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
+        if seed >= 150:  # unvalidated, with dependency-only self-loops
+            g = with_self_loops(rnd, g)
         ids = list(g.node_ids)
         for view in (VIEW_ALL, VIEW_SCHEDULING):
             symptoms = rnd.sample(ids, rnd.randint(1, len(ids)))
@@ -383,6 +391,9 @@ def test_localize_matches_oracles():
             assert report.independent == independent
             assert report.nodes_examined == examined
             assert report.symptoms == tuple(symptoms)
+            if view == VIEW_ALL:
+                closure = transitive_closure(dependency_matrix(g))
+                assert independent_faults(closure, symptoms) == set(independent)
 
 
 def test_candidates_with_one_mask_share_explains():

@@ -35,6 +35,7 @@ from oracles import (
     generate_graph_by_pair_lists,
     graph_succ,
     random_mixed_graph,
+    with_self_loops,
 )
 
 
@@ -177,9 +178,14 @@ def test_inject_full_detection_equals_affected_set():
 
 
 def test_inject_matches_reverse_reachability_oracle():
-    # cyclic graphs and partial detection: one draw per dependent, node order
-    for seed in range(60):
-        g = random_mixed_graph(random.Random(50_000 + seed), max_nodes=12)
+    # cyclic graphs and partial detection: one draw per dependent, node order;
+    # from seed 60 on, unvalidated graphs with dependency-only self-loops and
+    # an edge to an undeclared id, which no walk follows
+    for seed in range(120):
+        rnd = random.Random(50_000 + seed)
+        g = random_mixed_graph(rnd, max_nodes=12)
+        if seed >= 60:
+            g = with_self_loops(rnd, g, undeclared_head=True)
         ids = g.node_ids
         succ = graph_succ(g)
         closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
