@@ -37,7 +37,7 @@ from .matrices import (
     NotClosedError,
     unpack_mask,
 )
-from .schedule import classify_activities, compute_schedule
+from .schedule import Schedule, classify_activities, compute_schedule
 
 VIEW_ALL = "all_edges"
 VIEW_SCHEDULING = "scheduling_only"
@@ -185,6 +185,7 @@ def localize(
     symptoms,
     policy: RankPolicy = DEFAULT_POLICY,
     view: str = VIEW_ALL,
+    schedule: Schedule | None = None,
 ) -> LocalizationReport:
     """Rank root-cause candidates for the observed symptoms.
 
@@ -192,7 +193,9 @@ def localize(
     subgraph per ``view``. Criticality is always computed on the scheduling
     view; when that view is cyclic and ``view`` is ``all_edges``, declared
     kinds are used instead (with ``scheduling_only`` the cycle is a hard
-    error). ``nodes_examined`` counts the nodes that are candidates or
+    error). A caller that already scheduled ``g`` passes that ``schedule``
+    (ValueError if it belongs to another graph) and it is not computed
+    again. ``nodes_examined`` counts the nodes that are candidates or
     critical, each once: the critical nodes plus every node a symptom
     transitively depends on.
 
@@ -202,13 +205,17 @@ def localize(
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
+    if schedule is not None and schedule.graph is not g:
+        raise ValueError("the schedule belongs to another graph")
     ordered, sources = _symptom_positions(g, symptoms)
 
     ids = g.node_ids
     succ = g.scheduling_view[0] if view == VIEW_SCHEDULING else g.dependency_view
 
     try:
-        kinds = classify_activities(g, compute_schedule(g)).kinds
+        if schedule is None:
+            schedule = compute_schedule(g)
+        kinds = classify_activities(g, schedule).kinds
         critical = [kinds[v] == KIND_CRITICAL for v in ids]
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import statistics
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, pairwise
+from operator import mul
 
 from .graph import (
     Activity,
@@ -29,12 +30,16 @@ from .graph import (
     build_graph,
 )
 from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
-from .rng import SplitMix64, derive_seed
-from .schedule import compute_schedule
+from .rng import SplitMix64, block, bounded, derive_seed, stream, threshold
+from .schedule import Schedule, compute_schedule
 
 ROOT_CRITICAL_ONLY = "critical_only"
 ROOT_UNIFORM = "uniform"
 ROOT_POLICIES = frozenset({ROOT_CRITICAL_ONLY, ROOT_UNIFORM})
+
+# Largest node count plus candidate pair count a generator run may draw
+# for; every pair costs a draw and the edges are kept in memory.
+MAX_GENERATED_SIZE = 2**20
 
 BASELINE_DESCRIPTION = "exhaustive scan of every node"
 PROPAGATION_DESCRIPTION = (
@@ -61,7 +66,9 @@ class GeneratorParams:
     with probability ``edge_density``), so the scheduling view is acyclic
     by construction. Feedback edges are dependency-only, run from a later
     layer back to an earlier one, and may create cycles; their count is
-    ``floor(feedback_edge_fraction * scheduling edge count)``.
+    ``floor(feedback_edge_fraction * scheduling edge count)``. The node
+    count plus the candidate pair count (the sum of |layer k| * |layer
+    k+1|) is at most MAX_GENERATED_SIZE.
     """
 
     node_count: int
@@ -86,6 +93,14 @@ class GeneratorParams:
             raise InvalidParamsError("feedback_edge_fraction must be in [0, 1)")
         if not 0 <= self.seed < 2**64:
             raise InvalidParamsError("seed must fit in 64 bits")
+        # the node count first, so summing the layers stays cheap
+        if self.node_count > MAX_GENERATED_SIZE:
+            raise InvalidParamsError(f"node_count must be at most {MAX_GENERATED_SIZE}")
+        sizes = [b - a for a, b in pairwise(_layer_starts(self.node_count, self.layer_count))]
+        if self.node_count + sum(map(mul, sizes, sizes[1:])) > MAX_GENERATED_SIZE:
+            raise InvalidParamsError(
+                f"node_count plus candidate pairs must be at most {MAX_GENERATED_SIZE}"
+            )
 
 
 @dataclass(frozen=True)
@@ -180,30 +195,37 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _layer_starts(n: int, layers: int) -> list[int]:
+    """First node of each layer, plus n as the end of the last one."""
+    return [-(-k * n // layers) for k in range(layers + 1)]
+
+
 def generate_graph(params: GeneratorParams) -> ActivityGraph:
     """Deterministic layered activity graph for the given params.
 
     Node i ("n{i}") sits in layer ``i * layer_count // node_count``. Pair
     and weight draws interleave in a single splitmix64 stream, in node
-    order; feedback pairs are then drawn by rejection from the row-major
-    list of all later-to-earlier layer pairs, which is indexed
-    arithmetically rather than built.
+    order; feedback pairs are then drawn from the same stream by rejection
+    from the row-major list of all later-to-earlier layer pairs, which is
+    indexed arithmetically rather than built. A pair draw u is a hit when
+    ``random()`` on it is below the density, tested as ``u < threshold``.
     """
     params.check()
-    rng = SplitMix64(params.seed)
+    draws = stream(params.seed)
+    hit_below = threshold(params.edge_density)
     n, layers = params.node_count, params.layer_count
     ids = [f"n{i}" for i in range(n)]
     layer = [i * layers // n for i in range(n)]
-    # first node of each layer, plus n as the end of the last one
-    layer_start = [-(-k * n // layers) for k in range(layers + 1)]
+    layer_start = _layer_starts(n, layers)
 
     edges: list[ActivityEdge] = []
     for i in range(n):
         if layer[i] + 1 == layers:
             continue
-        for j in range(layer_start[layer[i] + 1], layer_start[layer[i] + 2]):
-            if rng.random() < params.edge_density:
-                weight = 1 + rng.below(params.max_weight)
+        # zip reads the range first, so it stops without taking a draw
+        for j, u in zip(range(layer_start[layer[i] + 1], layer_start[layer[i] + 2]), draws):
+            if u < hit_below:
+                weight = 1 + bounded(draws, params.max_weight)
                 edges.append(
                     ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_SCHEDULING)
                 )
@@ -215,13 +237,13 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
     wanted = int(params.feedback_edge_fraction * len(edges))
     chosen: set[int] = set()
     while len(chosen) < min(wanted, pair_count):
-        pick = rng.below(pair_count)
+        pick = bounded(draws, pair_count)
         if pick in chosen:
             continue
         chosen.add(pick)
         i = bisect_right(row_start, pick) - 1
         j = pick - row_start[i]
-        weight = 1 + rng.below(params.max_weight)
+        weight = 1 + bounded(draws, params.max_weight)
         edges.append(
             ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY)
         )
@@ -233,7 +255,8 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
     """Propagate a fault at ``root`` to every node that transitively
     depends on it; each affected node except the root joins the symptom
     set independently with probability ``detect_prob`` (one uniform draw
-    per affected node, in node order). The root always self-detects.
+    per affected node, in node order, all from one `block`). The root
+    always self-detects.
     The walk follows the dependency view reversed, built per call since
     callers inject once per graph."""
     r = g.position(root)
@@ -250,20 +273,25 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
             if v not in affected:
                 affected.add(v)
                 stack.append(v)
-    rng = SplitMix64(seed)
+    draws = iter(block(seed, len(affected) - 1))
+    detected_below = threshold(detect_prob)
     symptoms = tuple(
         node for v, node in enumerate(g.node_ids)
-        if v == r or (v in affected and rng.random() < detect_prob)
+        if v == r or (v in affected and next(draws) < detected_below)
     )
     return FaultScenario(root, detect_prob, symptoms, seed)
 
 
 def run_trial(
-    g: ActivityGraph, scenario: FaultScenario, policy: RankPolicy = DEFAULT_POLICY
+    g: ActivityGraph,
+    scenario: FaultScenario,
+    policy: RankPolicy = DEFAULT_POLICY,
+    schedule: Schedule | None = None,
 ) -> TrialMetrics:
-    """Localize the scenario's symptoms (all-edges view) and compare the
-    examined-node cost against the exhaustive baseline."""
-    report = localize(g, scenario.symptoms, policy=policy, view=VIEW_ALL)
+    """Localize the scenario's symptoms (all-edges view, with ``g``'s
+    schedule when given) and compare the examined-node cost against the
+    exhaustive baseline."""
+    report = localize(g, scenario.symptoms, policy=policy, view=VIEW_ALL, schedule=schedule)
     ranked = [c.node for c in report.candidates]
     hit = scenario.root in ranked
     return TrialMetrics(
@@ -286,7 +314,8 @@ def run_experiment(
 
     Trial i derives its seed from the experiment seed, then a fresh graph,
     root choice (uniform over critical nodes or over all nodes) and
-    injection stream from the trial seed. The mean examined ratio is
+    injection stream from the trial seed. The graph is scheduled once, for
+    the root pool and localization alike. The mean examined ratio is
     mean(baseline) / mean(localizer).
     """
     params.check()
@@ -301,14 +330,12 @@ def run_experiment(
     for index in range(trials):
         trial_seed = derive_seed(params.seed, index)
         graph = generate_graph(replace(params, seed=derive_seed(trial_seed, 0)))
+        schedule = compute_schedule(graph)
         root_rng = SplitMix64(derive_seed(trial_seed, 1))
-        if root_policy == ROOT_CRITICAL_ONLY:
-            pool = compute_schedule(graph).critical_nodes
-        else:
-            pool = graph.node_ids
+        pool = schedule.critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
         root = pool[root_rng.below(len(pool))]
         scenario = inject(graph, root, detect_prob, derive_seed(trial_seed, 2))
-        metrics = run_trial(graph, scenario, policy)
+        metrics = run_trial(graph, scenario, policy, schedule)
         rows.append(TrialRow(index, trial_seed, root, len(scenario.symptoms), metrics))
 
     ranks = [r.metrics.root_rank for r in rows]

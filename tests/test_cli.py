@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from depmat import cli, localization, simulation
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
 from depmat.graph import (
@@ -21,7 +22,7 @@ from depmat.graph import (
     build_graph,
 )
 from depmat.matrices import MAX_DENSE_NODES, CapacityError
-from depmat.schedule import EmptyGraphError
+from depmat.schedule import EmptyGraphError, compute_schedule
 from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
 
 from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
@@ -237,6 +238,32 @@ def test_simulate_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "simulate", "--nodes", "0")
     assert code == 2
     assert "node_count" in err
+
+
+@pytest.mark.parametrize("nodes,layers", [("20000", "2"), ("1000000000", "1")])
+def test_simulate_above_size_bound_exits_2_without_drawing(capsys, monkeypatch, nodes, layers):
+    def no_draws(seed):
+        raise AssertionError("drew for a graph above the size bound")
+
+    monkeypatch.setattr(simulation, "stream", no_draws)
+    code, out, err = run(capsys, "simulate", "--nodes", nodes, "--layers", layers, "--trials", "1")
+    assert (code, out) == (2, "")
+    assert "internal error" not in err
+    assert "at most 1048576" in err
+
+
+def test_export_symptoms_schedules_once(capsys, monkeypatch):
+    scheduled = []
+
+    def counting(g):
+        scheduled.append(g)
+        return compute_schedule(g)
+
+    monkeypatch.setattr(cli, "compute_schedule", counting)
+    monkeypatch.setattr(localization, "compute_schedule", counting)
+    code, out, err = run(capsys, "export", ROBOT, "--symptoms", "v4,v2")
+    assert (code, err) == (0, "")
+    assert len(scheduled) == 1
 
 
 def test_export_dot(capsys):

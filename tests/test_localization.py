@@ -329,6 +329,27 @@ def test_localize_all_edges_with_cyclic_schedule_falls_back():
         localize(g, ["v1"], view=VIEW_SCHEDULING)
 
 
+def test_localize_with_precomputed_schedule_matches():
+    policies = [RankPolicy(keys) for keys in itertools.permutations(RANK_KEYS)]
+    for seed in range(80):
+        rnd = random.Random(140_000 + seed)
+        g = random_mixed_graph(rnd, max_nodes=12)
+        schedule = compute_schedule(g)
+        for view in (VIEW_ALL, VIEW_SCHEDULING):
+            symptoms = rnd.sample(list(g.node_ids), rnd.randint(1, len(g.node_ids)))
+            for policy in rnd.sample(policies, 3):
+                assert localize(g, symptoms, policy, view, schedule=schedule) == localize(
+                    g, symptoms, policy, view
+                )
+
+
+def test_localize_rejects_a_schedule_of_another_graph(robot):
+    twin = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    assert twin == robot
+    with pytest.raises(ValueError, match="another graph"):
+        localize(robot, ["v4"], schedule=compute_schedule(twin))
+
+
 def localize_by_oracles(g, symptoms, policy, view):
     """(candidates, independent, nodes_examined) from the boolean-power
     closure, one BFS per symptom and the all-paths CPM oracle."""

@@ -1,4 +1,6 @@
-from depmat.rng import SplitMix64, derive_seed
+from itertools import islice
+
+from depmat.rng import GOLDEN, SplitMix64, block, bounded, derive_seed, stream, threshold
 
 import pytest
 
@@ -56,3 +58,48 @@ def test_below_bound_fits_one_draw():
     assert SplitMix64(7).below(2**64) == rng.next_u64()
     with pytest.raises(ValueError):
         rng.below(2**64 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+def test_block_equals_successive_outputs(seed, count):
+    rng = SplitMix64(seed)
+    expected = [rng.next_u64() for _ in range(count)]
+    assert block(seed, count).tolist() == expected
+    # the state after the block: the stream continues from seed + count * GOLDEN
+    after = SplitMix64(seed + count * GOLDEN)
+    assert [after.next_u64() for _ in range(3)] == [rng.next_u64() for _ in range(3)]
+    assert list(islice(stream(seed), count + 3)) == expected + block(seed + count * GOLDEN, 3).tolist()
+
+
+def test_block_reference_stream_seed0():
+    assert tuple(block(0, 3)) == REFERENCE_SEED0
+    assert tuple(islice(stream(0), 3)) == REFERENCE_SEED0
+    assert tuple(block(2**64, 3)) == REFERENCE_SEED0
+
+
+def test_threshold_is_exactly_random_below():
+    edges = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1]
+    rng = SplitMix64(5)
+    outputs = edges + [rng.next_u64() for _ in range(2000)]
+    for p in (1.0, 0.5, 0.05, 0.9, 1 / 3, 2.0**-53, 1e-300, 1 - 2.0**-53):
+        t = threshold(p)
+        for u in outputs:
+            assert (u < t) == ((u >> 11) * 2.0**-53 < p)
+    assert threshold(1.0) == 2**64
+
+
+def test_bounded_rejects_at_or_above_the_limit():
+    # n = 2**63 + 1 rejects about half of all outputs
+    for n in (1, 2, 5, 9, 2**63 + 1, 2**64):
+        limit = 2**64 - 2**64 % n
+        draws, reference = stream(n), SplitMix64(n)
+        for _ in range(50):
+            u = reference.next_u64()
+            while u >= limit:
+                u = reference.next_u64()
+            assert bounded(draws, n) == u % n
+    with pytest.raises(ValueError):
+        bounded(stream(0), 0)
+    with pytest.raises(ValueError):
+        bounded(stream(0), 2**64 + 1)

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import json
 import random
 
 import pytest
 
+from depmat import localization, simulation
 from depmat.fileio import serialize_graph
 from depmat.graph import (
     Activity,
@@ -19,6 +21,7 @@ from depmat.matrices import dependency_matrix
 from depmat.rng import SplitMix64, derive_seed
 from depmat.schedule import compute_schedule
 from depmat.simulation import (
+    MAX_GENERATED_SIZE,
     GeneratorParams,
     InvalidParamsError,
     ROOT_CRITICAL_ONLY,
@@ -90,6 +93,20 @@ def test_generate_matches_pair_list_reference():
         assert serialize_graph(generate_graph(params)) == serialize_graph(
             generate_graph_by_pair_lists(params)
         )
+    # every pair or none a hit; weight bounds with no rejection, about half
+    # the draws rejected, and the full 64 bits; more pair draws than one
+    # 4,096-output block (200 nodes in 2 layers draw 10,000)
+    shapes = [(30, 4), (200, 2), (150, 3)]
+    for k, (density, max_weight, (n, layers)) in enumerate(
+        itertools.product((1.0, 1e-300, 0.5), (1, 2**63 + 1, 2**64), shapes)
+    ):
+        params = GeneratorParams(
+            node_count=n, layer_count=layers, edge_density=density,
+            max_weight=max_weight, feedback_edge_fraction=0.3, seed=7_000 + k,
+        )
+        assert serialize_graph(generate_graph(params)) == serialize_graph(
+            generate_graph_by_pair_lists(params)
+        )
 
 
 def test_generate_is_deterministic():
@@ -132,6 +149,53 @@ def test_generate_rejects_bad_params():
     for overrides in bad:
         with pytest.raises(InvalidParamsError):
             generate_graph(small_params(**overrides))
+
+
+def test_generated_graphs_validate():
+    rnd = random.Random(60_000)
+    for seed in range(300):
+        n = rnd.randint(1, 120)
+        params = GeneratorParams(
+            node_count=n,
+            layer_count=rnd.randint(1, n),
+            edge_density=rnd.choice((1.0, 1e-300, rnd.uniform(0.01, 1.0))),
+            max_weight=rnd.choice((1, 9, 2**63 + 1, 2**64, rnd.randint(1, 1000))),
+            feedback_edge_fraction=rnd.choice((0.0, rnd.uniform(0.0, 0.99))),
+            seed=rnd.getrandbits(64),
+        )
+        assert validate(generate_graph(params)).errors == ()
+
+
+def test_generator_size_bound(monkeypatch):
+    # checked before any draw: node_count first, then the per-layer pair sum
+    GeneratorParams(5000, 50, 0.02).check()  # the largest fixture: 495,000
+    GeneratorParams(MAX_GENERATED_SIZE, 1, 0.5).check()
+    GeneratorParams(2 * 1023, 2, 0.5).check()  # 1023**2 + 2046 == 2**20 - 1
+    for n, layers in ((MAX_GENERATED_SIZE + 1, 1), (10**9, 1), (2 * 1024, 2), (20_000, 2)):
+        with pytest.raises(InvalidParamsError, match="at most"):
+            GeneratorParams(n, layers, 0.5).check()
+
+    def no_layer_sums(n, layers):
+        raise AssertionError("summed the layers of an oversized node count")
+
+    monkeypatch.setattr(simulation, "_layer_starts", no_layer_sums)
+    with pytest.raises(InvalidParamsError, match="node_count must be at most"):
+        GeneratorParams(10**9, 10**9, 0.5).check()
+
+
+def test_experiment_schedules_each_graph_once(monkeypatch):
+    scheduled = []
+
+    def counting(g):
+        scheduled.append(g)
+        return compute_schedule(g)
+
+    monkeypatch.setattr(simulation, "compute_schedule", counting)
+    monkeypatch.setattr(localization, "compute_schedule", counting)
+    for root_policy in (ROOT_CRITICAL_ONLY, ROOT_UNIFORM):
+        scheduled.clear()
+        run_experiment(small_params(), 6, 0.9, root_policy)
+        assert len({id(g) for g in scheduled}) == len(scheduled) == 6
 
 
 def test_inject_full_chain():
@@ -190,7 +254,7 @@ def test_inject_matches_reverse_reachability_oracle():
         succ = graph_succ(g)
         closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
         for j, root in enumerate(ids):
-            for detect_prob in (0.3, 0.9):
+            for detect_prob in (0.3, 0.9, 1.0, 1e-12):
                 rng = SplitMix64(seed)
                 expected = tuple(
                     v for i, v in enumerate(ids)
