@@ -226,7 +226,7 @@ def cmd_export(args) -> int:
     report = None
     if args.symptoms:
         symptoms = [s for s in args.symptoms.split(",") if s]
-        report = localize(graph, symptoms, view=_VIEWS[args.view], schedule=schedule)
+        report = localize(graph, symptoms, view=_VIEWS[args.view])
     sys.stdout.write(export_dot(graph, schedule, report).decode("utf-8"))
     return 0
 

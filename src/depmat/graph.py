@@ -18,8 +18,8 @@ raises ``CyclicScheduleError`` for it.
 
 One mechanism, Tarjan's algorithm over node positions (``_tarjan``),
 answers every order and component question: the topological order of a
-schedule, the ``condensation`` that the closure, ``condense_sccs`` and
-``localize`` walk, and the cycles that ``validate`` warns about.
+schedule, the ``condensation`` that the closure, ``condense_sccs``,
+``localize`` and ``inject`` walk, and ``validate``'s cycle warnings.
 
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.
@@ -169,21 +169,34 @@ class ActivityGraph:
                     weights[tail].append(e.weight)
         return [tuple(h) for h in heads], [tuple(w) for w in weights]
 
-    @cached_property
+    @property
     def scheduling_order(self) -> tuple[int, ...]:
         """Node positions in a topological order of the scheduling view,
         each before its successors: one Tarjan pass per graph, emission
         order reversed. When a component is cyclic (two or more members, or
         one with an edge to itself), raises CyclicScheduleError with the
         shortest cycle through the first member of the lowest such one."""
+        order, cycle = self._scheduling_outcome
+        if cycle:
+            raise CyclicScheduleError(cycle)
+        return order
+
+    @cached_property
+    def _scheduling_outcome(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        # (order, ()) or ((), cycle), kept either way: a raised error is not cached
         heads = self.scheduling_view[0]
         emitted = _tarjan(heads)
         cyclic = [c for c in emitted if len(c) > 1 or c[0] in heads[c[0]]]
         if cyclic:
             comp = min(cyclic)
             cycle = shortest_cycle_through(comp[0], set(comp), heads)
-            raise CyclicScheduleError([self.node_ids[v] for v in cycle])
-        return tuple(c[0] for c in reversed(emitted))
+            return (), tuple(self.node_ids[v] for v in cycle)
+        return tuple(c[0] for c in reversed(emitted)), ()
+
+    @cached_property
+    def dependency_condensation(self) -> Condensation:
+        """``condensation(self.dependency_view)``, computed once per graph."""
+        return condensation(self.dependency_view)
 
     def position(self, node: str) -> int:
         try:
@@ -286,7 +299,7 @@ def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
 
     # every scheduling cycle lies inside one dependency component
     on_sched_cycle = {v for sub in _tarjan(succ_sched) if len(sub) >= 2 for v in sub}
-    for comp in sorted(_tarjan(succ_all)):
+    for comp in g.dependency_condensation.components:
         if len(comp) < 2:
             continue
         members = set(comp)

@@ -8,14 +8,14 @@ symptoms whose fault cannot have propagated from or to anything else are
 flagged independent: such faults sit on the matrix diagonal.
 
 ``localize`` works on the adjacency lists, never on a dense matrix:
-``graph.condensation`` (one Tarjan pass) gives the component ids,
-per-symptom bitmasks pushed through the condensation in topological order
-give each node's explained symptoms, and one multi-source BFS gives the
-hop distances. It runs in O(n + m) set operations plus the size of its
-output, in which candidates that explain the same symptoms share one
-``explains`` tuple. ``candidate_set`` and ``independent_faults`` answer
-the same questions from an explicit closure matrix; ``independent_faults``
-reads each symptom row once.
+the view's condensation (kept by the graph for all edges) gives the
+component ids, per-symptom bitmasks pushed through it in topological order
+give each node's explained symptoms, one multi-source BFS gives the hop
+distances, and candidates are ranked as positions. It runs in O(n + m) set
+operations plus the size of its output, in which candidates that explain
+the same symptoms share one ``explains`` tuple. ``candidate_set`` and
+``independent_faults`` answer the same questions from an explicit closure
+matrix; ``independent_faults`` reads each symptom row once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from itertools import compress
 
 from .graph import (
     ActivityGraph,
+    Condensation,
     CyclicScheduleError,
     KIND_CRITICAL,
     condensation,
@@ -37,7 +38,7 @@ from .matrices import (
     NotClosedError,
     unpack_mask,
 )
-from .schedule import Schedule, classify_activities, compute_schedule
+from .schedule import classify_activities, compute_schedule
 
 VIEW_ALL = "all_edges"
 VIEW_SCHEDULING = "scheduling_only"
@@ -146,7 +147,7 @@ def _symptom_positions(owner, symptoms) -> tuple[tuple[str, ...], list[int]]:
     return ordered, positions
 
 
-def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[list[int], list[int]]:
+def _explaining_masks(cond: Condensation, sources: list[int]) -> tuple[list[int], list[int]]:
     """SCC ids and, per node position, the bitmask of symptoms that reach
     it (bit i for ``sources[i]``; zero for nodes no symptom depends on).
 
@@ -154,7 +155,6 @@ def _explaining_masks(succ: list[tuple[int, ...]], sources: list[int]) -> tuple[
     flow from a component to its successors in topological order of the
     condensation.
     """
-    cond = condensation(succ)
     comp_of = cond.component_of
     comp_mask = [0] * len(cond.components)
     for bit, s in enumerate(sources):
@@ -185,7 +185,6 @@ def localize(
     symptoms,
     policy: RankPolicy = DEFAULT_POLICY,
     view: str = VIEW_ALL,
-    schedule: Schedule | None = None,
 ) -> LocalizationReport:
     """Rank root-cause candidates for the observed symptoms.
 
@@ -193,11 +192,10 @@ def localize(
     subgraph per ``view``. Criticality is always computed on the scheduling
     view; when that view is cyclic and ``view`` is ``all_edges``, declared
     kinds are used instead (with ``scheduling_only`` the cycle is a hard
-    error). A caller that already scheduled ``g`` passes that ``schedule``
-    (ValueError if it belongs to another graph) and it is not computed
-    again. ``nodes_examined`` counts the nodes that are candidates or
-    critical, each once: the critical nodes plus every node a symptom
-    transitively depends on.
+    error). The schedule and the all-edges condensation are the graph's own.
+    ``nodes_examined`` counts the nodes that are candidates or critical,
+    each once: the critical nodes plus every node a symptom transitively
+    depends on.
 
     A candidate's ``min_distance`` is its hop count from the nearest
     symptom that explains it. Only explaining symptoms have a path to it,
@@ -205,50 +203,37 @@ def localize(
     """
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
-    if schedule is not None and schedule.graph is not g:
-        raise ValueError("the schedule belongs to another graph")
     ordered, sources = _symptom_positions(g, symptoms)
 
     ids = g.node_ids
     succ = g.scheduling_view[0] if view == VIEW_SCHEDULING else g.dependency_view
+    cond = g.dependency_condensation if view == VIEW_ALL else condensation(succ)
 
     try:
-        if schedule is None:
-            schedule = compute_schedule(g)
-        kinds = classify_activities(g, schedule).kinds
+        kinds = classify_activities(g, compute_schedule(g)).kinds
         critical = [kinds[v] == KIND_CRITICAL for v in ids]
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:
             raise
         critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
 
-    comp_of, masks = _explaining_masks(succ, sources)
+    comp_of, masks = _explaining_masks(cond, sources)
     hops = _hops_from_nearest(succ, sources)
     # Upstream nodes mostly share a mask: unpack each distinct one once.
     explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
 
-    candidates = [
-        Candidate(
-            node=ids[v],
-            explains=explained[mask],
-            is_critical=critical[v],
-            min_distance=hops[v],
-            scc=comp_of[v],
-        )
-        for v, mask in enumerate(masks)
-        if mask
-    ]
-
-    def sort_key(c: Candidate):
-        parts = {
-            "explains": -len(c.explains),
-            "critical": 0 if c.is_critical else 1,
-            "distance": c.min_distance,
-            "input_order": g.position(c.node),
-        }
-        return tuple(parts[k] for k in policy.keys)
-
-    ranked = tuple(sorted(candidates, key=sort_key))
+    # one column per rank key, all distinct on input_order, then the position
+    positions = [v for v, mask in enumerate(masks) if mask]
+    columns = {
+        "explains": [-masks[v].bit_count() for v in positions],
+        "critical": [not critical[v] for v in positions],
+        "distance": [hops[v] for v in positions],
+        "input_order": positions,
+    }
+    ranked = [key[-1] for key in sorted(zip(*(columns[k] for k in policy.keys), positions))]
+    candidates = tuple(
+        Candidate(ids[v], explained[masks[v]], critical[v], hops[v], comp_of[v]) for v in ranked
+    )
     independent = tuple(  # a self-loop on s still leaves its candidate set {s}
         s for bit, (s, v) in enumerate(zip(ordered, sources))
         if masks[v] == 1 << bit and all(w == v for w in succ[v])
@@ -256,7 +241,7 @@ def localize(
     examined = sum(1 for v, mask in enumerate(masks) if mask or critical[v])
     return LocalizationReport(
         symptoms=ordered,
-        candidates=ranked,
+        candidates=candidates,
         independent=independent,
         nodes_examined=examined,
         policy=policy,

@@ -8,6 +8,7 @@ All arithmetic is exact integer arithmetic in the graph's declared unit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,11 +74,15 @@ def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
 
 
 def compute_schedule(g: ActivityGraph) -> Schedule:
-    """Full critical-path analysis of the scheduling view.
+    """Critical-path analysis of the scheduling view; one Schedule per graph:
+    ``g`` keeps it by weak reference, so the two form no reference cycle.
 
     Raises EmptyGraphError for node-less graphs and CyclicScheduleError when
     the scheduling view is cyclic.
     """
+    kept = g.__dict__.get("_schedule")
+    if kept is not None and kept() is not None:
+        return kept()
     if not g.activities:
         raise EmptyGraphError("cannot schedule a graph with no activities")
     earliest = forward_pass(g)
@@ -85,7 +90,9 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     latest = backward_pass(g, duration)
     slack = {v: latest[v] - earliest[v] for v in g.node_ids}
     critical = tuple(v for v in g.node_ids if slack[v] == 0)
-    return Schedule(earliest, latest, slack, duration, critical, g)
+    schedule = Schedule(earliest, latest, slack, duration, critical, g)
+    g.__dict__["_schedule"] = weakref.ref(schedule)
+    return schedule
 
 
 def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:

@@ -27,11 +27,10 @@ from .graph import (
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
-    build_graph,
 )
 from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
 from .rng import SplitMix64, block, bounded, derive_seed, stream, threshold
-from .schedule import Schedule, compute_schedule
+from .schedule import compute_schedule
 
 ROOT_CRITICAL_ONLY = "critical_only"
 ROOT_UNIFORM = "uniform"
@@ -248,7 +247,8 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
             ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY)
         )
 
-    return build_graph([Activity(v) for v in ids], edges)
+    # valid by construction: ids, kinds and weights need no re-check
+    return ActivityGraph(tuple(Activity(v) for v in ids), tuple(edges))
 
 
 def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultScenario:
@@ -257,27 +257,22 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
     set independently with probability ``detect_prob`` (one uniform draw
     per affected node, in node order, all from one `block`). The root
     always self-detects.
-    The walk follows the dependency view reversed, built per call since
-    callers inject once per graph."""
+    The affected components are those of ``g.dependency_condensation`` that
+    reach the root's, found in one sweep of its order from the sinks."""
     r = g.position(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    dependents: list[list[int]] = [[] for _ in g.activities]
-    for v, heads in enumerate(g.dependency_view):
-        for w in heads:
-            dependents[w].append(v)
-    affected = {r}
-    stack = [r]
-    while stack:
-        for v in dependents[stack.pop()]:
-            if v not in affected:
-                affected.add(v)
-                stack.append(v)
-    draws = iter(block(seed, len(affected) - 1))
+    cond = g.dependency_condensation
+    reaches = [False] * len(cond.components)
+    reaches[cond.component_of[r]] = True
+    for c in reversed(cond.order):
+        reaches[c] = reaches[c] or any(map(reaches.__getitem__, cond.successors[c]))
+    affected = sum(len(comp) for comp, hit in zip(cond.components, reaches) if hit)
+    draws = iter(block(seed, affected - 1))
     detected_below = threshold(detect_prob)
     symptoms = tuple(
         node for v, node in enumerate(g.node_ids)
-        if v == r or (v in affected and next(draws) < detected_below)
+        if v == r or (reaches[cond.component_of[v]] and next(draws) < detected_below)
     )
     return FaultScenario(root, detect_prob, symptoms, seed)
 
@@ -286,12 +281,10 @@ def run_trial(
     g: ActivityGraph,
     scenario: FaultScenario,
     policy: RankPolicy = DEFAULT_POLICY,
-    schedule: Schedule | None = None,
 ) -> TrialMetrics:
-    """Localize the scenario's symptoms (all-edges view, with ``g``'s
-    schedule when given) and compare the examined-node cost against the
-    exhaustive baseline."""
-    report = localize(g, scenario.symptoms, policy=policy, view=VIEW_ALL, schedule=schedule)
+    """Localize the scenario's symptoms (all-edges view) and compare the
+    examined-node cost against the exhaustive baseline."""
+    report = localize(g, scenario.symptoms, policy=policy, view=VIEW_ALL)
     ranked = [c.node for c in report.candidates]
     hit = scenario.root in ranked
     return TrialMetrics(
@@ -314,9 +307,10 @@ def run_experiment(
 
     Trial i derives its seed from the experiment seed, then a fresh graph,
     root choice (uniform over critical nodes or over all nodes) and
-    injection stream from the trial seed. The graph is scheduled once, for
-    the root pool and localization alike. The mean examined ratio is
-    mean(baseline) / mean(localizer).
+    injection stream from the trial seed. The root pool and localization
+    share the graph's one schedule, injection and localization its one
+    dependency condensation. The mean examined ratio is mean(baseline) /
+    mean(localizer).
     """
     params.check()
     if trials < 1:
@@ -335,7 +329,7 @@ def run_experiment(
         pool = schedule.critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
         root = pool[root_rng.below(len(pool))]
         scenario = inject(graph, root, detect_prob, derive_seed(trial_seed, 2))
-        metrics = run_trial(graph, scenario, policy, schedule)
+        metrics = run_trial(graph, scenario, policy)
         rows.append(TrialRow(index, trial_seed, root, len(scenario.symptoms), metrics))
 
     ranks = [r.metrics.root_rank for r in rows]

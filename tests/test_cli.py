@@ -9,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from depmat import cli, localization, simulation
+import depmat.graph
+import depmat.schedule
+from depmat import cli, simulation
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
 from depmat.graph import (
@@ -22,7 +24,7 @@ from depmat.graph import (
     build_graph,
 )
 from depmat.matrices import MAX_DENSE_NODES, CapacityError
-from depmat.schedule import EmptyGraphError, compute_schedule
+from depmat.schedule import EmptyGraphError
 from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
 
 from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
@@ -254,16 +256,46 @@ def test_simulate_above_size_bound_exits_2_without_drawing(capsys, monkeypatch, 
 
 def test_export_symptoms_schedules_once(capsys, monkeypatch):
     scheduled = []
+    forward_pass = depmat.schedule.forward_pass
 
     def counting(g):
         scheduled.append(g)
-        return compute_schedule(g)
+        return forward_pass(g)
 
-    monkeypatch.setattr(cli, "compute_schedule", counting)
-    monkeypatch.setattr(localization, "compute_schedule", counting)
+    monkeypatch.setattr(depmat.schedule, "forward_pass", counting)
     code, out, err = run(capsys, "export", ROBOT, "--symptoms", "v4,v2")
     assert (code, err) == (0, "")
     assert len(scheduled) == 1
+
+
+def test_export_symptoms_on_a_scheduling_cycle_keeps_the_verdict(tmp_path, capsys, monkeypatch):
+    # one Tarjan pass finds the cycle for export and localize alike; the
+    # other is the dependency condensation
+    doc = {
+        "format_version": 1,
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "edges": [
+            {"id": "x", "from": "a", "to": "b", "weight": 1},
+            {"id": "y", "from": "b", "to": "a", "weight": 1},
+        ],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    passes = []
+    tarjan = depmat.graph._tarjan
+
+    def counting(succ):
+        passes.append(succ)
+        return tarjan(succ)
+
+    monkeypatch.setattr(depmat.graph, "_tarjan", counting)
+    code, out, err = run(capsys, "export", str(path), "--symptoms", "a")
+    assert (code, err) == (0, "")
+    assert out == (
+        "digraph activities {\n  rankdir=LR;\n  a;\n  b;\n"
+        '  a -> b [label="1"];\n  b -> a [label="1"];\n}\n'
+    )
+    assert len(passes) == 2
 
 
 def test_export_dot(capsys):

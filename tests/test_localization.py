@@ -334,20 +334,25 @@ def test_localize_with_precomputed_schedule_matches():
     for seed in range(80):
         rnd = random.Random(140_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
+        # held, so that localize reads the schedule g keeps; inject leaves g
+        # its dependency condensation
         schedule = compute_schedule(g)
+        inject(g, g.node_ids[seed % len(g.node_ids)], 1.0, seed)
         for view in (VIEW_ALL, VIEW_SCHEDULING):
             symptoms = rnd.sample(list(g.node_ids), rnd.randint(1, len(g.node_ids)))
             for policy in rnd.sample(policies, 3):
-                assert localize(g, symptoms, policy, view, schedule=schedule) == localize(
-                    g, symptoms, policy, view
-                )
+                twin = build_graph(g.activities, g.edges, unit=g.unit)
+                assert localize(g, symptoms, policy, view) == localize(twin, symptoms, policy, view)
+        assert compute_schedule(g) is schedule
 
 
-def test_localize_rejects_a_schedule_of_another_graph(robot):
+def test_twin_graphs_get_their_own_schedules(robot):
     twin = build_graph(robot.activities, robot.edges, unit=robot.unit)
     assert twin == robot
-    with pytest.raises(ValueError, match="another graph"):
-        localize(robot, ["v4"], schedule=compute_schedule(twin))
+    mine, theirs = compute_schedule(robot), compute_schedule(twin)
+    assert mine is not theirs
+    assert mine.graph is robot and theirs.graph is twin
+    assert compute_schedule(robot) is mine and compute_schedule(twin) is theirs
 
 
 def localize_by_oracles(g, symptoms, policy, view):

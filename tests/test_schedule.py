@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -119,6 +120,17 @@ def test_schedule_cyclic_scheduling_view():
     )
     with pytest.raises(CyclicScheduleError):
         compute_schedule(g)
+
+
+def test_graph_and_its_schedule_form_no_cycle(robot):
+    # a dropped graph and its schedule are freed at once, not left for the
+    # cyclic collector: a simulated experiment drops one graph per trial
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    schedule = compute_schedule(g)
+    assert compute_schedule(g) is schedule
+    freed = weakref.ref(g), weakref.ref(schedule)
+    del g, schedule
+    assert [ref() for ref in freed] == [None, None]
 
 
 def test_scheduling_self_loop_is_a_cycle():

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from depmat import localization, simulation
+import depmat.graph
+import depmat.schedule
+from depmat import simulation
 from depmat.fileio import serialize_graph
 from depmat.graph import (
     Activity,
@@ -185,17 +187,32 @@ def test_generator_size_bound(monkeypatch):
 
 def test_experiment_schedules_each_graph_once(monkeypatch):
     scheduled = []
+    forward_pass = depmat.schedule.forward_pass
 
     def counting(g):
         scheduled.append(g)
-        return compute_schedule(g)
+        return forward_pass(g)
 
-    monkeypatch.setattr(simulation, "compute_schedule", counting)
-    monkeypatch.setattr(localization, "compute_schedule", counting)
+    monkeypatch.setattr(depmat.schedule, "forward_pass", counting)
     for root_policy in (ROOT_CRITICAL_ONLY, ROOT_UNIFORM):
         scheduled.clear()
         run_experiment(small_params(), 6, 0.9, root_policy)
         assert len({id(g) for g in scheduled}) == len(scheduled) == 6
+
+
+def test_trial_makes_one_tarjan_pass_per_view(monkeypatch):
+    passes = []
+    tarjan = depmat.graph._tarjan
+
+    def counting(succ):
+        passes.append(succ)
+        return tarjan(succ)
+
+    monkeypatch.setattr(depmat.graph, "_tarjan", counting)
+    for root_policy in (ROOT_CRITICAL_ONLY, ROOT_UNIFORM):
+        passes.clear()
+        run_experiment(small_params(feedback_edge_fraction=0.5), 6, 0.9, root_policy)
+        assert len(passes) == 12
 
 
 def test_inject_full_chain():
