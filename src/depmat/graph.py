@@ -340,13 +340,12 @@ def strongly_connected_components(ids: Sequence, succ) -> list[list]:
 class Condensation(NamedTuple):
     """Strongly connected components over node positions, numbered by their
     lowest member (members ascending), with ``component_of[v]`` the number
-    of ``v``'s; ``successors[c]``, the distinct other components that ``c``
-    has edges into; and ``order``, each component after all its
-    predecessors: Tarjan's emission order, reversed."""
+    of ``v``'s, and ``order``, each component after all its predecessors:
+    Tarjan's emission order, reversed. A sweep over ``order`` follows the
+    members' own edges; an edge inside a component leads back to it."""
 
     components: list[list[int]]
     component_of: list[int]
-    successors: list[set[int]]
     order: list[int]
 
 
@@ -358,15 +357,8 @@ def condensation(succ: Sequence[Sequence[int]]) -> Condensation:
     for c, comp in enumerate(components):
         for v in comp:
             comp_of[v] = c
-    successors: list[set[int]] = [set() for _ in components]
-    for v, heads in enumerate(succ):
-        out = successors[comp_of[v]]
-        for w in heads:
-            out.add(comp_of[w])
-    for c, out in enumerate(successors):
-        out.discard(c)
     order = [comp_of[comp[0]] for comp in reversed(emitted)]
-    return Condensation(components, comp_of, successors, order)
+    return Condensation(components, comp_of, order)
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:

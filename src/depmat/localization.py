@@ -9,13 +9,14 @@ flagged independent: such faults sit on the matrix diagonal.
 
 ``localize`` works on the adjacency lists, never on a dense matrix:
 the view's condensation (kept by the graph for all edges) gives the
-component ids, per-symptom bitmasks pushed through it in topological order
-give each node's explained symptoms, one multi-source BFS gives the hop
-distances, and candidates are ranked as positions. It runs in O(n + m) set
-operations plus the size of its output, in which candidates that explain
-the same symptoms share one ``explains`` tuple. ``candidate_set`` and
-``independent_faults`` answer the same questions from an explicit closure
-matrix; ``independent_faults`` reads each symptom row once.
+component ids, per-symptom bitmasks swept in its topological order along
+the members' own edges give each node's explained symptoms, one
+multi-source BFS gives the hop distances, and candidates are ranked as
+positions. It runs in O(n + m) set operations plus the size of its
+output, in which candidates that explain the same symptoms share one
+``explains`` tuple. ``candidate_set`` and ``independent_faults`` answer
+the same questions from an explicit closure matrix; ``independent_faults``
+reads each symptom row once.
 """
 
 from __future__ import annotations
@@ -147,23 +148,21 @@ def _symptom_positions(owner, symptoms) -> tuple[tuple[str, ...], list[int]]:
     return ordered, positions
 
 
-def _explaining_masks(cond: Condensation, sources: list[int]) -> tuple[list[int], list[int]]:
-    """SCC ids and, per node position, the bitmask of symptoms that reach
-    it (bit i for ``sources[i]``; zero for nodes no symptom depends on).
-
-    Nodes of one component reach each other, so they share a mask; masks
-    flow from a component to its successors in topological order of the
-    condensation.
-    """
+def _explaining_masks(cond: Condensation, succ: list[tuple[int, ...]], sources: list[int]) -> list[int]:
+    """Per node position, the bitmask of symptoms that reach it (bit i for
+    ``sources[i]``; zero for nodes no symptom depends on). Nodes of one
+    component reach each other and share a mask, which flows in topological
+    order of ``cond`` along the members' own edges of ``succ``."""
     comp_of = cond.component_of
     comp_mask = [0] * len(cond.components)
     for bit, s in enumerate(sources):
         comp_mask[comp_of[s]] |= 1 << bit
     for c in cond.order:
         mask = comp_mask[c]
-        for d in cond.successors[c]:
-            comp_mask[d] |= mask
-    return comp_of, [comp_mask[c] for c in comp_of]
+        for v in cond.components[c]:
+            for w in succ[v]:
+                comp_mask[comp_of[w]] |= mask
+    return [comp_mask[c] for c in comp_of]
 
 
 def _hops_from_nearest(succ: list[tuple[int, ...]], sources: list[int]) -> dict[int, int]:
@@ -217,7 +216,7 @@ def localize(
             raise
         critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
 
-    comp_of, masks = _explaining_masks(cond, sources)
+    masks = _explaining_masks(cond, succ, sources)
     hops = _hops_from_nearest(succ, sources)
     # Upstream nodes mostly share a mask: unpack each distinct one once.
     explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
@@ -232,7 +231,7 @@ def localize(
     }
     ranked = [key[-1] for key in sorted(zip(*(columns[k] for k in policy.keys), positions))]
     candidates = tuple(
-        Candidate(ids[v], explained[masks[v]], critical[v], hops[v], comp_of[v]) for v in ranked
+        Candidate(ids[v], explained[masks[v]], critical[v], hops[v], cond.component_of[v]) for v in ranked
     )
     independent = tuple(  # a self-loop on s still leaves its candidate set {s}
         s for bit, (s, v) in enumerate(zip(ordered, sources))

@@ -195,24 +195,26 @@ def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     """Boolean closure over paths of length >= 1.
 
-    A component reaches its members' direct successors plus everything its
-    successor components reach, so reverse topological order over the
-    condensation fills every component's row with O(n + m) ORs. A member of
-    a cycle reaches itself through the cycle, a self-loop through its own
-    raw bit.
+    A component reaches its members' direct successors plus everything the
+    heads of its members' edges reach, so reverse topological order over
+    the condensation fills every component's row with O(n + m) ORs; an edge
+    inside the component ORs in its still-empty row. A member of a cycle
+    reaches itself through the cycle, a self-loop through its own raw bit.
     """
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    cond = condensation([_set_bits(m) for m in d.masks])
+    succ = [_set_bits(m) for m in d.masks]
+    cond = condensation(succ)
+    comp_of = cond.component_of
     reach = [0] * len(cond.components)
     for c in reversed(cond.order):
         mask = 0
         for v in cond.components[c]:
             mask |= d.masks[v]
-        for s in cond.successors[c]:
-            mask |= reach[s]
+            for w in succ[v]:
+                mask |= reach[comp_of[w]]
         reach[c] = mask
-    masks = tuple(reach[c] for c in cond.component_of)
+    masks = tuple(reach[c] for c in comp_of)
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 
@@ -221,8 +223,9 @@ def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
     condensation edges."""
     if d.closed:
         raise AlreadyClosedError("condensation expects the raw matrix, not a closure")
-    cond = condensation([_set_bits(m) for m in d.masks])
-    ids = d.node_ids
+    succ = [_set_bits(m) for m in d.masks]
+    cond = condensation(succ)
+    ids, comp_of = d.node_ids, cond.component_of
     components = tuple(tuple(ids[i] for i in comp) for comp in cond.components)
-    edges = sorted((c, s) for c, out in enumerate(cond.successors) for s in out)
-    return CondensedGraph(components, tuple(edges))
+    edges = {(comp_of[v], comp_of[w]) for v, heads in enumerate(succ) for w in heads}
+    return CondensedGraph(components, tuple(sorted((c, s) for c, s in edges if c != s)))

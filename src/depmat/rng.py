@@ -18,7 +18,7 @@ Bounded integers use rejection sampling (reject draws at or above
 Floats take the top 53 bits of an output, scaled by 2**-53.
 
 Output k after a state depends only on ``state + (k+1) * GOLDEN``, so
-`block` computes many outputs in one pass of Python int arithmetic. Each
+`stream` computes many outputs in one pass of Python int arithmetic. Each
 output owns a 128-bit lane of one int: its 64-bit value plus a 64-bit pad
 on the more significant side. A lane's value times a 64-bit constant
 fits in the lane, ``& mask`` (2**64 - 1 in every value word, 0 in every
@@ -84,20 +84,6 @@ def _scramble_lanes(state: int, lanes: int) -> array:
     z = ((z ^ (z >> 27)) & mask) * MIX2 & mask
     z ^= z >> 31  # the bits shifted into pads are never read
     return array("Q", z.to_bytes(16 * lanes, sys.byteorder))[0::2]
-
-
-def block(state: int, count: int) -> array:
-    """The ``count`` outputs that ``count`` `next_u64` calls return from
-    ``state``; the generator's state after them is
-    ``state + count * GOLDEN`` (mod 2**64)."""
-    state &= _MASK64
-    out = array("Q")
-    while len(out) < count:
-        lanes = min(BLOCK, 1 << (count - len(out) - 1).bit_length())
-        out += _scramble_lanes(state, lanes)
-        state = (state + lanes * GOLDEN) & _MASK64
-    del out[count:]
-    return out
 
 
 def stream(seed: int) -> Iterator[int]:

@@ -73,16 +73,21 @@ def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
     return dict(zip(g.node_ids, latest))
 
 
+_schedules: weakref.WeakValueDictionary[int, Schedule] = weakref.WeakValueDictionary()
+
+
 def compute_schedule(g: ActivityGraph) -> Schedule:
-    """Critical-path analysis of the scheduling view; one Schedule per graph:
-    ``g`` keeps it by weak reference, so the two form no reference cycle.
+    """Critical-path analysis of the scheduling view; one Schedule per graph
+    while it is in use, kept in ``_schedules`` by the graph's id. A kept
+    schedule holds its graph, so a live key never names a dead graph, and
+    the graph holds nothing of it, so it pickles and copies without it.
 
     Raises EmptyGraphError for node-less graphs and CyclicScheduleError when
     the scheduling view is cyclic.
     """
-    kept = g.__dict__.get("_schedule")
-    if kept is not None and kept() is not None:
-        return kept()
+    kept = _schedules.get(id(g))
+    if kept is not None:
+        return kept
     if not g.activities:
         raise EmptyGraphError("cannot schedule a graph with no activities")
     earliest = forward_pass(g)
@@ -91,7 +96,7 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     slack = {v: latest[v] - earliest[v] for v in g.node_ids}
     critical = tuple(v for v in g.node_ids if slack[v] == 0)
     schedule = Schedule(earliest, latest, slack, duration, critical, g)
-    g.__dict__["_schedule"] = weakref.ref(schedule)
+    _schedules[id(g)] = schedule
     return schedule
 
 

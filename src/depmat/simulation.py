@@ -29,7 +29,7 @@ from .graph import (
     EDGE_SCHEDULING,
 )
 from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
-from .rng import SplitMix64, block, bounded, derive_seed, stream, threshold
+from .rng import SplitMix64, bounded, derive_seed, stream, threshold
 from .schedule import compute_schedule
 
 ROOT_CRITICAL_ONLY = "critical_only"
@@ -253,26 +253,25 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
 
 def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultScenario:
     """Propagate a fault at ``root`` to every node that transitively
-    depends on it; each affected node except the root joins the symptom
-    set independently with probability ``detect_prob`` (one uniform draw
-    per affected node, in node order, all from one `block`). The root
-    always self-detects.
-    The affected components are those of ``g.dependency_condensation`` that
-    reach the root's, found in one sweep of its order from the sinks."""
+    depends on it, found in one sweep of ``g.dependency_condensation`` from
+    its sinks along the members' own edges. Each affected node except the
+    root joins the symptom set independently with probability
+    ``detect_prob``: one `rng.stream` draw each, in node order. The root
+    always self-detects."""
     r = g.position(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    cond = g.dependency_condensation
+    cond, succ = g.dependency_condensation, g.dependency_view
+    comp_of = cond.component_of
     reaches = [False] * len(cond.components)
-    reaches[cond.component_of[r]] = True
+    reaches[comp_of[r]] = True
     for c in reversed(cond.order):
-        reaches[c] = reaches[c] or any(map(reaches.__getitem__, cond.successors[c]))
-    affected = sum(len(comp) for comp, hit in zip(cond.components, reaches) if hit)
-    draws = iter(block(seed, affected - 1))
+        reaches[c] = reaches[c] or any(reaches[comp_of[w]] for v in cond.components[c] for w in succ[v])
+    draws = stream(seed)
     detected_below = threshold(detect_prob)
     symptoms = tuple(
         node for v, node in enumerate(g.node_ids)
-        if v == r or (reaches[cond.component_of[v]] and next(draws) < detected_below)
+        if v == r or (reaches[comp_of[v]] and next(draws) < detected_below)
     )
     return FaultScenario(root, detect_prob, symptoms, seed)
 

@@ -1,6 +1,6 @@
 from itertools import islice
 
-from depmat.rng import GOLDEN, SplitMix64, block, bounded, derive_seed, stream, threshold
+from depmat.rng import GOLDEN, SplitMix64, bounded, derive_seed, stream, threshold
 
 import pytest
 
@@ -61,21 +61,22 @@ def test_below_bound_fits_one_draw():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+# 63..65 and 191..193 straddle the stream's first block ends (64, 64 + 128)
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 191, 192, 193, 4095, 4096, 4097])
 def test_block_equals_successive_outputs(seed, count):
     rng = SplitMix64(seed)
     expected = [rng.next_u64() for _ in range(count)]
-    assert block(seed, count).tolist() == expected
-    # the state after the block: the stream continues from seed + count * GOLDEN
+    assert list(islice(stream(seed), count)) == expected
+    # the state after them: the stream continues from seed + count * GOLDEN
     after = SplitMix64(seed + count * GOLDEN)
     assert [after.next_u64() for _ in range(3)] == [rng.next_u64() for _ in range(3)]
-    assert list(islice(stream(seed), count + 3)) == expected + block(seed + count * GOLDEN, 3).tolist()
+    continued = list(islice(stream(seed + count * GOLDEN), 3))
+    assert list(islice(stream(seed), count + 3)) == expected + continued
 
 
 def test_block_reference_stream_seed0():
-    assert tuple(block(0, 3)) == REFERENCE_SEED0
     assert tuple(islice(stream(0), 3)) == REFERENCE_SEED0
-    assert tuple(block(2**64, 3)) == REFERENCE_SEED0
+    assert tuple(islice(stream(2**64), 3)) == REFERENCE_SEED0
 
 
 def test_threshold_is_exactly_random_below():

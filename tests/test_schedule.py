@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import weakref
 
@@ -131,6 +133,20 @@ def test_graph_and_its_schedule_form_no_cycle(robot):
     freed = weakref.ref(g), weakref.ref(schedule)
     del g, schedule
     assert [ref() for ref in freed] == [None, None]
+
+
+def test_scheduled_graph_pickles_and_each_copy_gets_its_own_schedule(robot):
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    schedule = compute_schedule(g)
+    assert compute_schedule(g) is compute_schedule(g) is schedule
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g
+    assert compute_schedule(restored).graph is restored
+    for clone in (copy.copy(g), copy.deepcopy(g)):
+        own = compute_schedule(clone)
+        assert own is not schedule and own.graph is clone
+        assert own == schedule and compute_schedule(clone) is own
+    assert compute_schedule(g) is schedule
 
 
 def test_scheduling_self_loop_is_a_cycle():

@@ -20,7 +20,7 @@ from depmat.graph import (
     validate,
 )
 from depmat.matrices import dependency_matrix
-from depmat.rng import SplitMix64, derive_seed
+from depmat.rng import SplitMix64, derive_seed, stream
 from depmat.schedule import compute_schedule
 from depmat.simulation import (
     MAX_GENERATED_SIZE,
@@ -278,6 +278,34 @@ def test_inject_matches_reverse_reachability_oracle():
                     if v == root or (closed[i][j] and rng.random() < detect_prob)
                 )
                 assert inject(g, root, detect_prob, seed=seed).symptoms == expected
+
+
+def test_inject_draws_once_per_affected_node_but_the_root(monkeypatch):
+    taken = 0
+
+    def counting_stream(seed):
+        nonlocal taken
+        for u in stream(seed):
+            taken += 1
+            yield u
+
+    monkeypatch.setattr(simulation, "stream", counting_stream)
+    root_only = 0
+    for seed in range(60):
+        rnd = random.Random(70_000 + seed)
+        g = random_mixed_graph(rnd, max_nodes=12)
+        if seed % 2:
+            g = with_self_loops(rnd, g)
+        ids = g.node_ids
+        succ = graph_succ(g)
+        closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
+        for j, root in enumerate(ids):
+            affected = {i for i in range(len(ids)) if closed[i][j]} | {j}
+            taken = 0
+            inject(g, root, 0.5, seed=seed)
+            assert taken == len(affected) - 1
+            root_only += len(affected) == 1
+    assert root_only  # roots nothing depends on take no draw
 
 
 def test_inject_root_always_self_detects():
