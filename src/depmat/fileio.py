@@ -47,6 +47,8 @@ FORMAT_VERSION = 1
 _DOCUMENT_FIELDS = {"format_version", "unit", "nodes", "edges"}
 _NODE_FIELDS = {"id", "label", "kind"}
 _EDGE_FIELDS = {"id", "from", "to", "weight", "kind"}
+# a lone surrogate decodes from a JSON escape but has no UTF-8 encoding
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -95,6 +97,8 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
     unit = doc.get("unit", "ms")
     if not isinstance(unit, str) or not unit:
         raise SchemaError("unit must be a non-empty string", "unit")
+    if _LONE_SURROGATE.search(unit):
+        raise SchemaError("unit must not contain a lone surrogate", "unit")
 
     raw_nodes = _get(doc, "nodes", "$")
     if not isinstance(raw_nodes, list):
@@ -154,6 +158,8 @@ def _parse_node(item, i: int) -> Activity:
     label = item.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError("label must be a string", f"nodes[{i}].label")
+    if label is not None and _LONE_SURROGATE.search(label):
+        raise SchemaError("label must not contain a lone surrogate", f"nodes[{i}].label")
     kind = item.get("kind", KIND_AUTO)
     if not isinstance(kind, str) or kind not in NODE_KINDS:
         raise SchemaError(f"unknown node kind {kind!r}", f"nodes[{i}].kind")

@@ -17,9 +17,10 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 raises ``CyclicScheduleError`` for it.
 
 One mechanism, Tarjan's algorithm over node positions (``_tarjan``),
-answers every order and component question: the topological order of a
-schedule, the ``condensation`` that the closure, ``condense_sccs``,
-``localize`` and ``inject`` walk, and ``validate``'s cycle warnings.
+answers every order and component question, and a graph condenses each
+view at most once: ``scheduling_condensation`` gives a schedule's
+topological order, and ``validate``, ``localize`` and ``inject`` walk the
+condensation of the view they read. Derived facts stay on the graph.
 
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.
@@ -31,6 +32,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -172,10 +174,10 @@ class ActivityGraph:
     @property
     def scheduling_order(self) -> tuple[int, ...]:
         """Node positions in a topological order of the scheduling view,
-        each before its successors: one Tarjan pass per graph, emission
-        order reversed. When a component is cyclic (two or more members, or
-        one with an edge to itself), raises CyclicScheduleError with the
-        shortest cycle through the first member of the lowest such one."""
+        each before its successors: the order of its condensation. When a
+        component is cyclic (two or more members, or one with an edge to
+        itself), raises CyclicScheduleError with the shortest cycle through
+        the first member of the lowest such one."""
         order, cycle = self._scheduling_outcome
         if cycle:
             raise CyclicScheduleError(cycle)
@@ -185,18 +187,23 @@ class ActivityGraph:
     def _scheduling_outcome(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
         # (order, ()) or ((), cycle), kept either way: a raised error is not cached
         heads = self.scheduling_view[0]
-        emitted = _tarjan(heads)
-        cyclic = [c for c in emitted if len(c) > 1 or c[0] in heads[c[0]]]
-        if cyclic:
-            comp = min(cyclic)
-            cycle = shortest_cycle_through(comp[0], set(comp), heads)
-            return (), tuple(self.node_ids[v] for v in cycle)
-        return tuple(c[0] for c in reversed(emitted)), ()
+        cond = self.scheduling_condensation
+        for comp in cond.components:
+            if len(comp) > 1 or comp[0] in heads[comp[0]]:
+                cycle = shortest_cycle_through(comp[0], set(comp), heads)
+                return (), tuple(self.node_ids[v] for v in cycle)
+        # acyclic: component c is the one node at position c
+        return tuple(cond.order), ()
 
     @cached_property
     def dependency_condensation(self) -> Condensation:
         """``condensation(self.dependency_view)``, computed once per graph."""
         return condensation(self.dependency_view)
+
+    @cached_property
+    def scheduling_condensation(self) -> Condensation:
+        """``condensation(self.scheduling_view[0])``, computed once per graph."""
+        return condensation(self.scheduling_view[0])
 
     def position(self, node: str) -> int:
         try:
@@ -298,7 +305,7 @@ def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
         warn("multiple-sinks", "multiple sinks in scheduling view: " + ", ".join(sinks), *sinks)
 
     # every scheduling cycle lies inside one dependency component
-    on_sched_cycle = {v for sub in _tarjan(succ_sched) if len(sub) >= 2 for v in sub}
+    on_sched_cycle = {v for sub in g.scheduling_condensation.components if len(sub) >= 2 for v in sub}
     for comp in g.dependency_condensation.components:
         if len(comp) < 2:
             continue
@@ -352,7 +359,7 @@ class Condensation(NamedTuple):
 def condensation(succ: Sequence[Sequence[int]]) -> Condensation:
     """Condensation of ``succ`` from one Tarjan pass; O(n + m)."""
     emitted = _tarjan(succ)
-    components = sorted(emitted)
+    components = sorted(emitted, key=itemgetter(0))  # members ascend, so by lowest member
     comp_of = [0] * len(succ)
     for c, comp in enumerate(components):
         for v in comp:

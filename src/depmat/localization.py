@@ -8,7 +8,7 @@ symptoms whose fault cannot have propagated from or to anything else are
 flagged independent: such faults sit on the matrix diagonal.
 
 ``localize`` works on the adjacency lists, never on a dense matrix:
-the view's condensation (kept by the graph for all edges) gives the
+the view's condensation, which the graph keeps for either view, gives the
 component ids, per-symptom bitmasks swept in its topological order along
 the members' own edges give each node's explained symptoms, one
 multi-source BFS gives the hop distances, and candidates are ranked as
@@ -25,13 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import (
-    ActivityGraph,
-    Condensation,
-    CyclicScheduleError,
-    KIND_CRITICAL,
-    condensation,
-)
+from .graph import ActivityGraph, Condensation, CyclicScheduleError, KIND_CRITICAL
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
@@ -191,7 +185,7 @@ def localize(
     subgraph per ``view``. Criticality is always computed on the scheduling
     view; when that view is cyclic and ``view`` is ``all_edges``, declared
     kinds are used instead (with ``scheduling_only`` the cycle is a hard
-    error). The schedule and the all-edges condensation are the graph's own.
+    error). The schedule and the view's condensation are the graph's own.
     ``nodes_examined`` counts the nodes that are candidates or critical,
     each once: the critical nodes plus every node a symptom transitively
     depends on.
@@ -205,8 +199,10 @@ def localize(
     ordered, sources = _symptom_positions(g, symptoms)
 
     ids = g.node_ids
-    succ = g.scheduling_view[0] if view == VIEW_SCHEDULING else g.dependency_view
-    cond = g.dependency_condensation if view == VIEW_ALL else condensation(succ)
+    if view == VIEW_ALL:
+        succ, cond = g.dependency_view, g.dependency_condensation
+    else:
+        succ, cond = g.scheduling_view[0], g.scheduling_condensation
 
     try:
         kinds = classify_activities(g, compute_schedule(g)).kinds

@@ -8,7 +8,6 @@ All arithmetic is exact integer arithmetic in the graph's declared unit.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,14 +22,16 @@ class EmptyGraphError(ValueError):
 class Schedule:
     """Earliest/latest event times, slack, project duration, the critical
     node set (input order) and every critical path (lexicographic by node
-    input position)."""
+    input position). It keeps the graph's node ids and scheduling view,
+    which ``paths`` reads, but not the graph."""
 
     earliest: dict[str, int]
     latest: dict[str, int]
     slack: dict[str, int]
     duration: int
     critical_nodes: tuple[str, ...]
-    graph: ActivityGraph = field(repr=False, compare=False)
+    node_ids: tuple[str, ...] = field(repr=False, compare=False)
+    scheduling_view: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = field(repr=False, compare=False)
 
     @cached_property
     def paths(self) -> tuple[tuple[str, ...], ...]:
@@ -73,19 +74,16 @@ def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
     return dict(zip(g.node_ids, latest))
 
 
-_schedules: weakref.WeakValueDictionary[int, Schedule] = weakref.WeakValueDictionary()
-
-
 def compute_schedule(g: ActivityGraph) -> Schedule:
-    """Critical-path analysis of the scheduling view; one Schedule per graph
-    while it is in use, kept in ``_schedules`` by the graph's id. A kept
-    schedule holds its graph, so a live key never names a dead graph, and
-    the graph holds nothing of it, so it pickles and copies without it.
+    """Critical-path analysis of the scheduling view; one Schedule per graph,
+    kept in the graph's ``__dict__`` beside its cached views. The schedule
+    holds none of the graph but objects the graph already holds, so the two
+    form no reference cycle.
 
     Raises EmptyGraphError for node-less graphs and CyclicScheduleError when
     the scheduling view is cyclic.
     """
-    kept = _schedules.get(id(g))
+    kept = g.__dict__.get("_schedule")
     if kept is not None:
         return kept
     if not g.activities:
@@ -95,16 +93,16 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     latest = backward_pass(g, duration)
     slack = {v: latest[v] - earliest[v] for v in g.node_ids}
     critical = tuple(v for v in g.node_ids if slack[v] == 0)
-    schedule = Schedule(earliest, latest, slack, duration, critical, g)
-    _schedules[id(g)] = schedule
+    schedule = Schedule(earliest, latest, slack, duration, critical, g.node_ids, g.scheduling_view)
+    g.__dict__["_schedule"] = schedule
     return schedule
 
 
 def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:
     """Enumerate every source->sink path of zero-slack nodes whose tight
     scheduling edges sum to the duration, depth-first in node input order."""
-    ids = s.graph.node_ids
-    heads, weights = s.graph.scheduling_view
+    ids = s.node_ids
+    heads, weights = s.scheduling_view
     early = [s.earliest[v] for v in ids]
     tight = [s.slack[v] == 0 for v in ids]
     has_predecessor = {w for successors in heads for w in successors}

@@ -323,9 +323,8 @@ def run_experiment(
     for index in range(trials):
         trial_seed = derive_seed(params.seed, index)
         graph = generate_graph(replace(params, seed=derive_seed(trial_seed, 0)))
-        schedule = compute_schedule(graph)
         root_rng = SplitMix64(derive_seed(trial_seed, 1))
-        pool = schedule.critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
+        pool = compute_schedule(graph).critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
         root = pool[root_rng.below(len(pool))]
         scenario = inject(graph, root, detect_prob, derive_seed(trial_seed, 2))
         metrics = run_trial(graph, scenario, policy)

@@ -166,6 +166,32 @@ def test_serialize_robot_is_canonical(robot, robot_bytes):
     assert serialize_graph(robot) == robot_bytes
 
 
+@pytest.mark.parametrize(
+    "unit,label,locus",
+    [
+        pytest.param("\ud800", None, "unit", id="unit"),
+        pytest.param("ms", "x\udfffy", "nodes[1].label", id="label"),
+        pytest.param("\udc00s", "\ud800", "unit", id="unit-first"),
+    ],
+)
+def test_lone_surrogate_in_text_is_a_schema_error(unit, label, locus):
+    # json.loads decodes the escape, but UTF-8 cannot encode the result, so
+    # the graph could not be written back
+    doc = {"format_version": 1, "unit": unit, "nodes": [{"id": "a"}, {"id": "b", "label": label}], "edges": []}
+    for data in (json.dumps(doc), json.dumps(doc).encode("ascii")):
+        with pytest.raises(SchemaError) as exc:
+            parse_graph(data)
+        assert exc.value.locus == locus
+        assert str(exc.value) == f"{locus}: {locus.rpartition('.')[2]} must not contain a lone surrogate"
+
+
+def test_escaped_surrogate_pair_round_trips():
+    data = '{"format_version": 1, "unit": "\\ud83d\\ude00", "nodes": [{"id": "a", "label": "\\ud83d\\ude00"}], "edges": []}'
+    g = parse_graph(data)
+    assert g.unit == g.activities[0].label == "\U0001F600"
+    assert parse_graph(serialize_graph(g)) == g
+
+
 def test_round_trip_robot(robot):
     assert parse_graph(serialize_graph(robot)) == robot
 

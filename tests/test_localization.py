@@ -4,12 +4,16 @@ import time
 
 import pytest
 
+import depmat.graph
+import depmat.schedule
 from depmat.graph import (
     Activity,
     ActivityEdge,
+    CyclicScheduleError,
     UnknownNodeError,
     build_graph,
     scheduling_subgraph,
+    validate,
 )
 from depmat.localization import (
     RANK_KEYS,
@@ -39,6 +43,7 @@ from oracles import (
     cpm_by_enumeration,
     graph_succ,
     random_digraph_rows,
+    random_kinded_digraph,
     random_mixed_graph,
     with_self_loops,
 )
@@ -334,8 +339,8 @@ def test_localize_with_precomputed_schedule_matches():
     for seed in range(80):
         rnd = random.Random(140_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
-        # held, so that localize reads the schedule g keeps; inject leaves g
-        # its dependency condensation
+        # localize reads the schedule g keeps, and inject leaves g its
+        # dependency condensation
         schedule = compute_schedule(g)
         inject(g, g.node_ids[seed % len(g.node_ids)], 1.0, seed)
         for view in (VIEW_ALL, VIEW_SCHEDULING):
@@ -350,9 +355,52 @@ def test_twin_graphs_get_their_own_schedules(robot):
     twin = build_graph(robot.activities, robot.edges, unit=robot.unit)
     assert twin == robot
     mine, theirs = compute_schedule(robot), compute_schedule(twin)
-    assert mine is not theirs
-    assert mine.graph is robot and theirs.graph is twin
+    assert mine is not theirs and mine == theirs
     assert compute_schedule(robot) is mine and compute_schedule(twin) is theirs
+
+
+def test_repeated_localize_schedules_the_graph_once(robot, monkeypatch):
+    scheduled = []
+    forward_pass = depmat.schedule.forward_pass
+
+    def counting(g):
+        scheduled.append(g)
+        return forward_pass(g)
+
+    monkeypatch.setattr(depmat.schedule, "forward_pass", counting)
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    reports = {localize(g, ["v4"], view=view) for view in (VIEW_ALL, VIEW_SCHEDULING) * 10}
+    assert len(reports) == 2
+    assert scheduled == [g]
+
+
+def test_pipeline_condenses_each_view_at_most_once(monkeypatch):
+    passes = []
+    tarjan = depmat.graph._tarjan
+
+    def counting(succ):
+        passes.append(succ)
+        return tarjan(succ)
+
+    monkeypatch.setattr(depmat.graph, "_tarjan", counting)
+    for seed in range(60):
+        rnd = random.Random(150_000 + seed)
+        make = random_mixed_graph if seed % 2 else random_kinded_digraph
+        g = make(rnd, max_nodes=12)
+        passes.clear()
+        validate(g)
+        for _ in range(2):
+            symptoms = rnd.sample(list(g.node_ids), rnd.randint(1, len(g.node_ids)))
+            for view in (VIEW_ALL, VIEW_SCHEDULING):
+                try:
+                    compute_schedule(g)
+                    localize(g, symptoms, view=view)
+                except CyclicScheduleError:
+                    pass
+            inject(g, rnd.choice(g.node_ids), 0.5, seed)
+        views = (g.dependency_view, g.scheduling_view[0])
+        assert all(sum(p is view for p in passes) <= 1 for view in views)
+        assert all(any(p is view for view in views) for p in passes)
 
 
 def localize_by_oracles(g, symptoms, policy, view):

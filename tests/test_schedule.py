@@ -22,6 +22,7 @@ from depmat.graph import (
     SCHEDULING_KINDS,
     build_graph,
     scheduling_subgraph,
+    validate,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
 from depmat.matrices import dependency_matrix, transitive_closure
@@ -139,14 +140,48 @@ def test_scheduled_graph_pickles_and_each_copy_gets_its_own_schedule(robot):
     g = build_graph(robot.activities, robot.edges, unit=robot.unit)
     schedule = compute_schedule(g)
     assert compute_schedule(g) is compute_schedule(g) is schedule
+    assert schedule.paths == (("v0", "v1", "v2", "v3"),)  # read before pickling
     restored = pickle.loads(pickle.dumps(g))
     assert restored == g
-    assert compute_schedule(restored).graph is restored
-    for clone in (copy.copy(g), copy.deepcopy(g)):
-        own = compute_schedule(clone)
-        assert own is not schedule and own.graph is clone
-        assert own == schedule and compute_schedule(clone) is own
+    own = compute_schedule(restored)
+    assert own is not schedule and own == schedule and own.paths == schedule.paths
+    assert compute_schedule(restored) is own
+    clone = copy.deepcopy(g)
+    own = compute_schedule(clone)
+    assert own is not schedule and own == schedule and own.paths == schedule.paths
+    assert compute_schedule(clone) is own
+    # a shallow copy shares the schedule, which holds nothing of the graph
+    assert compute_schedule(copy.copy(g)) is schedule
     assert compute_schedule(g) is schedule
+
+
+def count_tarjan_passes(monkeypatch) -> list:
+    passes = []
+    tarjan = depmat.graph._tarjan
+
+    def counting(succ):
+        passes.append(succ)
+        return tarjan(succ)
+
+    monkeypatch.setattr(depmat.graph, "_tarjan", counting)
+    return passes
+
+
+def test_schedule_and_scheduling_view_localize_share_one_tarjan_pass(robot, monkeypatch):
+    passes = count_tarjan_passes(monkeypatch)
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    compute_schedule(g)
+    for symptoms in (["v4"], ["v2", "v4"], ["v1"]):
+        localize(g, symptoms, view=VIEW_SCHEDULING)
+    assert len(passes) == 1
+
+
+def test_validate_then_schedule_makes_one_tarjan_pass_per_view(robot, monkeypatch):
+    passes = count_tarjan_passes(monkeypatch)
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    validate(g)
+    compute_schedule(g)
+    assert len(passes) == 2
 
 
 def test_scheduling_self_loop_is_a_cycle():
