@@ -37,6 +37,7 @@ from .graph import (
     KIND_AUTO,
     NODE_KINDS,
     build_graph,
+    shown,
 )
 from .localization import LocalizationReport
 from .matrices import AdjacencyMatrix, DependencyMatrix, IncidenceMatrix
@@ -90,7 +91,7 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
         raise SchemaError("document must be a JSON object", "$")
     for key in doc:
         if key not in _DOCUMENT_FIELDS:
-            raise SchemaError(f"unknown field {key!r}", key)
+            raise SchemaError(f"unknown field {key!r}", shown(key))
     version = _get(doc, "format_version", "$")
     if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}", "format_version")
@@ -117,7 +118,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise SchemaError(f"duplicate key {key!r}", key)
+        raise SchemaError(f"duplicate key {key!r}", shown(key))
     return obj
 
 
@@ -143,7 +144,7 @@ def _get(mapping: dict, key: str, locus: str, index: int | None = None):
 
 def _unknown_field(item: dict, fields: set, locus: str) -> SchemaError:
     key = next(k for k in item if k not in fields)
-    return SchemaError(f"unknown field {key!r}", f"{locus}.{key}")
+    return SchemaError(f"unknown field {key!r}", f"{locus}.{shown(key)}")
 
 
 def _parse_node(item, i: int) -> Activity:

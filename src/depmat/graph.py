@@ -16,11 +16,10 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 (``scheduling_order``, hence CPM and ``localize``'s scheduling view)
 raises ``CyclicScheduleError`` for it.
 
-One mechanism, Tarjan's algorithm over node positions (``_tarjan``),
-answers every order and component question, and a graph condenses each
-view at most once: ``scheduling_condensation`` gives a schedule's
-topological order, and ``validate``, ``localize`` and ``inject`` walk the
-condensation of the view they read. Derived facts stay on the graph.
+One Tarjan pass over node positions (``condensation``) answers every
+order and component question about a view, and one sweep of its
+``Condensation`` (``pull`` or ``push``) every reachability question. A
+graph condenses each view at most once and keeps every derived fact.
 
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.
@@ -101,7 +100,14 @@ class CyclicScheduleError(ValueError):
 class UnknownNodeError(ValueError):
     def __init__(self, node: str):
         self.node = node
-        super().__init__(f"unknown node: {node}")
+        super().__init__(f"unknown node: {shown(node)}")
+
+
+def shown(value) -> str:
+    """``value`` as text, or its ``repr`` when some of it is not printable,
+    so that a line break in an id or key cannot split a message line."""
+    text = str(value)
+    return text if text.isprintable() else repr(text)
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,7 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
         else:
             seen_nodes.add(a.id)
         if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
-            err("invalid-kind", f"activity {a.id}: unknown kind {a.declared_kind!r}", a.id)
+            err("invalid-kind", f"activity {shown(a.id)}: unknown kind {a.declared_kind!r}", a.id)
 
     declared = {a.id for a in g.activities if isinstance(a.id, str)}
     array = "edges"
@@ -259,18 +265,18 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
         else:
             seen_edges.add(e.id)
         if not isinstance(e.kind, str) or e.kind not in EDGE_KINDS:
-            err("invalid-kind", f"edge {e.id}: unknown kind {e.kind!r}", e.id)
+            err("invalid-kind", f"edge {shown(e.id)}: unknown kind {e.kind!r}", e.id)
         if not isinstance(e.weight, int) or isinstance(e.weight, bool):
-            err("invalid-weight", f"edge {e.id}: weight must be an integer", e.id)
+            err("invalid-weight", f"edge {shown(e.id)}: weight must be an integer", e.id)
         elif e.weight < 0:
-            err("negative-weight", f"edge {e.id}: weight {e.weight} is negative", e.id)
+            err("negative-weight", f"edge {shown(e.id)}: weight {e.weight} is negative", e.id)
         elif e.kind == EDGE_DUMMY and e.weight != 0:
-            err("dummy-nonzero", f"dummy edge {e.id} has non-zero weight {e.weight}", e.id)
+            err("dummy-nonzero", f"dummy edge {shown(e.id)} has non-zero weight {e.weight}", e.id)
         for endpoint in (e.tail, e.head):
             if not isinstance(endpoint, str) or endpoint not in declared:
-                err("unknown-endpoint", f"edge {e.id}: unknown node {endpoint!r}", e.id, str(endpoint))
+                err("unknown-endpoint", f"edge {shown(e.id)}: unknown node {endpoint!r}", e.id, str(endpoint))
         if e.tail == e.head:
-            err("self-loop", f"edge {e.id}: self-loop on {e.tail}", e.id)
+            err("self-loop", f"edge {shown(e.id)}: self-loop on {shown(e.tail)}", e.id)
     return issues, loci
 
 
@@ -341,19 +347,49 @@ def strongly_connected_components(ids: Sequence, succ) -> list[list]:
     member, members in input order."""
     position = {v: i for i, v in enumerate(ids)}
     heads = [[position[w] for w in succ[v]] for v in ids]
-    return [[ids[i] for i in comp] for comp in sorted(_tarjan(heads))]
+    return [[ids[i] for i in comp] for comp in condensation(heads).components]
 
 
 class Condensation(NamedTuple):
     """Strongly connected components over node positions, numbered by their
     lowest member (members ascending), with ``component_of[v]`` the number
     of ``v``'s, and ``order``, each component after all its predecessors:
-    Tarjan's emission order, reversed. A sweep over ``order`` follows the
-    members' own edges; an edge inside a component leads back to it."""
+    Tarjan's emission order, reversed. ``pull`` and ``push`` answer every
+    reachability question over the condensed view ``succ`` with one sweep
+    of ``order`` along the members' own edges, O(n + m) ORs: the members
+    of a component share one result; an edge inside one changes nothing."""
 
     components: list[list[int]]
     component_of: list[int]
     order: list[int]
+
+    def pull(self, succ: Sequence[Sequence[int]], seeds: Sequence[int]) -> list[int]:
+        """Per position, the OR of the ``seeds`` of every position it
+        reaches, itself included."""
+        comp_of = self.component_of
+        reached = [0] * len(self.components)
+        for c in reversed(self.order):
+            mask = 0
+            for v in self.components[c]:
+                mask |= seeds[v]
+                for w in succ[v]:
+                    mask |= reached[comp_of[w]]
+            reached[c] = mask
+        return [reached[c] for c in comp_of]
+
+    def push(self, succ: Sequence[Sequence[int]], sources: Sequence[int]) -> list[int]:
+        """Per position, the bitmask of the ``sources`` that reach it, bit
+        ``i`` for ``sources[i]``."""
+        comp_of = self.component_of
+        reached = [0] * len(self.components)
+        for bit, s in enumerate(sources):
+            reached[comp_of[s]] |= 1 << bit
+        for c in self.order:
+            mask = reached[c]
+            for v in self.components[c]:
+                for w in succ[v]:
+                    reached[comp_of[w]] |= mask
+        return [reached[c] for c in comp_of]
 
 
 def condensation(succ: Sequence[Sequence[int]]) -> Condensation:

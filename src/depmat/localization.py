@@ -9,14 +9,13 @@ flagged independent: such faults sit on the matrix diagonal.
 
 ``localize`` works on the adjacency lists, never on a dense matrix:
 the view's condensation, which the graph keeps for either view, gives the
-component ids, per-symptom bitmasks swept in its topological order along
-the members' own edges give each node's explained symptoms, one
-multi-source BFS gives the hop distances, and candidates are ranked as
-positions. It runs in O(n + m) set operations plus the size of its
-output, in which candidates that explain the same symptoms share one
-``explains`` tuple. ``candidate_set`` and ``independent_faults`` answer
-the same questions from an explicit closure matrix; ``independent_faults``
-reads each symptom row once.
+component ids and, by one ``push`` of the symptoms, each node's explained
+symptoms; one multi-source BFS gives the hop distances, and candidates
+are ranked as positions. It runs in O(n + m) set operations plus the size
+of its output, in which candidates that explain the same symptoms share
+one ``explains`` tuple. ``candidate_set`` and ``independent_faults``
+answer the same questions from an explicit closure matrix;
+``independent_faults`` reads each symptom row once.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import ActivityGraph, Condensation, CyclicScheduleError, KIND_CRITICAL
+from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
@@ -142,23 +141,6 @@ def _symptom_positions(owner, symptoms) -> tuple[tuple[str, ...], list[int]]:
     return ordered, positions
 
 
-def _explaining_masks(cond: Condensation, succ: list[tuple[int, ...]], sources: list[int]) -> list[int]:
-    """Per node position, the bitmask of symptoms that reach it (bit i for
-    ``sources[i]``; zero for nodes no symptom depends on). Nodes of one
-    component reach each other and share a mask, which flows in topological
-    order of ``cond`` along the members' own edges of ``succ``."""
-    comp_of = cond.component_of
-    comp_mask = [0] * len(cond.components)
-    for bit, s in enumerate(sources):
-        comp_mask[comp_of[s]] |= 1 << bit
-    for c in cond.order:
-        mask = comp_mask[c]
-        for v in cond.components[c]:
-            for w in succ[v]:
-                comp_mask[comp_of[w]] |= mask
-    return [comp_mask[c] for c in comp_of]
-
-
 def _hops_from_nearest(succ: list[tuple[int, ...]], sources: list[int]) -> dict[int, int]:
     """Multi-source BFS: each reachable node's hop count from the nearest
     source."""
@@ -212,7 +194,7 @@ def localize(
             raise
         critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
 
-    masks = _explaining_masks(cond, succ, sources)
+    masks = cond.push(succ, sources)
     hops = _hops_from_nearest(succ, sources)
     # Upstream nodes mostly share a mask: unpack each distinct one once.
     explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}

@@ -8,10 +8,8 @@ Three dense views share the graph's node/edge order:
                 transitive closure whose diagonal marks cycle membership
 
 A dependency matrix stores each row as one packed int (bit j of row i is
-entry (i, j)). The closure condenses strongly connected components first
-(Purdom 1970, Nuutila 1995), with ``graph.condensation`` over the rows'
-set bits, and ORs whole rows through the condensation in reverse
-topological order, so it costs O(n + m) word-wide ORs; only the n x n
+entry (i, j)). The closure is one ``Condensation.pull`` of the raw rows
+(Purdom 1970, Nuutila 1995): O(n + m) word-wide ORs, and only the n x n
 output itself is quadratic.
 
 Dense representation is capped at MAX_DENSE_NODES nodes; bigger inputs
@@ -193,28 +191,14 @@ def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
 
 
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
-    """Boolean closure over paths of length >= 1.
-
-    A component reaches its members' direct successors plus everything the
-    heads of its members' edges reach, so reverse topological order over
-    the condensation fills every component's row with O(n + m) ORs; an edge
-    inside the component ORs in its still-empty row. A member of a cycle
-    reaches itself through the cycle, a self-loop through its own raw bit.
-    """
+    """Boolean closure over paths of length >= 1: each row pulls the raw
+    rows of everything it reaches (``Condensation.pull``), its own
+    included. A member of a cycle reaches itself through the cycle, a
+    self-loop through its own raw bit."""
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
     succ = [_set_bits(m) for m in d.masks]
-    cond = condensation(succ)
-    comp_of = cond.component_of
-    reach = [0] * len(cond.components)
-    for c in reversed(cond.order):
-        mask = 0
-        for v in cond.components[c]:
-            mask |= d.masks[v]
-            for w in succ[v]:
-                mask |= reach[comp_of[w]]
-        reach[c] = mask
-    masks = tuple(reach[c] for c in comp_of)
+    masks = tuple(condensation(succ).pull(succ, d.masks))
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 

@@ -253,25 +253,22 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
 
 def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultScenario:
     """Propagate a fault at ``root`` to every node that transitively
-    depends on it, found in one sweep of ``g.dependency_condensation`` from
-    its sinks along the members' own edges. Each affected node except the
+    depends on it: the nodes that pull the root's one-hot seed through
+    ``g.dependency_condensation``. Each affected node except the
     root joins the symptom set independently with probability
     ``detect_prob``: one `rng.stream` draw each, in node order. The root
     always self-detects."""
     r = g.position(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    cond, succ = g.dependency_condensation, g.dependency_view
-    comp_of = cond.component_of
-    reaches = [False] * len(cond.components)
-    reaches[comp_of[r]] = True
-    for c in reversed(cond.order):
-        reaches[c] = reaches[c] or any(reaches[comp_of[w]] for v in cond.components[c] for w in succ[v])
+    seeds = [0] * len(g.activities)
+    seeds[r] = 1
+    affected = g.dependency_condensation.pull(g.dependency_view, seeds)
     draws = stream(seed)
     detected_below = threshold(detect_prob)
     symptoms = tuple(
         node for v, node in enumerate(g.node_ids)
-        if v == r or (reaches[comp_of[v]] and next(draws) < detected_below)
+        if v == r or (affected[v] and next(draws) < detected_below)
     )
     return FaultScenario(root, detect_prob, symptoms, seed)
 

@@ -371,6 +371,67 @@ def test_duplicate_key_exits_2(tmp_path, capsys):
     assert "duplicate key 'weight'" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param('{"format_version": 1, "nodes": [], "edges": [], "x\\ny": 1}', id="document-key"),
+        pytest.param('{"format_version": 1, "nodes": [{"id": "a", "x\\ny": 1}], "edges": []}', id="node-key"),
+        pytest.param(
+            '{"format_version": 1, "nodes": [{"id": "a"}, {"id": "b"}],'
+            ' "edges": [{"id": "e", "from": "a", "to": "b", "weight": 1, "x\\ny": 1}]}',
+            id="edge-key",
+        ),
+        pytest.param(
+            '{"format_version": 1, "nodes": [], "edges": [], "a\\r\\u2028b": 1, "a\\r\\u2028b": 2}',
+            id="duplicate-key",
+        ),
+        pytest.param('{"format_version": 1, "nodes": [{"id": "a\\nb"}], "edges": []}', id="node-id"),
+        pytest.param(
+            '{"format_version": 1, "nodes": [{"id": "a"}],'
+            ' "edges": [{"id": "e\\nf", "from": "a", "to": "a", "weight": 1, "kind": "dummy"}]}',
+            id="edge-id",
+        ),
+    ],
+)
+def test_unprintable_key_or_id_gives_one_error_line(tmp_path, capsys, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    code, out, err = run(capsys, "cpm", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_validate_text_prints_one_line_per_issue(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"format_version": 1, "nodes": [{"id": "a\\nb"}],'
+        ' "edges": [{"id": "e\\nf", "from": "a\\nb", "to": "a\\nb", "weight": 1, "kind": "dummy"}]}'
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [
+        "error: activity id 'a\\nb' is not a valid token",
+        "error: edge id 'e\\nf' is not a valid token",
+        "error: dummy edge 'e\\nf' has non-zero weight 1",
+        "error: edge 'e\\nf': self-loop on 'a\\nb'",
+        "ok: no",
+    ]
+
+
+def test_localize_symptom_with_a_line_break_gives_one_error_line(capsys):
+    code, out, err = run(capsys, "localize", ROBOT, "--symptoms", "v4\nv0")
+    assert (code, out, err) == (2, "", "error: unknown node: 'v4\\nv0'\n")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(graph):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "compute_schedule", broken)
+    code, out, err = run(capsys, "cpm", ROBOT)
+    assert (code, out, err) == (1, "", "internal error: boom\n")
+
+
 @pytest.fixture(scope="module")
 def above_dense_cap(tmp_path_factory):
     g = generate_graph(

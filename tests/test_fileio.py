@@ -24,7 +24,10 @@ from depmat.graph import (
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
     EDGE_SCHEDULING,
+    GraphBuildError,
+    UnknownNodeError,
     build_graph,
+    shown,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
 from depmat.matrices import (
@@ -150,6 +153,49 @@ def test_duplicate_id_is_located_at_the_later_copy(nodes, edge_ids, locus):
         parse_graph(json.dumps(doc))
     assert exc.value.locus == locus
     assert str(exc.value).startswith(f"{locus}: duplicate ")
+
+
+@pytest.mark.parametrize(
+    "document,locus",
+    [
+        pytest.param('{"format_version":1,"nodes":[],"edges":[],"x\\ny":1}', "'x\\ny'", id="document-key"),
+        pytest.param(
+            '{"format_version":1,"nodes":[{"id":"a","x\\ny":1}],"edges":[]}', "nodes[0].'x\\ny'", id="node-key"
+        ),
+        pytest.param(
+            '{"format_version":1,"nodes":[{"id":"a"}],"edges":[{"id":"e","from":"a","to":"a","weight":1,"x\\ny":1}]}',
+            "edges[0].'x\\ny'",
+            id="edge-key",
+        ),
+        pytest.param(
+            '{"format_version":1,"nodes":[],"edges":[],"a\\r\\u2028b":1,"a\\r\\u2028b":2}',
+            "'a\\r\\u2028b'",
+            id="duplicate-key",
+        ),
+    ],
+)
+def test_unprintable_key_is_quoted_in_its_locus(document, locus):
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(document)
+    assert exc.value.locus == locus
+    assert len(str(exc.value).splitlines()) == 1
+
+
+def test_unprintable_ids_keep_each_issue_on_one_line():
+    node, edge = Activity("a\nb", declared_kind="odd\n"), ActivityEdge("e\nf", "a\nb", "a\nb", 1, EDGE_DUMMY)
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph([node], [edge])
+    codes = [i.code for i in exc.value.issues]
+    assert codes == ["invalid-id", "invalid-kind", "invalid-id", "dummy-nonzero", "self-loop"]
+    assert [len(i.message.splitlines()) for i in exc.value.issues] == [1] * len(codes)
+    assert exc.value.issues[4].message == "edge 'e\\nf': self-loop on 'a\\nb'"
+    with pytest.raises(UnknownNodeError, match=r"^unknown node: 'x\\ty'$"):
+        build_graph([Activity("a")], []).position("x\ty")
+
+
+def test_printable_text_is_shown_as_it_is():
+    assert [shown(t) for t in ("v0", "caf\u00e9 au lait", "", 5)] == ["v0", "caf\u00e9 au lait", "", "5"]
+    assert shown("a\u2028b") == "'a\\u2028b'"
 
 
 def test_parse_document_skips_structural_validation():

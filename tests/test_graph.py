@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import depmat.graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
@@ -14,12 +15,21 @@ from depmat.graph import (
     GraphBuildError,
     SCHEDULING_KINDS,
     build_graph,
+    condensation,
     scheduling_subgraph,
     strongly_connected_components,
     validate,
 )
 
-from oracles import bfs_hops, graph_succ, has_cycle, random_kinded_digraph, random_mixed_graph
+from oracles import (
+    bfs_hops,
+    closure_by_powers,
+    graph_succ,
+    has_cycle,
+    random_digraph_rows,
+    random_kinded_digraph,
+    random_mixed_graph,
+)
 
 
 def codes(exc_or_report):
@@ -285,6 +295,61 @@ def test_strongly_connected_components_match_mutual_reachability():
             assert comp == sorted(comp, key=position.__getitem__)
             assert {w for w in ids if w in reach[comp[0]] and comp[0] in reach[w]} == set(comp)
         assert [position[c[0]] for c in comps] == sorted(position[c[0]] for c in comps)
+
+
+def _cyclic_successors(rnd):
+    """Random digraph rows with cycles and self-loops, as position lists."""
+    rows = random_digraph_rows(rnd)
+    for i, row in enumerate(rows):
+        row[i] = int(rnd.random() < 0.2)
+    return rows, [[j for j, v in enumerate(row) if v] for row in rows]
+
+
+def test_pull_of_raw_rows_is_the_closure():
+    for seed in range(150):
+        rows, succ = _cyclic_successors(random.Random(5000 + seed))
+        masks = [sum(v << j for j, v in enumerate(row)) for row in rows]
+        closed = [sum(v << j for j, v in enumerate(row)) for row in closure_by_powers(rows)]
+        assert condensation(succ).pull(succ, masks) == closed
+
+
+def test_one_hot_pull_is_reverse_reachability():
+    for seed in range(100):
+        _, succ = _cyclic_successors(random.Random(5500 + seed))
+        n, cond = len(succ), condensation(succ)
+        reach = [bfs_hops(dict(enumerate(succ)), v) for v in range(n)]
+        for r in range(n):
+            seeds = [int(v == r) for v in range(n)]
+            assert cond.pull(succ, seeds) == [int(r in reach[v]) for v in range(n)]
+
+
+def test_push_is_per_source_bfs():
+    for seed in range(150):
+        rnd = random.Random(6000 + seed)
+        _, succ = _cyclic_successors(rnd)
+        sources = rnd.sample(range(len(succ)), rnd.randint(1, len(succ)))
+        reached = [bfs_hops(dict(enumerate(succ)), s) for s in sources]
+        expected = [sum(1 << i for i, hops in enumerate(reached) if v in hops) for v in range(len(succ))]
+        assert condensation(succ).push(succ, sources) == expected
+
+
+def test_strongly_connected_components_condenses_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(depmat.graph, name)
+
+        def wrapper(succ):
+            calls.append(name)
+            return original(succ)
+
+        return wrapper
+
+    for name in ("condensation", "_tarjan"):
+        monkeypatch.setattr(depmat.graph, name, counting(name))
+    comps = strongly_connected_components(["a", "b", "c"], {"a": ["b"], "b": ["a", "c"], "c": ["c"]})
+    assert comps == [["a", "b"], ["c"]]
+    assert calls == ["condensation", "_tarjan"]
 
 
 def _view_reference(g, kinds):
