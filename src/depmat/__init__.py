@@ -41,9 +41,7 @@ from .schedule import (
 from .localization import (
     AnnotatedMatrix,
     Candidate,
-    DEFAULT_POLICY,
     LocalizationReport,
-    RankPolicy,
     VIEW_ALL,
     VIEW_SCHEDULING,
     annotate_matrix,

@@ -21,9 +21,10 @@ from .fileio import (
 from .graph import (
     ActivityGraph,
     CyclicScheduleError,
+    shown,
     validate,
 )
-from .localization import VIEW_ALL, VIEW_SCHEDULING, localize
+from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
     adjacency_matrix,
     dependency_matrix,
@@ -132,7 +133,7 @@ def cmd_cpm(args) -> int:
             }
         )
         return 0
-    print(f"duration: {schedule.duration} {graph.unit}")
+    print(f"duration: {schedule.duration} {shown(graph.unit)}")
     header = ("node", "earliest", "latest", "slack", "class")
     table = [
         (
@@ -174,7 +175,7 @@ def cmd_localize(args) -> int:
                 "independent": report.independent,
                 "nodes_examined": report.nodes_examined,
                 "node_count": len(report.node_ids),
-                "policy": report.policy.keys,
+                "policy": RANK_KEYS,
             }
         )
         return 0

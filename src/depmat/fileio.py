@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import re
+import sys
 from collections import Counter
 from json.encoder import encode_basestring
 from types import SimpleNamespace
@@ -86,6 +87,11 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
         raise ParseError("nesting too deep", 1, 1) from None
+    except SchemaError:  # raised by _unique_keys inside json.loads
+        raise
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal longer than {limit} digits", 1, 1) from None
 
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object", "$")
@@ -190,6 +196,8 @@ def _parse_edge(item, i: int) -> ActivityEdge:
         )
     if weight < 0:
         raise SchemaError(f"edge {edge_id!r}: weight must be non-negative", f"edges[{i}].weight")
+    if weight > 2**64:
+        raise SchemaError(f"edge {edge_id!r}: weight must be at most 2**64", f"edges[{i}].weight")
     kind = item.get("kind", EDGE_SCHEDULING)
     if not isinstance(kind, str) or kind not in EDGE_KINDS:
         raise SchemaError(f"unknown edge kind {kind!r}", f"edges[{i}].kind")

@@ -3,9 +3,11 @@
 A symptom at node s is explained by anything s transitively depends on,
 i.e. everything reachable from s along dependency edges (edge m -> n reads
 "m depends on n", so walking from effect toward cause follows edges
-forward). Candidates are ranked critical-first per the rank policy, and
-symptoms whose fault cannot have propagated from or to anything else are
-flagged independent: such faults sit on the matrix diagonal.
+forward). Candidates are ranked in one fixed order, ``RANK_KEYS``: most
+explained symptoms first, then critical before non-critical, then nearest
+to a symptom, then input order. Symptoms whose fault cannot have
+propagated from or to anything else are flagged independent: such faults
+sit on the matrix diagonal.
 
 ``localize`` works on the adjacency lists, never on a dense matrix:
 the view's condensation, which the graph keeps for either view, gives the
@@ -38,24 +40,9 @@ VIEW_ALL = "all_edges"
 VIEW_SCHEDULING = "scheduling_only"
 VIEWS = frozenset({VIEW_ALL, VIEW_SCHEDULING})
 
+# The candidate order, most significant key first; input order is total,
+# so no ties survive.
 RANK_KEYS = ("explains", "critical", "distance", "input_order")
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """Candidate ordering. The default ranks by explained-symptom count
-    (descending), then critical before non-critical, then minimum hop
-    distance from a symptom, then node input order; the last key is a
-    total order so no ties survive."""
-
-    keys: tuple[str, ...] = RANK_KEYS
-
-    def __post_init__(self):
-        if sorted(self.keys) != sorted(RANK_KEYS):
-            raise ValueError(f"rank keys must be a permutation of {RANK_KEYS}")
-
-
-DEFAULT_POLICY = RankPolicy()
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,6 @@ class LocalizationReport:
     candidates: tuple[Candidate, ...]
     independent: tuple[str, ...]
     nodes_examined: int
-    policy: RankPolicy
     view: str
     node_ids: tuple[str, ...]
 
@@ -155,12 +141,7 @@ def _hops_from_nearest(succ: list[tuple[int, ...]], sources: list[int]) -> dict[
     return dist
 
 
-def localize(
-    g: ActivityGraph,
-    symptoms,
-    policy: RankPolicy = DEFAULT_POLICY,
-    view: str = VIEW_ALL,
-) -> LocalizationReport:
+def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationReport:
     """Rank root-cause candidates for the observed symptoms.
 
     The dependency relation comes from all edges or from the scheduling
@@ -199,15 +180,10 @@ def localize(
     # Upstream nodes mostly share a mask: unpack each distinct one once.
     explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
 
-    # one column per rank key, all distinct on input_order, then the position
-    positions = [v for v, mask in enumerate(masks) if mask]
-    columns = {
-        "explains": [-masks[v].bit_count() for v in positions],
-        "critical": [not critical[v] for v in positions],
-        "distance": [hops[v] for v in positions],
-        "input_order": positions,
-    }
-    ranked = [key[-1] for key in sorted(zip(*(columns[k] for k in policy.keys), positions))]
+    ranked = sorted(  # by RANK_KEYS, which cli prints as the policy
+        (v for v, mask in enumerate(masks) if mask),
+        key=lambda v: (-masks[v].bit_count(), not critical[v], hops[v], v),
+    )
     candidates = tuple(
         Candidate(ids[v], explained[masks[v]], critical[v], hops[v], cond.component_of[v]) for v in ranked
     )
@@ -221,7 +197,6 @@ def localize(
         candidates=candidates,
         independent=independent,
         nodes_examined=examined,
-        policy=policy,
         view=view,
         node_ids=ids,
     )

@@ -28,7 +28,7 @@ from .graph import (
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
 )
-from .localization import DEFAULT_POLICY, VIEW_ALL, RankPolicy, localize
+from .localization import VIEW_ALL, localize
 from .rng import SplitMix64, bounded, derive_seed, stream, threshold
 from .schedule import compute_schedule
 
@@ -273,14 +273,10 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
     return FaultScenario(root, detect_prob, symptoms, seed)
 
 
-def run_trial(
-    g: ActivityGraph,
-    scenario: FaultScenario,
-    policy: RankPolicy = DEFAULT_POLICY,
-) -> TrialMetrics:
+def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
     """Localize the scenario's symptoms (all-edges view) and compare the
     examined-node cost against the exhaustive baseline."""
-    report = localize(g, scenario.symptoms, policy=policy, view=VIEW_ALL)
+    report = localize(g, scenario.symptoms, view=VIEW_ALL)
     ranked = [c.node for c in report.candidates]
     hit = scenario.root in ranked
     return TrialMetrics(
@@ -297,7 +293,6 @@ def run_experiment(
     trials: int,
     detect_prob: float,
     root_policy: str = ROOT_CRITICAL_ONLY,
-    policy: RankPolicy = DEFAULT_POLICY,
 ) -> ExperimentReport:
     """Run seeded independent trials and aggregate.
 
@@ -324,7 +319,7 @@ def run_experiment(
         pool = compute_schedule(graph).critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
         root = pool[root_rng.below(len(pool))]
         scenario = inject(graph, root, detect_prob, derive_seed(trial_seed, 2))
-        metrics = run_trial(graph, scenario, policy)
+        metrics = run_trial(graph, scenario)
         rows.append(TrialRow(index, trial_seed, root, len(scenario.symptoms), metrics))
 
     ranks = [r.metrics.root_rank for r in rows]

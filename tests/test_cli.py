@@ -15,6 +15,9 @@ from depmat import cli, simulation
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
 from depmat.graph import (
+    EDGE_DUMMY,
+    EDGE_KINDS,
+    NODE_KINDS,
     Activity,
     ActivityEdge,
     CyclicScheduleError,
@@ -401,6 +404,36 @@ def test_unprintable_key_or_id_gives_one_error_line(tmp_path, capsys, document):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "unit,duration_line",
+    [("m\ns", "duration: 2 'm\\ns'"), ("µs", "duration: 2 µs")],
+    ids=["line-break", "printable"],
+)
+def test_cpm_prints_the_unit_on_the_duration_line(tmp_path, capsys, unit, duration_line):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "unit": unit, "nodes": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "weight": 2}],
+    }))
+    code, out, err = run(capsys, "cpm", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == duration_line
+    assert len(out.splitlines()) == 3 + 2 + 1
+
+
+@pytest.mark.parametrize("argv", [["cpm"], ["cpm", "--format", "json"], ["validate"]], ids=" ".join)
+def test_integer_literal_past_the_digit_limit_gives_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"format_version": 1, "nodes": [{"id": "a"}, {"id": "b"}],'
+        f' "edges": [{{"id": "e", "from": "a", "to": "b", "weight": {"9" * 5000}}}]}}'
+    )
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_validate_text_prints_one_line_per_issue(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(
@@ -632,6 +665,76 @@ def test_fuzzed_input_never_exits_1(tmp_path_factory, capsys, data):
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code in (0, 2, 3), (argv, err)
         assert "internal error" not in err, (argv, err)
+
+
+_OVER_BOUND = (2**64 + 1, 9 * 10**4299)  # the second has 4,300 digits
+_extreme_text = st.one_of(
+    st.sampled_from(["m\ns", " ", "\x00", "µs", "日本語"]), st.text(min_size=1, max_size=40)
+)
+# The documented input errors a file that validates may still meet.
+_DOCUMENTED_ERRORS = (
+    "error: scheduling cycle: ",
+    "error: cannot schedule a graph with no activities\n",
+    "error: unknown node: ",
+    "error: graph has ",
+)
+
+
+@st.composite
+def _extreme_document(draw):
+    """Schema-valid documents with extreme weights, unicode units and
+    labels, isolated nodes and parallel edges, but no self-loops."""
+    n = draw(st.integers(0, 6))
+    nodes = [
+        {
+            "id": f"n{i}",
+            "label": draw(st.none() | _extreme_text),
+            "kind": draw(st.sampled_from(sorted(NODE_KINDS))),
+        }
+        for i in range(n)
+    ]
+    weights = (0, 1, 2**64) + (_OVER_BOUND if draw(st.booleans()) else ())
+    edges = []
+    for k in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        tail, head = draw(st.permutations(range(n)))[:2]
+        kind = draw(st.sampled_from(sorted(EDGE_KINDS)))
+        weight = 0 if kind == EDGE_DUMMY else draw(st.sampled_from(weights) | st.integers(0, 9))
+        edges.append({"id": f"e{k}", "from": f"n{tail}", "to": f"n{head}", "weight": weight, "kind": kind})
+    return {"format_version": 1, "unit": draw(_extreme_text), "nodes": nodes, "edges": edges}
+
+
+@given(_extreme_document())
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_a_file_validate_accepts_runs_everywhere(tmp_path_factory, capsys, doc):
+    """If ``validate`` exits 0, every other subcommand exits 0 or with a
+    documented input error; a weight above 2**64 fails ``validate``."""
+    path = tmp_path_factory.getbasetemp() / "extreme.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    over = [i for i, e in enumerate(doc["edges"]) if e["weight"] > 2**64]
+    if over:
+        i = over[0]
+        assert (code, err) == (2, f"error: edges[{i}].weight: edge 'e{i}': weight must be at most 2**64\n")
+        return
+    if code != 0:
+        return
+    runs = [("cpm",), ("cpm", "--format", "json"), ("export",)]
+    runs += [("matrix", "--kind", kind, "--format", fmt)
+             for kind in ("incidence", "adjacency", "dependency", "closure")
+             for fmt in ("text", "csv", "json")]
+    if doc["nodes"]:
+        runs.append(("localize", "--symptoms", "n0"))
+    outputs = {}
+    for argv in runs:
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 or (code == 2 and err.startswith(_DOCUMENTED_ERRORS)), (argv, err)
+        assert len(err.splitlines()) <= 1, (argv, err)
+        outputs[argv] = out
+    if outputs[("cpm",)]:  # one line per record: duration, header, nodes, critical nodes, paths
+        paths = json.loads(outputs[("cpm", "--format", "json")])["critical_paths"]
+        assert len(outputs[("cpm",)].splitlines()) == 3 + len(doc["nodes"]) + len(paths)
 
 
 MATRIX_GOLDENS = GOLDENS / "matrix_100n_seed5"

@@ -82,6 +82,29 @@ def test_parse_rejects_float_and_bool_weights():
             parse_graph(json.dumps(doc))
 
 
+def _one_edge_document(weight: str) -> str:
+    return (
+        '{"format_version": 1, "nodes": [{"id": "v0"}, {"id": "v1"}],'
+        f' "edges": [{{"id": "x", "from": "v0", "to": "v1", "weight": {weight}}}]}}'
+    )
+
+
+def test_weight_bound_is_inclusive_at_2_pow_64():
+    assert parse_graph(_one_edge_document(str(2**64))).edges[0].weight == 2**64
+    for weight in (str(2**64 + 1), "9" * 4300):
+        with pytest.raises(SchemaError) as exc:
+            parse_graph(_one_edge_document(weight))
+        assert str(exc.value) == "edges[0].weight: edge 'x': weight must be at most 2**64"
+
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error():
+    for data in (_one_edge_document("9" * 5000), _one_edge_document("9" * 5000).encode()):
+        with pytest.raises(ParseError) as exc:
+            parse_document(data)
+        assert (exc.value.line, exc.value.column) == (1, 1)
+        assert str(exc.value) == "line 1 column 1: integer literal longer than 4300 digits"
+
+
 def test_parse_rejects_unknown_fields():
     with pytest.raises(SchemaError) as exc:
         parse_graph('{"format_version":1,"nodes":[],"edges":[],"colour":1}')

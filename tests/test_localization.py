@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 
@@ -16,9 +15,7 @@ from depmat.graph import (
     validate,
 )
 from depmat.localization import (
-    RANK_KEYS,
     Candidate,
-    RankPolicy,
     VIEW_ALL,
     VIEW_SCHEDULING,
     annotate_matrix,
@@ -148,20 +145,6 @@ def test_localize_multi_symptom_explains_ranking(robot):
     # v4 is explained by both symptoms, v2/v3 only by v2
     assert by_node["v4"].explains == ("v2", "v4")
     assert report.candidates[0].node == "v4"  # explains-count outranks criticality
-
-
-def test_rank_policy_reordering(robot):
-    # with criticality demoted below distance, the symptom itself leads
-    policy = RankPolicy(keys=("explains", "distance", "critical", "input_order"))
-    report = localize(robot, ["v4"], view=VIEW_ALL, policy=policy)
-    assert report.candidates[0].node == "v4"
-
-
-def test_rank_policy_validation():
-    with pytest.raises(ValueError):
-        RankPolicy(keys=("explains", "critical"))
-    with pytest.raises(ValueError):
-        RankPolicy(keys=("explains", "critical", "distance", "distance"))
 
 
 def test_independent_faults_zero_matrix():
@@ -335,7 +318,6 @@ def test_localize_all_edges_with_cyclic_schedule_falls_back():
 
 
 def test_localize_with_precomputed_schedule_matches():
-    policies = [RankPolicy(keys) for keys in itertools.permutations(RANK_KEYS)]
     for seed in range(80):
         rnd = random.Random(140_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
@@ -345,9 +327,8 @@ def test_localize_with_precomputed_schedule_matches():
         inject(g, g.node_ids[seed % len(g.node_ids)], 1.0, seed)
         for view in (VIEW_ALL, VIEW_SCHEDULING):
             symptoms = rnd.sample(list(g.node_ids), rnd.randint(1, len(g.node_ids)))
-            for policy in rnd.sample(policies, 3):
-                twin = build_graph(g.activities, g.edges, unit=g.unit)
-                assert localize(g, symptoms, policy, view) == localize(twin, symptoms, policy, view)
+            twin = build_graph(g.activities, g.edges, unit=g.unit)
+            assert localize(g, symptoms, view) == localize(twin, symptoms, view)
         assert compute_schedule(g) is schedule
 
 
@@ -403,7 +384,7 @@ def test_pipeline_condenses_each_view_at_most_once(monkeypatch):
         assert all(any(p is view for view in views) for p in passes)
 
 
-def localize_by_oracles(g, symptoms, policy, view):
+def localize_by_oracles(g, symptoms, view):
     """(candidates, independent, nodes_examined) from the boolean-power
     closure, one BFS per symptom and the all-paths CPM oracle."""
     ids = list(g.node_ids)
@@ -430,16 +411,8 @@ def localize_by_oracles(g, symptoms, policy, view):
                 Candidate(v, explains, v in critical, min(hops[s][v] for s in explains), scc[v])
             )
 
-    def sort_key(c):
-        parts = {
-            "explains": -len(c.explains),
-            "critical": 0 if c.is_critical else 1,
-            "distance": c.min_distance,
-            "input_order": pos[c.node],
-        }
-        return tuple(parts[k] for k in policy.keys)
-
-    candidates.sort(key=sort_key)
+    # most explained symptoms, critical, nearest, input order
+    candidates.sort(key=lambda c: (-len(c.explains), not c.is_critical, c.min_distance, pos[c.node]))
     independent = tuple(
         s for s in symptoms
         if reach[s] == {s} and not any(s in reach[t] for t in symptoms if t != s)
@@ -449,7 +422,6 @@ def localize_by_oracles(g, symptoms, policy, view):
 
 
 def test_localize_matches_oracles():
-    policies = [RankPolicy(keys) for keys in itertools.permutations(RANK_KEYS)]
     for seed in range(300):
         rnd = random.Random(110_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
@@ -458,9 +430,8 @@ def test_localize_matches_oracles():
         ids = list(g.node_ids)
         for view in (VIEW_ALL, VIEW_SCHEDULING):
             symptoms = rnd.sample(ids, rnd.randint(1, len(ids)))
-            policy = rnd.choice(policies)
-            report = localize(g, symptoms, policy=policy, view=view)
-            candidates, independent, examined = localize_by_oracles(g, symptoms, policy, view)
+            report = localize(g, symptoms, view=view)
+            candidates, independent, examined = localize_by_oracles(g, symptoms, view)
             assert report.candidates == candidates
             assert report.independent == independent
             assert report.nodes_examined == examined
