@@ -18,12 +18,7 @@ from .fileio import (
     parse_document,
     parse_graph,
 )
-from .graph import (
-    ActivityGraph,
-    CyclicScheduleError,
-    shown,
-    validate,
-)
+from .graph import ActivityGraph, shown, validate
 from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
     adjacency_matrix,
@@ -31,7 +26,7 @@ from .matrices import (
     incidence_matrix,
     transitive_closure,
 )
-from .schedule import EmptyGraphError, classify_activities, compute_schedule
+from .schedule import classify_activities, compute_schedule
 from .simulation import GeneratorParams, run_experiment
 
 _VIEWS = {"all": VIEW_ALL, "scheduling": VIEW_SCHEDULING}
@@ -110,7 +105,7 @@ def cmd_matrix(args) -> int:
 def cmd_cpm(args) -> int:
     graph = _load(args.file)
     schedule = compute_schedule(graph)
-    classification = classify_activities(graph, schedule)
+    classification = classify_activities(graph)
     overrides = set(classification.overrides)
     if args.format == "json":
         _emit_json(
@@ -220,15 +215,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     graph = _load(args.file)
-    try:
-        schedule = compute_schedule(graph)
-    except (CyclicScheduleError, EmptyGraphError):
-        schedule = None
     report = None
     if args.symptoms:
         symptoms = [s for s in args.symptoms.split(",") if s]
         report = localize(graph, symptoms, view=_VIEWS[args.view])
-    sys.stdout.write(export_dot(graph, schedule, report).decode("utf-8"))
+    sys.stdout.write(export_dot(graph, report).decode("utf-8"))
     return 0
 
 

@@ -30,19 +30,21 @@ from .graph import (
     Activity,
     ActivityEdge,
     ActivityGraph,
+    CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
     EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
     KIND_AUTO,
+    MAX_WEIGHT,
     NODE_KINDS,
     build_graph,
     shown,
 )
 from .localization import LocalizationReport
 from .matrices import AdjacencyMatrix, DependencyMatrix, IncidenceMatrix
-from .schedule import Schedule
+from .schedule import EmptyGraphError, compute_schedule
 
 FORMAT_VERSION = 1
 
@@ -196,7 +198,7 @@ def _parse_edge(item, i: int) -> ActivityEdge:
         )
     if weight < 0:
         raise SchemaError(f"edge {edge_id!r}: weight must be non-negative", f"edges[{i}].weight")
-    if weight > 2**64:
+    if weight > MAX_WEIGHT:
         raise SchemaError(f"edge {edge_id!r}: weight must be at most 2**64", f"edges[{i}].weight")
     kind = item.get("kind", EDGE_SCHEDULING)
     if not isinstance(kind, str) or kind not in EDGE_KINDS:
@@ -363,21 +365,20 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(
-    g: ActivityGraph,
-    schedule: Schedule | None = None,
-    report: LocalizationReport | None = None,
-) -> bytes:
-    """Render the graph in DOT: critical nodes double-circled (when a
-    schedule is given), dependency-only edges dashed, dummy edges dotted,
-    edge labels carry weights, and independent-fault symptoms from the
-    report are marked red."""
-    critical = set(schedule.critical_nodes) if schedule else set()
+def export_dot(g: ActivityGraph, report: LocalizationReport | None = None) -> bytes:
+    """Render the graph in DOT: when it has a schedule (it is neither empty
+    nor cyclic), critical nodes double-circled and the rest circled;
+    dependency-only edges dashed, dummy edges dotted, weights as edge
+    labels, and the report's independent-fault symptoms marked red."""
+    try:
+        critical = set(compute_schedule(g).critical_nodes)
+    except (CyclicScheduleError, EmptyGraphError):
+        critical = None
     independent = set(report.independent) if report else set()
     lines = ["digraph activities {", "  rankdir=LR;"]
     for a in g.activities:
         attrs: list[str] = []
-        if schedule is not None:
+        if critical is not None:
             attrs.append("shape=doublecircle" if a.id in critical else "shape=circle")
         if a.id in independent:
             attrs.append("color=red")

@@ -47,6 +47,9 @@ EDGE_DUMMY = "dummy"
 EDGE_KINDS = frozenset({EDGE_SCHEDULING, EDGE_DEPENDENCY_ONLY, EDGE_DUMMY})
 SCHEDULING_KINDS = frozenset({EDGE_SCHEDULING, EDGE_DUMMY})
 
+# Largest edge weight any graph may carry, built or parsed.
+MAX_WEIGHT = 2**64
+
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -192,8 +195,8 @@ class ActivityGraph:
     @cached_property
     def _scheduling_outcome(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
         # (order, ()) or ((), cycle), kept either way: a raised error is not cached
-        heads = self.scheduling_view[0]
         cond = self.scheduling_condensation
+        heads = cond.succ
         for comp in cond.components:
             if len(comp) > 1 or comp[0] in heads[comp[0]]:
                 cycle = shortest_cycle_through(comp[0], set(comp), heads)
@@ -268,8 +271,10 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
             err("invalid-kind", f"edge {shown(e.id)}: unknown kind {e.kind!r}", e.id)
         if not isinstance(e.weight, int) or isinstance(e.weight, bool):
             err("invalid-weight", f"edge {shown(e.id)}: weight must be an integer", e.id)
-        elif e.weight < 0:
-            err("negative-weight", f"edge {shown(e.id)}: weight {e.weight} is negative", e.id)
+        elif e.weight < 0:  # no message formats an unbounded weight
+            err("negative-weight", f"edge {shown(e.id)}: weight is negative", e.id)
+        elif e.weight > MAX_WEIGHT:
+            err("weight-too-large", f"edge {shown(e.id)}: weight is above 2**64", e.id)
         elif e.kind == EDGE_DUMMY and e.weight != 0:
             err("dummy-nonzero", f"dummy edge {shown(e.id)} has non-zero weight {e.weight}", e.id)
         for endpoint in (e.tail, e.head):
@@ -355,18 +360,19 @@ class Condensation(NamedTuple):
     lowest member (members ascending), with ``component_of[v]`` the number
     of ``v``'s, and ``order``, each component after all its predecessors:
     Tarjan's emission order, reversed. ``pull`` and ``push`` answer every
-    reachability question over the condensed view ``succ`` with one sweep
-    of ``order`` along the members' own edges, O(n + m) ORs: the members
-    of a component share one result; an edge inside one changes nothing."""
+    reachability question over ``succ``, the very view it condensed, with
+    one sweep of ``order`` along the members' own edges, O(n + m) ORs: the
+    members of a component share one result; an edge inside changes nothing."""
 
     components: list[list[int]]
     component_of: list[int]
     order: list[int]
+    succ: Sequence[Sequence[int]]
 
-    def pull(self, succ: Sequence[Sequence[int]], seeds: Sequence[int]) -> list[int]:
+    def pull(self, seeds: Sequence[int]) -> list[int]:
         """Per position, the OR of the ``seeds`` of every position it
         reaches, itself included."""
-        comp_of = self.component_of
+        comp_of, succ = self.component_of, self.succ
         reached = [0] * len(self.components)
         for c in reversed(self.order):
             mask = 0
@@ -377,10 +383,10 @@ class Condensation(NamedTuple):
             reached[c] = mask
         return [reached[c] for c in comp_of]
 
-    def push(self, succ: Sequence[Sequence[int]], sources: Sequence[int]) -> list[int]:
+    def push(self, sources: Sequence[int]) -> list[int]:
         """Per position, the bitmask of the ``sources`` that reach it, bit
         ``i`` for ``sources[i]``."""
-        comp_of = self.component_of
+        comp_of, succ = self.component_of, self.succ
         reached = [0] * len(self.components)
         for bit, s in enumerate(sources):
             reached[comp_of[s]] |= 1 << bit
@@ -401,7 +407,7 @@ def condensation(succ: Sequence[Sequence[int]]) -> Condensation:
         for v in comp:
             comp_of[v] = c
     order = [comp_of[comp[0]] for comp in reversed(emitted)]
-    return Condensation(components, comp_of, order)
+    return Condensation(components, comp_of, order, succ)
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:

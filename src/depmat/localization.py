@@ -34,7 +34,7 @@ from .matrices import (
     NotClosedError,
     unpack_mask,
 )
-from .schedule import classify_activities, compute_schedule
+from .schedule import classify_activities
 
 VIEW_ALL = "all_edges"
 VIEW_SCHEDULING = "scheduling_only"
@@ -162,21 +162,18 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
     ordered, sources = _symptom_positions(g, symptoms)
 
     ids = g.node_ids
-    if view == VIEW_ALL:
-        succ, cond = g.dependency_view, g.dependency_condensation
-    else:
-        succ, cond = g.scheduling_view[0], g.scheduling_condensation
+    cond = g.dependency_condensation if view == VIEW_ALL else g.scheduling_condensation
 
     try:
-        kinds = classify_activities(g, compute_schedule(g)).kinds
+        kinds = classify_activities(g).kinds
         critical = [kinds[v] == KIND_CRITICAL for v in ids]
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:
             raise
         critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
 
-    masks = cond.push(succ, sources)
-    hops = _hops_from_nearest(succ, sources)
+    masks = cond.push(sources)
+    hops = _hops_from_nearest(cond.succ, sources)
     # Upstream nodes mostly share a mask: unpack each distinct one once.
     explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
 
@@ -189,7 +186,7 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
     )
     independent = tuple(  # a self-loop on s still leaves its candidate set {s}
         s for bit, (s, v) in enumerate(zip(ordered, sources))
-        if masks[v] == 1 << bit and all(w == v for w in succ[v])
+        if masks[v] == 1 << bit and all(w == v for w in cond.succ[v])
     )
     examined = sum(1 for v, mask in enumerate(masks) if mask or critical[v])
     return LocalizationReport(

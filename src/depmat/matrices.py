@@ -198,7 +198,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
     succ = [_set_bits(m) for m in d.masks]
-    masks = tuple(condensation(succ).pull(succ, d.masks))
+    masks = tuple(condensation(succ).pull(d.masks))
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 

@@ -127,10 +127,11 @@ def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:
     return tuple(paths)
 
 
-def classify_activities(g: ActivityGraph, schedule: Schedule) -> Classification:
-    """Zero slack classifies a node critical; a non-auto declared kind is
-    applied last, and listed as an override when it flips the computed
-    class."""
+def classify_activities(g: ActivityGraph) -> Classification:
+    """Zero slack in ``compute_schedule(g)`` classifies a node critical; a
+    non-auto declared kind is applied last, and listed as an override when
+    it flips the computed class."""
+    schedule = compute_schedule(g)
     kinds: dict[str, str] = {}
     overrides: list[str] = []
     for a in g.activities:

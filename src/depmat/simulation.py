@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, pairwise
 from operator import mul
+from typing import NamedTuple
 
 from .graph import (
     Activity,
@@ -27,6 +28,7 @@ from .graph import (
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
+    MAX_WEIGHT,
 )
 from .localization import VIEW_ALL, localize
 from .rng import SplitMix64, bounded, derive_seed, stream, threshold
@@ -44,11 +46,6 @@ BASELINE_DESCRIPTION = "exhaustive scan of every node"
 PROPAGATION_DESCRIPTION = (
     "deterministic reachability over the dependency closure with Bernoulli "
     "detection; the injected root always self-detects"
-)
-# field names of an ExperimentReport row: JSON keys and CSV header alike
-_ROW_FIELDS = (
-    "trial", "seed", "root", "symptoms", "candidates", "root_rank",
-    "examined_localizer", "examined_baseline", "hit",
 )
 
 
@@ -86,7 +83,7 @@ class GeneratorParams:
             raise InvalidParamsError("edge_density must be in (0, 1]")
         if self.max_weight < 1:
             raise InvalidParamsError("max_weight must be >= 1")
-        if self.max_weight > 2**64:
+        if self.max_weight > MAX_WEIGHT:
             raise InvalidParamsError("max_weight must be at most 2**64")
         if not 0.0 <= self.feedback_edge_fraction < 1.0:
             raise InvalidParamsError("feedback_edge_fraction must be in [0, 1)")
@@ -105,40 +102,65 @@ class GeneratorParams:
 @dataclass(frozen=True)
 class FaultScenario:
     root: str
-    detect_prob: float
     symptoms: tuple[str, ...]
-    seed: int
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
+class TrialMetrics(NamedTuple):
+    """One trial's localization cost; ``root_rank`` is 0 on a miss."""
+
+    candidates: int
     root_rank: int
-    candidate_count: int
-    nodes_examined_localizer: int
-    nodes_examined_baseline: int
+    examined_localizer: int
+    examined_baseline: int
+    hit: bool
+
+
+class TrialRow(NamedTuple):
+    """One trial: its index, seed, root and symptom count, then its
+    ``TrialMetrics``. Field names are the JSON keys and the CSV header."""
+
+    trial: int
+    seed: int
+    root: str
+    symptoms: int
+    candidates: int
+    root_rank: int
+    examined_localizer: int
+    examined_baseline: int
     hit: bool
 
 
 @dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    seed: int
-    root: str
-    symptom_count: int
-    metrics: TrialMetrics
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
+    """The trial rows of one experiment and what it ran with; the trial
+    count and the aggregates are read off the rows. The mean examined
+    ratio is mean(baseline) / mean(localizer)."""
+
     params: GeneratorParams
-    trials: int
     detect_prob: float
     root_policy: str
-    hit_rate: float
-    mean_root_rank: float
-    median_root_rank: float
-    mean_examined_ratio: float
     rows: tuple[TrialRow, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.rows)
+
+    @property
+    def hit_rate(self) -> float:
+        return sum(1 for r in self.rows if r.hit) / self.trials
+
+    @property
+    def mean_root_rank(self) -> float:
+        return statistics.fmean(r.root_rank for r in self.rows)
+
+    @property
+    def median_root_rank(self) -> float:
+        return float(statistics.median(r.root_rank for r in self.rows))
+
+    @property
+    def mean_examined_ratio(self) -> float:
+        baseline = sum(r.examined_baseline for r in self.rows)
+        return baseline / sum(r.examined_localizer for r in self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,22 +178,14 @@ class ExperimentReport:
                 "median_root_rank": self.median_root_rank,
                 "mean_examined_ratio": self.mean_examined_ratio,
             },
-            "rows": [
-                dict(zip(_ROW_FIELDS, (
-                    r.trial, r.seed, r.root, r.symptom_count,
-                    r.metrics.candidate_count, r.metrics.root_rank,
-                    r.metrics.nodes_examined_localizer, r.metrics.nodes_examined_baseline,
-                    r.metrics.hit,
-                )))
-                for r in self.rows
-            ],
+            "rows": [r._asdict() for r in self.rows],
         }
 
     def to_csv(self) -> str:
         """The JSON rows under a header of their keys; ``hit`` as true/false."""
-        lines = [_ROW_FIELDS]
-        for row in self.to_json_dict()["rows"]:
-            lines.append([str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()])
+        lines = [TrialRow._fields]
+        for row in self.rows:
+            lines.append([str(v).lower() if isinstance(v, bool) else str(v) for v in row])
         return "".join(",".join(line) + "\n" for line in lines)
 
     def to_text(self) -> str:
@@ -263,14 +277,14 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
         raise InvalidParamsError("detect_prob must be in (0, 1]")
     seeds = [0] * len(g.activities)
     seeds[r] = 1
-    affected = g.dependency_condensation.pull(g.dependency_view, seeds)
+    affected = g.dependency_condensation.pull(seeds)
     draws = stream(seed)
     detected_below = threshold(detect_prob)
     symptoms = tuple(
         node for v, node in enumerate(g.node_ids)
         if v == r or (affected[v] and next(draws) < detected_below)
     )
-    return FaultScenario(root, detect_prob, symptoms, seed)
+    return FaultScenario(root, symptoms)
 
 
 def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
@@ -280,10 +294,10 @@ def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
     ranked = [c.node for c in report.candidates]
     hit = scenario.root in ranked
     return TrialMetrics(
+        candidates=len(ranked),
         root_rank=ranked.index(scenario.root) + 1 if hit else 0,
-        candidate_count=len(ranked),
-        nodes_examined_localizer=report.nodes_examined,
-        nodes_examined_baseline=len(g.activities),
+        examined_localizer=report.nodes_examined,
+        examined_baseline=len(g.activities),
         hit=hit,
     )
 
@@ -294,14 +308,13 @@ def run_experiment(
     detect_prob: float,
     root_policy: str = ROOT_CRITICAL_ONLY,
 ) -> ExperimentReport:
-    """Run seeded independent trials and aggregate.
+    """Run seeded independent trials, one report row each.
 
     Trial i derives its seed from the experiment seed, then a fresh graph,
     root choice (uniform over critical nodes or over all nodes) and
     injection stream from the trial seed. The root pool and localization
     share the graph's one schedule, injection and localization its one
-    dependency condensation. The mean examined ratio is mean(baseline) /
-    mean(localizer).
+    dependency condensation.
     """
     params.check()
     if trials < 1:
@@ -320,20 +333,5 @@ def run_experiment(
         root = pool[root_rng.below(len(pool))]
         scenario = inject(graph, root, detect_prob, derive_seed(trial_seed, 2))
         metrics = run_trial(graph, scenario)
-        rows.append(TrialRow(index, trial_seed, root, len(scenario.symptoms), metrics))
-
-    ranks = [r.metrics.root_rank for r in rows]
-    hits = sum(1 for r in rows if r.metrics.hit)
-    total_baseline = sum(r.metrics.nodes_examined_baseline for r in rows)
-    total_localizer = sum(r.metrics.nodes_examined_localizer for r in rows)
-    return ExperimentReport(
-        params=params,
-        trials=trials,
-        detect_prob=detect_prob,
-        root_policy=root_policy,
-        hit_rate=hits / trials,
-        mean_root_rank=statistics.fmean(ranks),
-        median_root_rank=float(statistics.median(ranks)),
-        mean_examined_ratio=total_baseline / total_localizer,
-        rows=tuple(rows),
-    )
+        rows.append(TrialRow(index, trial_seed, root, len(scenario.symptoms), *metrics))
+    return ExperimentReport(params, detect_prob, root_policy, tuple(rows))

@@ -770,6 +770,27 @@ def test_localize_output_matches_golden(capsys, view, fmt):
     assert out.encode() == (LOCALIZE_GOLDENS / f"{view}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
 
 
+SCHEDULE_GOLDENS = GOLDENS / "schedule_100n_seed5"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["cpm"], "cpm.txt"),
+        (["cpm", "--format", "json"], "cpm.json"),
+        (["export"], "export.dot"),
+        (["export", "--symptoms", _LOCALIZE_SYMPTOMS], "export_symptoms.dot"),
+    ],
+    ids=["cpm-text", "cpm-json", "export", "export-symptoms"],
+)
+def test_schedule_output_matches_golden(capsys, argv, golden):
+    """``cpm`` in both formats and ``export`` with and without symptoms on
+    the 100-node matrix golden's graph: ten critical nodes, one path."""
+    code, out, err = run(capsys, argv[0], str(MATRIX_GOLDENS / "graph.json"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.encode() == (SCHEDULE_GOLDENS / golden).read_bytes()
+
+
 BAD_DOCUMENTS = GOLDENS / "bad_documents"
 _BAD_DOCUMENT_RUNS = json.loads((GOLDENS / "bad_documents.json").read_text())
 _BAD_DOCUMENT_ARGV = {

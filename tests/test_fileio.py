@@ -39,9 +39,9 @@ from depmat.matrices import (
     incidence_matrix,
     transitive_closure,
 )
-from depmat.schedule import compute_schedule
 from depmat.simulation import GeneratorParams, generate_graph
 
+from conftest import GOLDENS
 
 
 def test_parse_robot(robot):
@@ -95,6 +95,11 @@ def test_weight_bound_is_inclusive_at_2_pow_64():
         with pytest.raises(SchemaError) as exc:
             parse_graph(_one_edge_document(weight))
         assert str(exc.value) == "edges[0].weight: edge 'x': weight must be at most 2**64"
+
+
+def test_library_graph_at_the_weight_bound_round_trips():
+    g = build_graph([Activity("v0"), Activity("v1")], [ActivityEdge("x", "v0", "v1", 2**64)])
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_integer_literal_past_the_digit_limit_is_a_parse_error():
@@ -451,12 +456,24 @@ def test_matrix_text_alignment(robot):
 
 
 def test_export_dot_robot(robot):
-    dot = export_dot(robot, compute_schedule(robot)).decode()
+    dot = export_dot(robot).decode()
     assert dot.startswith("digraph activities {")
     assert 'v0 -> v1 [label="2"]' in dot
     assert 'v4 -> v0 [label="2", style=dashed];' in dot
     assert "v0 [shape=doublecircle];" in dot
     assert "v4 [shape=circle];" in dot
+
+
+def test_export_dot_marks_critical_nodes_from_the_graphs_own_schedule(robot):
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)  # nothing cached yet
+    lines = export_dot(g).decode().splitlines()
+    assert [line for line in lines if "doublecircle" in line] == [f"  v{i} [shape=doublecircle];" for i in range(4)]
+    assert "  v4 [shape=circle];" in lines
+
+
+def test_export_dot_draws_no_shapes_on_a_scheduling_cycle():
+    g = parse_graph((GOLDENS / "bad_documents" / "scheduling_cycle.json").read_bytes())
+    assert "shape=" not in export_dot(g).decode()
 
 
 def test_export_dot_empty_graph():
@@ -466,7 +483,7 @@ def test_export_dot_empty_graph():
 
 def test_export_dot_marks_independent_symptom(robot):
     report = localize(robot, ["v4"], view=VIEW_SCHEDULING)
-    dot = export_dot(robot, compute_schedule(robot), report).decode()
+    dot = export_dot(robot, report).decode()
     v4_line = next(line for line in dot.splitlines() if line.strip().startswith("v4 ["))
     assert "color=red" in v4_line
     assert "independent fault" in v4_line

@@ -13,6 +13,7 @@ from depmat.graph import (
     EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
+    MAX_WEIGHT,
     SCHEDULING_KINDS,
     build_graph,
     condensation,
@@ -85,6 +86,31 @@ def test_build_rejects_bad_weights():
     with pytest.raises(GraphBuildError) as exc:
         build_graph(nodes, [ActivityEdge("x", "v0", "v1", True)])
     assert "invalid-weight" in codes(exc.value)
+
+
+def test_build_rejects_a_weight_above_the_bound_at_its_edge():
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph([Activity("v0"), Activity("v1")], [ActivityEdge("x", "v0", "v1", MAX_WEIGHT + 1)])
+    assert exc.value.loci == ("edges[0]",)
+    assert str(exc.value) == "weight-too-large: edge x: weight is above 2**64"
+    assert build_graph([Activity("v0"), Activity("v1")], [ActivityEdge("x", "v0", "v1", MAX_WEIGHT)])
+
+
+@pytest.mark.parametrize(
+    "weight,kind,expected",
+    [
+        (-(10**5000), EDGE_SCHEDULING, ("negative-weight", "edge x: weight is negative")),
+        (10**5000, EDGE_SCHEDULING, ("weight-too-large", "edge x: weight is above 2**64")),
+        (10**5000, EDGE_DUMMY, ("weight-too-large", "edge x: weight is above 2**64")),
+        (MAX_WEIGHT + 1, EDGE_SCHEDULING, ("weight-too-large", "edge x: weight is above 2**64")),
+        (MAX_WEIGHT + 1, EDGE_DUMMY, ("weight-too-large", "edge x: weight is above 2**64")),
+    ],
+    ids=["minus-10e5000", "10e5000", "10e5000-dummy", "2e64+1", "2e64+1-dummy"],
+)
+def test_validate_reports_an_out_of_bound_weight_without_formatting_it(weight, kind, expected):
+    # a weight past the interpreter's digit limit cannot be formatted at all
+    g = ActivityGraph((Activity("v0"), Activity("v1")), (ActivityEdge("x", "v0", "v1", weight, kind),))
+    assert [(i.code, i.message) for i in validate(g).issues] == [expected]
 
 
 def test_build_rejects_nonzero_dummy():
@@ -310,7 +336,7 @@ def test_pull_of_raw_rows_is_the_closure():
         rows, succ = _cyclic_successors(random.Random(5000 + seed))
         masks = [sum(v << j for j, v in enumerate(row)) for row in rows]
         closed = [sum(v << j for j, v in enumerate(row)) for row in closure_by_powers(rows)]
-        assert condensation(succ).pull(succ, masks) == closed
+        assert condensation(succ).pull(masks) == closed
 
 
 def test_one_hot_pull_is_reverse_reachability():
@@ -320,7 +346,7 @@ def test_one_hot_pull_is_reverse_reachability():
         reach = [bfs_hops(dict(enumerate(succ)), v) for v in range(n)]
         for r in range(n):
             seeds = [int(v == r) for v in range(n)]
-            assert cond.pull(succ, seeds) == [int(r in reach[v]) for v in range(n)]
+            assert cond.pull(seeds) == [int(r in reach[v]) for v in range(n)]
 
 
 def test_push_is_per_source_bfs():
@@ -330,7 +356,15 @@ def test_push_is_per_source_bfs():
         sources = rnd.sample(range(len(succ)), rnd.randint(1, len(succ)))
         reached = [bfs_hops(dict(enumerate(succ)), s) for s in sources]
         expected = [sum(1 << i for i, hops in enumerate(reached) if v in hops) for v in range(len(succ))]
-        assert condensation(succ).push(succ, sources) == expected
+        assert condensation(succ).push(sources) == expected
+
+
+def test_condensation_keeps_the_view_it_condensed(robot):
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)
+    assert g.dependency_condensation.succ is g.dependency_view
+    assert g.scheduling_condensation.succ is g.scheduling_view[0]
+    succ = [[1], [0], []]
+    assert condensation(succ).succ is succ
 
 
 def test_strongly_connected_components_condenses_once(monkeypatch):

@@ -295,7 +295,7 @@ def test_nodes_examined_accounting():
             i = g.position(s)
             union.add(s)
             union.update(g.node_ids[j] for j, v in enumerate(closed[i]) if v)
-        kinds = classify_activities(g, compute_schedule(g)).kinds
+        kinds = classify_activities(g).kinds
         criticals = {v for v in g.node_ids if kinds[v] == "critical"}
         assert report.nodes_examined == len(union | criticals)
         assert report.nodes_examined <= len(g.activities)

@@ -9,7 +9,7 @@ import pytest
 import depmat.graph
 import depmat.schedule
 from depmat.cli import main
-from depmat.fileio import serialize_graph
+from depmat.fileio import export_dot, serialize_graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
@@ -245,7 +245,7 @@ def test_acyclic_view_runs_no_cycle_search(robot, monkeypatch):
 
 
 def test_classify_robot(robot):
-    c = classify_activities(robot, compute_schedule(robot))
+    c = classify_activities(robot)
     assert c.kinds == {
         "v0": KIND_CRITICAL,
         "v1": KIND_CRITICAL,
@@ -256,12 +256,29 @@ def test_classify_robot(robot):
     assert c.overrides == ()
 
 
+def test_schedule_classify_localize_and_export_share_one_forward_pass(robot, monkeypatch):
+    scheduled = []
+
+    def counting(g):
+        scheduled.append(g)
+        return forward_pass(g)
+
+    monkeypatch.setattr(depmat.schedule, "forward_pass", counting)
+    g = build_graph(robot.activities, robot.edges, unit=robot.unit)  # nothing cached yet
+    schedule = compute_schedule(g)
+    assert classify_activities(g).kinds["v0"] == KIND_CRITICAL
+    assert localize(g, ["v4"]).candidates
+    assert b"doublecircle" in export_dot(g)
+    assert compute_schedule(g) is schedule
+    assert scheduled == [g]
+
+
 def test_classify_all_zero_weights():
     g = build_graph(
         [Activity("v0"), Activity("v1")],
         [ActivityEdge("x", "v0", "v1", 0)],
     )
-    c = classify_activities(g, compute_schedule(g))
+    c = classify_activities(g)
     assert set(c.kinds.values()) == {KIND_CRITICAL}
 
 
@@ -273,7 +290,7 @@ def test_classify_override_is_flagged(robot):
     g = build_graph(activities, robot.edges, unit=robot.unit)
     s = compute_schedule(g)
     assert s.critical_nodes == ("v0", "v1", "v2", "v3")  # schedule itself unchanged
-    c = classify_activities(g, s)
+    c = classify_activities(g)
     assert c.kinds["v4"] == KIND_CRITICAL
     assert c.overrides == ("v4",)
 
@@ -284,7 +301,7 @@ def test_matching_declaration_is_not_an_override(robot):
         for a in robot.activities
     ]
     g = build_graph(activities, robot.edges, unit=robot.unit)
-    c = classify_activities(g, compute_schedule(g))
+    c = classify_activities(g)
     assert c.overrides == ()
 
 

@@ -28,6 +28,7 @@ from depmat.simulation import (
     InvalidParamsError,
     ROOT_CRITICAL_ONLY,
     ROOT_UNIFORM,
+    TrialRow,
     generate_graph,
     inject,
     run_experiment,
@@ -322,21 +323,21 @@ def test_run_trial_chain():
     metrics = run_trial(g, inject(g, "v2", 1.0, seed=1))
     assert metrics.hit
     assert metrics.root_rank == 1  # v2 explains all three symptoms
-    assert metrics.candidate_count == 3
-    assert metrics.nodes_examined_baseline == 3
+    assert metrics.candidates == 3
+    assert metrics.examined_baseline == 3
 
 
 def test_run_trial_single_node():
     g = build_graph([Activity("n0")], [])
     metrics = run_trial(g, inject(g, "n0", 1.0, seed=1))
     assert metrics.root_rank == 1
-    assert metrics.nodes_examined_localizer == metrics.nodes_examined_baseline == 1
+    assert metrics.examined_localizer == metrics.examined_baseline == 1
 
 
 def test_run_trial_robot(robot):
     metrics = run_trial(robot, inject(robot, "v3", 1.0, seed=2))
     assert metrics.hit
-    assert metrics.candidate_count == 5
+    assert metrics.candidates == 5
 
 
 def test_experiment_single_trial_reduces_to_run_trial():
@@ -347,7 +348,7 @@ def test_experiment_single_trial_reduces_to_run_trial():
     assert row.seed == trial_seed
     graph = generate_graph(dataclasses.replace(params, seed=derive_seed(trial_seed, 0)))
     scenario = inject(graph, row.root, 1.0, derive_seed(trial_seed, 2))
-    assert run_trial(graph, scenario) == row.metrics
+    assert TrialRow(*row[:4], *run_trial(graph, scenario)) == row
 
 
 def test_experiment_is_deterministic():
@@ -364,15 +365,15 @@ def test_experiment_hit_rate_is_one_under_propagation():
     for detect_prob in (0.5, 1.0):
         report = run_experiment(small_params(seed=8), trials=20, detect_prob=detect_prob)
         assert report.hit_rate == 1.0
-        assert all(r.metrics.hit for r in report.rows)
+        assert all(r.hit for r in report.rows)
 
 
 def test_experiment_ratio_and_bounds():
     report = run_experiment(small_params(seed=21), trials=20, detect_prob=0.9)
     assert report.mean_examined_ratio >= 1.0
     for row in report.rows:
-        assert row.metrics.nodes_examined_localizer <= row.metrics.nodes_examined_baseline
-        assert row.metrics.nodes_examined_baseline == 12
+        assert row.examined_localizer <= row.examined_baseline
+        assert row.examined_baseline == 12
 
 
 def test_experiment_root_policies():
