@@ -22,7 +22,9 @@ import json
 import re
 import sys
 from collections import Counter
+from itertools import chain, compress
 from json.encoder import encode_basestring
+from operator import eq, itemgetter
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
@@ -36,6 +38,7 @@ from .graph import (
     EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
+    ID_PATTERN,
     KIND_AUTO,
     MAX_WEIGHT,
     NODE_KINDS,
@@ -76,6 +79,21 @@ class SchemaError(ValueError):
 def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge], str]:
     """Schema-checked decode into activities, edges and unit, without the
     structural graph validation (see ``parse_graph``)."""
+    doc, unit = _decode(data)
+    raw_nodes = _get(doc, "nodes", "$")
+    if not isinstance(raw_nodes, list):
+        raise SchemaError("nodes must be an array", "nodes")
+    activities = [_parse_node(item, i) for i, item in enumerate(raw_nodes)]
+
+    raw_edges = _get(doc, "edges", "$")
+    if not isinstance(raw_edges, list):
+        raise SchemaError("edges must be an array", "edges")
+    edges = [_parse_edge(item, i) for i, item in enumerate(raw_edges)]
+    return activities, edges, unit
+
+
+def _decode(data: bytes | str) -> tuple[dict, str]:
+    """The decoded document, checked up to its ``unit``, and the unit."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -108,17 +126,7 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
         raise SchemaError("unit must be a non-empty string", "unit")
     if _LONE_SURROGATE.search(unit):
         raise SchemaError("unit must not contain a lone surrogate", "unit")
-
-    raw_nodes = _get(doc, "nodes", "$")
-    if not isinstance(raw_nodes, list):
-        raise SchemaError("nodes must be an array", "nodes")
-    activities = [_parse_node(item, i) for i, item in enumerate(raw_nodes)]
-
-    raw_edges = _get(doc, "edges", "$")
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges must be an array", "edges")
-    edges = [_parse_edge(item, i) for i, item in enumerate(raw_edges)]
-    return activities, edges, unit
+    return doc, unit
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -132,12 +140,62 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def parse_graph(data: bytes | str) -> ActivityGraph:
     """Parse and fully validate; structural errors surface as one
-    SchemaError at the first error's array locus, counting the rest."""
+    SchemaError at the first error's array locus, counting the rest.
+
+    A valid document is checked a column at a time and becomes a graph of
+    columns, with no records. A document that fails any check is read
+    again item by item (``parse_document``, then ``build_graph``), which
+    names the first error exactly as if no column had been checked."""
+    graph = _checked_columns(*_decode(data))
+    if graph is not None:
+        return graph
     activities, edges, unit = parse_document(data)
     try:
         return build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
         raise SchemaError(exc.issues[0].message + exc.more, exc.loci[0]) from None
+
+
+def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:
+    """The graph of a document that passes every schema and structural
+    check, each made once over a whole column, or None when any fails. A
+    missing field (KeyError), an item that is not an object, and an
+    unhashable or non-string value where a string belongs (TypeError) are
+    failures too."""
+    nodes, edges = doc.get("nodes"), doc.get("edges")
+    if type(nodes) is not list or type(edges) is not list:
+        return None
+    try:
+        node_ids = list(map(itemgetter("id"), nodes))  # first, so every item is an object
+        edge_ids = list(map(itemgetter("id"), edges))
+        position = dict(zip(node_ids, range(len(node_ids))))
+        tails = list(map(position.get, map(itemgetter("from"), edges)))
+        heads = list(map(position.get, map(itemgetter("to"), edges)))
+        weights = list(map(itemgetter("weight"), edges))
+        labels = [item.get("label") for item in nodes]
+        node_kinds = [item.get("kind", KIND_AUTO) for item in nodes]
+        edge_kinds = [item.get("kind", EDGE_SCHEDULING) for item in edges]
+        if not (
+            _NODE_FIELDS.issuperset(set().union(*nodes))
+            and _EDGE_FIELDS.issuperset(set().union(*edges))
+            and all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
+            and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
+            and {str, type(None)}.issuperset(map(type, labels))
+            and not _LONE_SURROGATE.search("".join(filter(None, labels)))
+            and NODE_KINDS.issuperset(node_kinds)
+            and None not in tails and None not in heads  # an undeclared or non-string endpoint
+            and not any(map(eq, tails, heads))
+            and {int}.issuperset(map(type, weights))  # no bool, no float
+            and 0 <= min(weights, default=0) and max(weights, default=0) <= MAX_WEIGHT
+            and EDGE_KINDS.issuperset(edge_kinds)
+            and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
+        ):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return ActivityGraph.from_columns(
+        (node_ids, labels, node_kinds), (edge_ids, tails, heads, weights, edge_kinds), unit
+    )
 
 
 def _get(mapping: dict, key: str, locus: str, index: int | None = None):

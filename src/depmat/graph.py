@@ -31,6 +31,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -135,33 +136,68 @@ class ActivityEdge:
     kind: str = EDGE_SCHEDULING
 
 
+_NODE_COLUMNS = ("node_ids", "node_labels", "node_kinds")
+_EDGE_COLUMNS = ("edge_ids", "edge_tails", "edge_heads", "edge_weights", "edge_kinds")
+
+
 @dataclass(frozen=True)
 class ActivityGraph:
     """Immutable activity digraph; safe to share across threads. Passes
-    walk only its integer views; ``position`` maps an id to its position."""
+    walk only its integer views; ``position`` maps an id to its position.
+
+    Its form is position columns, each a tuple: ``node_ids``,
+    ``node_labels``, ``node_kinds`` (declared), ``edge_ids``, ``edge_tails``
+    and ``edge_heads`` (positions), ``edge_weights`` and ``edge_kinds``. A
+    graph built from records derives them on first read, leaving out each
+    edge with an undeclared endpoint: such an edge is in no view."""
 
     activities: tuple[Activity, ...]
     edges: tuple[ActivityEdge, ...]
     unit: str = "ms"
 
-    @cached_property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.activities)
+    @classmethod
+    def from_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
+        """The graph of node columns (ids, labels, declared kinds) and edge
+        columns (ids, tail and head positions, weights, kinds), unchecked;
+        its records are built on first read."""
+        graph = cls.__new__(cls)
+        graph.__dict__.update(zip(_NODE_COLUMNS + _EDGE_COLUMNS, map(tuple, (*nodes, *edges))), unit=unit)
+        return graph
+
+    def __getattr__(self, name: str):
+        """The form the graph was not built in, on first read: the records
+        from the columns, or from the records the node or the edge columns,
+        each set in one pass."""
+        if name == "activities":
+            found = {name: tuple(map(Activity, self.node_ids, self.node_labels, self.node_kinds))}
+        elif name == "edges":
+            ids = self.node_ids
+            columns = zip(self.edge_ids, self.edge_tails, self.edge_heads, self.edge_weights, self.edge_kinds)
+            found = {name: tuple(ActivityEdge(e, ids[t], ids[h], w, k) for e, t, h, w, k in columns)}
+        elif name in _NODE_COLUMNS:
+            rows = [(a.id, a.label, a.declared_kind) for a in self.activities]
+            found = dict(zip(_NODE_COLUMNS, zip(*rows) if rows else [()] * 3))
+        elif name in _EDGE_COLUMNS:
+            position = self._positions.get
+            rows = [(e.id, position(e.tail), position(e.head), e.weight, e.kind) for e in self.edges]
+            rows = [r for r in rows if r[1] is not None and r[2] is not None]
+            found = dict(zip(_EDGE_COLUMNS, zip(*rows) if rows else [()] * 5))
+        else:
+            raise AttributeError(name)
+        self.__dict__.update(found)
+        return found[name]
 
     @cached_property
     def _positions(self) -> dict[str, int]:
-        return {a.id: i for i, a in enumerate(self.activities)}
+        return dict(zip(self.node_ids, range(len(self.node_ids))))
 
     @cached_property
     def dependency_view(self) -> list[tuple[int, ...]]:
         """Per node position, the head positions of its edges of every kind,
-        in edge order. Edges with an undeclared endpoint are left out."""
-        heads: list[list[int]] = [[] for _ in self.activities]
-        position = self._positions.get
-        for e in self.edges:
-            tail, head = position(e.tail), position(e.head)
-            if tail is not None and head is not None:
-                heads[tail].append(head)
+        in edge order."""
+        heads: list[list[int]] = [[] for _ in self.node_ids]
+        for tail, head in zip(self.edge_tails, self.edge_heads):
+            heads[tail].append(head)
         # kept as long as the graph: exact-size tuples, all empty ones ``()``
         return [tuple(h) for h in heads]
 
@@ -169,15 +205,12 @@ class ActivityGraph:
     def scheduling_view(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """Per node position, the head positions and, in a parallel list,
         the weights of its scheduling and dummy edges, in edge order."""
-        heads: list[list[int]] = [[] for _ in self.activities]
-        weights: list[list[int]] = [[] for _ in self.activities]
-        position = self._positions.get
-        for e in self.edges:
-            if e.kind in SCHEDULING_KINDS:
-                tail, head = position(e.tail), position(e.head)
-                if tail is not None and head is not None:
-                    heads[tail].append(head)
-                    weights[tail].append(e.weight)
+        heads: list[list[int]] = [[] for _ in self.node_ids]
+        weights: list[list[int]] = [[] for _ in self.node_ids]
+        edges = zip(self.edge_tails, self.edge_heads, self.edge_weights)
+        for tail, head, weight in compress(edges, map(SCHEDULING_KINDS.__contains__, self.edge_kinds)):
+            heads[tail].append(head)
+            weights[tail].append(weight)
         return [tuple(h) for h in heads], [tuple(w) for w in weights]
 
     @property
@@ -249,40 +282,47 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
     seen_nodes: set[str] = set()
     for i, a in enumerate(g.activities):
         if not isinstance(a.id, str) or not ID_PATTERN.match(a.id):
-            err("invalid-id", f"activity id {a.id!r} is not a valid token", str(a.id))
+            err("invalid-id", f"activity id {_named(a.id, repr)} is not a valid token", _named(a.id, str))
         elif a.id in seen_nodes:
             err("duplicate-id", f"duplicate activity id: {a.id}", a.id)
         else:
             seen_nodes.add(a.id)
         if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
-            err("invalid-kind", f"activity {shown(a.id)}: unknown kind {a.declared_kind!r}", a.id)
+            err("invalid-kind", f"activity {_named(a.id)}: unknown kind {_named(a.declared_kind, repr)}", a.id)
 
     declared = {a.id for a in g.activities if isinstance(a.id, str)}
     array = "edges"
     seen_edges: set[str] = set()
     for i, e in enumerate(g.edges):
         if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
-            err("invalid-id", f"edge id {e.id!r} is not a valid token", str(e.id))
+            err("invalid-id", f"edge id {_named(e.id, repr)} is not a valid token", _named(e.id, str))
         elif e.id in seen_edges:
             err("duplicate-id", f"duplicate edge id: {e.id}", e.id)
         else:
             seen_edges.add(e.id)
         if not isinstance(e.kind, str) or e.kind not in EDGE_KINDS:
-            err("invalid-kind", f"edge {shown(e.id)}: unknown kind {e.kind!r}", e.id)
+            err("invalid-kind", f"edge {_named(e.id)}: unknown kind {_named(e.kind, repr)}", e.id)
         if not isinstance(e.weight, int) or isinstance(e.weight, bool):
-            err("invalid-weight", f"edge {shown(e.id)}: weight must be an integer", e.id)
+            err("invalid-weight", f"edge {_named(e.id)}: weight must be an integer", e.id)
         elif e.weight < 0:  # no message formats an unbounded weight
-            err("negative-weight", f"edge {shown(e.id)}: weight is negative", e.id)
+            err("negative-weight", f"edge {_named(e.id)}: weight is negative", e.id)
         elif e.weight > MAX_WEIGHT:
-            err("weight-too-large", f"edge {shown(e.id)}: weight is above 2**64", e.id)
+            err("weight-too-large", f"edge {_named(e.id)}: weight is above 2**64", e.id)
         elif e.kind == EDGE_DUMMY and e.weight != 0:
-            err("dummy-nonzero", f"dummy edge {shown(e.id)} has non-zero weight {e.weight}", e.id)
+            err("dummy-nonzero", f"dummy edge {_named(e.id)} has non-zero weight {e.weight}", e.id)
         for endpoint in (e.tail, e.head):
             if not isinstance(endpoint, str) or endpoint not in declared:
-                err("unknown-endpoint", f"edge {shown(e.id)}: unknown node {endpoint!r}", e.id, str(endpoint))
+                message = f"edge {_named(e.id)}: unknown node {_named(endpoint, repr)}"
+                err("unknown-endpoint", message, e.id, _named(endpoint, str))
         if e.tail == e.head:
-            err("self-loop", f"edge {shown(e.id)}: self-loop on {shown(e.tail)}", e.id)
+            err("self-loop", f"edge {_named(e.id)}: self-loop on {_named(e.tail)}", e.id)
     return issues, loci
+
+
+def _named(value, form=shown) -> str:
+    """``form(value)`` for a str; any other value, which may have no text
+    form at all (an int past the digit limit), by its type's name."""
+    return form(value) if isinstance(value, str) else f"<{type(value).__name__}>"
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
@@ -401,11 +441,15 @@ class Condensation(NamedTuple):
 def condensation(succ: Sequence[Sequence[int]]) -> Condensation:
     """Condensation of ``succ`` from one Tarjan pass; O(n + m)."""
     emitted = _tarjan(succ)
-    components = sorted(emitted, key=itemgetter(0))  # members ascend, so by lowest member
-    comp_of = [0] * len(succ)
-    for c, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = c
+    n = len(succ)
+    if len(emitted) == n:  # every component one node: component v is node v
+        components, comp_of = [[v] for v in range(n)], list(range(n))
+    else:
+        components = sorted(emitted, key=itemgetter(0))  # members ascend, so by lowest member
+        comp_of = [0] * n
+        for c, comp in enumerate(components):
+            for v in comp:
+                comp_of[v] = c
     order = [comp_of[comp[0]] for comp in reversed(emitted)]
     return Condensation(components, comp_of, order, succ)
 

@@ -170,7 +170,7 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:
             raise
-        critical = [a.declared_kind == KIND_CRITICAL for a in g.activities]
+        critical = [kind == KIND_CRITICAL for kind in g.node_kinds]
 
     masks = cond.push(sources)
     hops = _hops_from_nearest(cond.succ, sources)

@@ -161,7 +161,7 @@ def _check_capacity(count: int) -> None:
 def incidence_matrix(g: ActivityGraph) -> IncidenceMatrix:
     """Node x edge matrix with each edge's weight in its tail row; every
     other entry in the column is zero."""
-    _check_capacity(len(g.activities))
+    _check_capacity(len(g.node_ids))
     edge_ids = tuple(e.id for e in g.edges)
     rows = tuple(
         tuple(e.weight if e.tail == a.id else 0 for e in g.edges)
@@ -173,8 +173,8 @@ def incidence_matrix(g: ActivityGraph) -> IncidenceMatrix:
 def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
     """Square weight matrix; parallel edges collapse to their max weight
     (longest-path semantics). Includes dependency-only edges."""
-    _check_capacity(len(g.activities))
-    n = len(g.activities)
+    _check_capacity(len(g.node_ids))
+    n = len(g.node_ids)
     grid = [[0] * n for _ in range(n)]
     for e in g.edges:
         i, j = g.position(e.tail), g.position(e.head)
@@ -185,7 +185,7 @@ def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
 
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
     """Boolean support of all edges, any kind; diagonal is all zero."""
-    _check_capacity(len(g.activities))
+    _check_capacity(len(g.node_ids))
     masks = tuple(sum(1 << w for w in set(heads)) for heads in g.dependency_view)
     return DependencyMatrix.from_masks(g.node_ids, masks)
 

@@ -86,7 +86,7 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     kept = g.__dict__.get("_schedule")
     if kept is not None:
         return kept
-    if not g.activities:
+    if not g.node_ids:
         raise EmptyGraphError("cannot schedule a graph with no activities")
     earliest = forward_pass(g)
     duration = max(earliest.values())
@@ -134,11 +134,11 @@ def classify_activities(g: ActivityGraph) -> Classification:
     schedule = compute_schedule(g)
     kinds: dict[str, str] = {}
     overrides: list[str] = []
-    for a in g.activities:
-        computed = KIND_CRITICAL if schedule.slack[a.id] == 0 else KIND_NON_CRITICAL
-        if a.declared_kind != KIND_AUTO and a.declared_kind != computed:
-            kinds[a.id] = a.declared_kind
-            overrides.append(a.id)
+    for v, declared in zip(g.node_ids, g.node_kinds):
+        computed = KIND_CRITICAL if schedule.slack[v] == 0 else KIND_NON_CRITICAL
+        if declared != KIND_AUTO and declared != computed:
+            kinds[v] = declared
+            overrides.append(v)
         else:
-            kinds[a.id] = computed
+            kinds[v] = computed
     return Classification(kinds, tuple(overrides))

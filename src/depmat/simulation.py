@@ -23,11 +23,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .graph import (
-    Activity,
-    ActivityEdge,
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
+    KIND_AUTO,
     MAX_WEIGHT,
 )
 from .localization import VIEW_ALL, localize
@@ -231,23 +230,23 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
     layer = [i * layers // n for i in range(n)]
     layer_start = _layer_starts(n, layers)
 
-    edges: list[ActivityEdge] = []
+    tails, heads, weights = [], [], []  # the edge columns
     for i in range(n):
         if layer[i] + 1 == layers:
             continue
         # zip reads the range first, so it stops without taking a draw
         for j, u in zip(range(layer_start[layer[i] + 1], layer_start[layer[i] + 2]), draws):
             if u < hit_below:
-                weight = 1 + bounded(draws, params.max_weight)
-                edges.append(
-                    ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_SCHEDULING)
-                )
+                tails.append(i)
+                heads.append(j)
+                weights.append(1 + bounded(draws, params.max_weight))
+    scheduling_edges = len(tails)  # the feedback edges follow them
 
     # Feedback pick p indexes the later-to-earlier pairs (i, j) listed row
     # by row, j ascending; row i holds every node before i's layer.
     row_start = list(accumulate((layer_start[layer[i]] for i in range(n)), initial=0))
     pair_count = row_start[n]
-    wanted = int(params.feedback_edge_fraction * len(edges))
+    wanted = int(params.feedback_edge_fraction * scheduling_edges)
     chosen: set[int] = set()
     while len(chosen) < min(wanted, pair_count):
         pick = bounded(draws, pair_count)
@@ -255,14 +254,14 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
             continue
         chosen.add(pick)
         i = bisect_right(row_start, pick) - 1
-        j = pick - row_start[i]
-        weight = 1 + bounded(draws, params.max_weight)
-        edges.append(
-            ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY)
-        )
+        tails.append(i)
+        heads.append(pick - row_start[i])
+        weights.append(1 + bounded(draws, params.max_weight))
 
-    # valid by construction: ids, kinds and weights need no re-check
-    return ActivityGraph(tuple(Activity(v) for v in ids), tuple(edges))
+    # valid by construction: ids, kinds and weights need no check
+    kinds = [EDGE_SCHEDULING] * scheduling_edges + [EDGE_DEPENDENCY_ONLY] * (len(tails) - scheduling_edges)
+    edge_ids = [f"e{k}" for k in range(len(tails))]
+    return ActivityGraph.from_columns((ids, [None] * n, [KIND_AUTO] * n), (edge_ids, tails, heads, weights, kinds))
 
 
 def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultScenario:
@@ -275,7 +274,7 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
     r = g.position(root)
     if not 0.0 < detect_prob <= 1.0:
         raise InvalidParamsError("detect_prob must be in (0, 1]")
-    seeds = [0] * len(g.activities)
+    seeds = [0] * len(g.node_ids)
     seeds[r] = 1
     affected = g.dependency_condensation.pull(seeds)
     draws = stream(seed)
@@ -297,7 +296,7 @@ def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
         candidates=len(ranked),
         root_rank=ranked.index(scenario.root) + 1 if hit else 0,
         examined_localizer=report.nodes_examined,
-        examined_baseline=len(g.activities),
+        examined_baseline=len(g.node_ids),
         hit=hit,
     )
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depmat import fileio
 from depmat.fileio import (
     ParseError,
     SchemaError,
@@ -21,10 +22,14 @@ from depmat.fileio import (
 from depmat.graph import (
     Activity,
     ActivityEdge,
+    ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
+    EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
+    MAX_WEIGHT,
+    NODE_KINDS,
     UnknownNodeError,
     build_graph,
     shown,
@@ -328,6 +333,126 @@ def graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_round_trip_is_identity(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+def _outcome(route, data):
+    """A route's graph with both its views, or its error as parse_graph
+    reports it: the exception type and its text, locus first."""
+    try:
+        g = route(data)
+    except (ParseError, SchemaError) as exc:
+        return type(exc).__name__, str(exc)
+    except GraphBuildError as exc:
+        return "SchemaError", f"{exc.loci[0]}: {exc.issues[0].message}{exc.more}"
+    return g, g.dependency_view, g.scheduling_view
+
+
+def _record_route(data):
+    return build_graph(*parse_document(data))
+
+
+def _column_checks_pass(data) -> bool:
+    try:
+        return fileio._checked_columns(*fileio._decode(data)) is not None
+    except (ParseError, SchemaError):
+        return False
+
+
+def _assert_routes_agree(data):
+    column, record = _outcome(parse_graph, data), _outcome(_record_route, data)
+    assert column == record
+    assert _column_checks_pass(data) == isinstance(record[0], ActivityGraph)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((GOLDENS / "bad_documents").glob("*.json")), ids=lambda p: p.stem
+)
+def test_bad_document_fails_the_column_checks_as_it_fails_the_records(path):
+    _assert_routes_agree(path.read_bytes())
+
+
+_ODD_VALUES = st.sampled_from(["odd", "", None, 1, True, ["critical"], {}])
+_MUTATIONS = (
+    "duplicate-node-id", "duplicate-edge-id", "unknown-endpoint", "self-loop", "dummy-nonzero",
+    "bad-node-kind", "bad-edge-kind", "weight-at-bound", "weight-above-bound", "lone-surrogate",
+    "non-object-node", "non-object-edge", "duplicate-key", "bool-weight", "float-weight",
+    "negative-weight", "invalid-id", "non-string-endpoint", "non-string-label", "unknown-field",
+    "missing-field",
+)
+
+
+@st.composite
+def _documents(draw):
+    """A valid graph document, or one with exactly one mutation."""
+    ids = draw(st.lists(_token, min_size=2, max_size=6, unique=True))
+    nodes = []
+    for v in ids:
+        node = {"id": v}
+        if draw(st.booleans()):
+            node["label"] = draw(_label)
+        if draw(st.booleans()):
+            node["kind"] = draw(st.sampled_from(sorted(NODE_KINDS)))
+        nodes.append(node)
+    edges = []
+    for k in range(draw(st.integers(0, 8))):
+        tail, head = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        edge = {"id": f"e{k}", "from": tail, "to": head, "weight": draw(st.integers(0, 10**6))}
+        if draw(st.booleans()):
+            edge["kind"] = draw(st.sampled_from(sorted(EDGE_KINDS)))
+        if edge.get("kind") == EDGE_DUMMY:
+            edge["weight"] = 0
+        edges.append(edge)
+
+    mutation = draw(st.sampled_from((None, *_MUTATIONS)))
+    fresh = {"id": "m", "from": ids[0], "to": ids[1], "weight": 1}  # "m" is no other edge's id
+    node_at = draw(st.integers(0, len(nodes)))
+    edge_at = draw(st.integers(0, len(edges)))
+    added = {
+        "duplicate-edge-id": {**fresh, "id": edges[0]["id"]} if edges else None,
+        "unknown-endpoint": {**fresh, draw(st.sampled_from(["from", "to"])): "_undeclared"},
+        "non-string-endpoint": {**fresh, draw(st.sampled_from(["from", "to"])): draw(_ODD_VALUES)},
+        "self-loop": {**fresh, "to": ids[0]},
+        "dummy-nonzero": {**fresh, "kind": EDGE_DUMMY, "weight": draw(st.integers(1, 10))},
+        "bad-edge-kind": {**fresh, "kind": draw(_ODD_VALUES)},
+        "weight-at-bound": {**fresh, "weight": MAX_WEIGHT},
+        "weight-above-bound": {**fresh, "weight": MAX_WEIGHT + 1},
+        "bool-weight": {**fresh, "weight": draw(st.booleans())},
+        "float-weight": {**fresh, "weight": 1.0},
+        "negative-weight": {**fresh, "weight": -1},
+        "non-object-edge": draw(_ODD_VALUES),
+    }
+    if mutation == "duplicate-edge-id" and not edges:
+        edges += [fresh, dict(fresh)]
+    elif mutation in added:
+        edges.insert(edge_at, added[mutation])
+    elif mutation == "duplicate-node-id":
+        nodes.insert(node_at, {"id": draw(st.sampled_from(ids))})
+    elif mutation == "bad-node-kind":
+        nodes[node_at - 1]["kind"] = draw(_ODD_VALUES)
+    elif mutation == "non-string-label":  # falsy ones too: 0, false, [] and {}
+        nodes[node_at - 1]["label"] = draw(st.sampled_from([0, 1, False, True, [], {}, ["x"]]))
+    elif mutation == "lone-surrogate":
+        nodes[node_at - 1]["label"] = "x\ud800"
+    elif mutation == "non-object-node":
+        nodes.insert(node_at, draw(_ODD_VALUES))
+    elif mutation == "invalid-id":
+        item = draw(st.sampled_from(nodes + edges))
+        item["id"] = draw(st.sampled_from(["1c", "a b", "", "x\ny"]))
+    elif mutation == "unknown-field":
+        draw(st.sampled_from(nodes + edges))["extra"] = 1
+    elif mutation == "missing-field":
+        item = draw(st.sampled_from(nodes + edges))
+        del item[draw(st.sampled_from(sorted(item.keys() & {"id", "from", "to", "weight"})))]
+    text = json.dumps({"format_version": 1, "unit": "ms", "nodes": nodes, "edges": edges})
+    if mutation == "duplicate-key":
+        text = text.replace('{"id": ', '{"id": "dup", "id": ', 1)
+    return text.encode()
+
+
+@given(_documents())
+@settings(max_examples=400, deadline=None)
+def test_column_checks_agree_with_the_record_route(data):
+    _assert_routes_agree(data)
 
 
 def test_matrix_csv_robot_dependency(robot):

@@ -113,6 +113,32 @@ def test_validate_reports_an_out_of_bound_weight_without_formatting_it(weight, k
     assert [(i.code, i.message) for i in validate(g).issues] == [expected]
 
 
+@pytest.mark.parametrize(
+    "activities, edges, message, ids",
+    [
+        ((Activity(10**5000),), (), "activity id <int> is not a valid token", ("<int>",)),
+        (
+            (Activity("a"), Activity("b")),
+            (ActivityEdge("x", "a", 10**5000, 1),),
+            "edge x: unknown node <int>",
+            ("x", "<int>"),
+        ),
+        ((Activity("a", declared_kind=10**5000),), (), "activity a: unknown kind <int>", ("a",)),
+        (
+            (Activity("a"), Activity("b")),
+            (ActivityEdge("x", "a", "b", 1, 10**5000),),
+            "edge x: unknown kind <int>",
+            ("x",),
+        ),
+    ],
+    ids=["node-id", "edge-head", "node-kind", "edge-kind"],
+)
+def test_validate_names_a_value_that_has_no_text_by_its_type(activities, edges, message, ids):
+    # an int past the interpreter's digit limit cannot be formatted at all
+    report = validate(ActivityGraph(activities, edges))
+    assert [(i.message, i.ids) for i in report.issues] == [(message, ids)]
+
+
 def test_build_rejects_nonzero_dummy():
     with pytest.raises(GraphBuildError) as exc:
         build_graph(
@@ -357,6 +383,20 @@ def test_push_is_per_source_bfs():
         reached = [bfs_hops(dict(enumerate(succ)), s) for s in sources]
         expected = [sum(1 << i for i, hops in enumerate(reached) if v in hops) for v in range(len(succ))]
         assert condensation(succ).push(sources) == expected
+
+
+def test_acyclic_condensation_numbers_each_node_by_its_position():
+    for seed in range(100):
+        rnd = random.Random(7000 + seed)
+        n = rnd.randint(0, 12)
+        rank = rnd.sample(range(n), n)  # a random topological order
+        succ = [[w for w in range(n) if rank[v] < rank[w] and rnd.random() < 0.3] for v in range(n)]
+        cond = condensation(succ)
+        assert cond.components == [[v] for v in range(n)]
+        assert cond.component_of == list(range(n))
+        place = {c: k for k, c in enumerate(cond.order)}
+        assert sorted(place) == list(range(n))
+        assert all(place[v] < place[w] for v in range(n) for w in succ[v])
 
 
 def test_condensation_keeps_the_view_it_condensed(robot):

@@ -169,6 +169,32 @@ def test_generated_graphs_validate():
         assert validate(generate_graph(params)).errors == ()
 
 
+_COLUMNS = (
+    "node_ids", "node_labels", "node_kinds",
+    "edge_ids", "edge_tails", "edge_heads", "edge_weights", "edge_kinds",
+)
+
+
+def test_generated_columns_are_those_of_its_records():
+    rnd = random.Random(61_000)
+    for _ in range(300):
+        n = rnd.randint(1, 60)
+        params = GeneratorParams(
+            node_count=n,
+            layer_count=rnd.randint(1, n),
+            edge_density=rnd.choice((1.0, rnd.uniform(0.01, 1.0))),
+            max_weight=rnd.choice((1, 9, 2**64, rnd.randint(1, 1000))),
+            feedback_edge_fraction=rnd.choice((0.0, rnd.uniform(0.0, 0.99))),
+            seed=rnd.getrandbits(64),
+        )
+        g = generate_graph(params)
+        twin = build_graph(g.activities, g.edges)  # columns derived from the records
+        assert g == twin
+        assert [getattr(g, c) for c in _COLUMNS] == [getattr(twin, c) for c in _COLUMNS]
+        assert g.dependency_view == twin.dependency_view
+        assert g.scheduling_view == twin.scheduling_view
+
+
 def test_generator_size_bound(monkeypatch):
     # checked before any draw: node_count first, then the per-layer pair sum
     GeneratorParams(5000, 50, 0.02).check()  # the largest fixture: 495,000
