@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from typing import Sequence
 
 from .fileio import (
+    Records,
     dumps_json,
     export_dot,
     matrix_csv,
@@ -41,6 +43,11 @@ def _emit_json(payload: dict) -> None:
     print(dumps_json(payload))
 
 
+def _records(items: Sequence, fields: tuple[str, ...]) -> Records:
+    """``items`` as the JSON list of their ``fields``, one column per field."""
+    return Records(fields, [list(map(attrgetter(name), items)) for name in fields])
+
+
 def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
     """Left-aligned columns two spaces apart, each as wide as its widest cell."""
     widths = [max(map(len, column)) for column in zip(header, *rows)]
@@ -56,15 +63,7 @@ def cmd_validate(args) -> int:
         _emit_json(
             {
                 "ok": report.ok,
-                "issues": [
-                    {
-                        "severity": i.severity,
-                        "code": i.code,
-                        "message": i.message,
-                        "ids": i.ids,
-                    }
-                    for i in report.issues
-                ],
+                "issues": _records(report.issues, ("severity", "code", "message", "ids")),
             }
         )
     else:
@@ -106,23 +105,17 @@ def cmd_cpm(args) -> int:
     graph = _load(args.file)
     schedule = compute_schedule(graph)
     classification = classify_activities(graph)
-    overrides = set(classification.overrides)
+    times = (schedule.node_earliest, schedule.node_latest, schedule.node_slack)
+    classes, overrides = classification.node_classes, classification.node_overrides
     if args.format == "json":
         _emit_json(
             {
                 "unit": graph.unit,
                 "duration": schedule.duration,
-                "nodes": [
-                    {
-                        "id": v,
-                        "earliest": schedule.earliest[v],
-                        "latest": schedule.latest[v],
-                        "slack": schedule.slack[v],
-                        "class": classification.kinds[v],
-                        "override": v in overrides,
-                    }
-                    for v in graph.node_ids
-                ],
+                "nodes": Records(
+                    ("id", "earliest", "latest", "slack", "class", "override"),
+                    (graph.node_ids, *times, classes, overrides),
+                ),
                 "critical_nodes": schedule.critical_nodes,
                 "critical_paths": schedule.paths,
             }
@@ -130,18 +123,8 @@ def cmd_cpm(args) -> int:
         return 0
     print(f"duration: {schedule.duration} {shown(graph.unit)}")
     header = ("node", "earliest", "latest", "slack", "class")
-    table = [
-        (
-            v,
-            str(schedule.earliest[v]),
-            str(schedule.latest[v]),
-            str(schedule.slack[v]),
-            classification.kinds[v]
-            + (" (override)" if v in overrides else ""),
-        )
-        for v in graph.node_ids
-    ]
-    _print_table(header, table)
+    shown_classes = (kind + " (override)" if flag else kind for kind, flag in zip(classes, overrides))
+    _print_table(header, list(zip(graph.node_ids, *(map(str, column) for column in times), shown_classes)))
     print("critical nodes: " + ", ".join(schedule.critical_nodes))
     for path in schedule.paths:
         print("critical path: " + " -> ".join(path))
@@ -157,16 +140,9 @@ def cmd_localize(args) -> int:
             {
                 "view": report.view,
                 "symptoms": report.symptoms,
-                "candidates": [
-                    {
-                        "node": c.node,
-                        "explains": c.explains,
-                        "is_critical": c.is_critical,
-                        "min_distance": c.min_distance,
-                        "scc": c.scc,
-                    }
-                    for c in report.candidates
-                ],
+                "candidates": _records(
+                    report.candidates, ("node", "explains", "is_critical", "min_distance", "scc")
+                ),
                 "independent": report.independent,
                 "nodes_examined": report.nodes_examined,
                 "node_count": len(report.node_ids),

@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, compress
 from json.encoder import encode_basestring
 from operator import eq, itemgetter
@@ -288,6 +289,17 @@ def serialize_graph(g: ActivityGraph) -> bytes:
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+# per one-type column, the C-level function json applies to each value
+_COLUMN_RENDERERS = {str: encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
+
+
+@dataclass(frozen=True)
+class Records:
+    """A list of records given as column data: ``dumps_json`` renders it as
+    the list ``[dict(zip(keys, row)) for row in zip(*columns)]``."""
+
+    keys: Sequence
+    columns: Sequence[Sequence]
 
 
 def dumps_json(obj) -> str:
@@ -301,7 +313,14 @@ def dumps_json(obj) -> str:
     ``explains`` set that many localization candidates share) is rendered
     once per call: its text is kept by ``(id, depth)``. That is exact
     because ``obj`` keeps every tuple alive, so no id is reused, and a
-    tuple of scalars cannot change."""
+    tuple of scalars cannot change.
+
+    ``obj`` may hold ``Records``. A list whose columns each hold one type
+    among str, int and bool is rendered into one ``%`` template built from
+    its keys, each column by one C-level ``map``; any other list as its
+    records' dicts. That is exact because every record has the keys of
+    ``dict(zip(keys, columns))`` in that order, and ``json`` renders a
+    value alike wherever it stands at one depth."""
     chunks: list[str] = []
     _append_json(obj, 0, chunks, {})
     return "".join(chunks)
@@ -314,6 +333,9 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 
 def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
+    if type(obj) is Records:
+        _append_records(obj, depth, chunks, rendered)
+        return
     if type(obj) is tuple and (id(obj), depth) in rendered:
         chunks += rendered[id(obj), depth]
         return
@@ -355,6 +377,27 @@ def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
             lead = "," + inner
             _append_json(value, depth + 1, chunks, rendered)
     chunks += (outer, closing)
+
+
+def _append_records(records: Records, depth: int, chunks: list[str], rendered: dict) -> None:
+    count = min(map(len, records.columns), default=0)  # the rows zip(*columns) yields
+    fields = dict(zip(records.keys, records.columns))
+    columns = [column[:count] for column in fields.values()]
+    kinds = [set(map(type, column)) for column in columns]
+    renders = [_COLUMN_RENDERERS.get(k.pop()) if len(k) == 1 else None for k in kinds]
+    if None in renders or not renders:  # no rows or keys, or a column of other types
+        # as each record's dict: a long nested value (localize's explains) stays
+        # in chunks, where a text per value would copy it twice more
+        _append_json([dict(zip(records.keys, row)) for row in zip(*records.columns)], depth, chunks, rendered)
+        return
+    lead, inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    keys = [_json_key(key).replace("%", "%%") + ": %s" for key in fields]
+    template = "{" + lead + ("," + lead).join(keys) + inner + "}"
+    rows = zip(*map(map, renders, columns))
+    # one chunk per record: joining them here first would copy the list's text once more
+    chunks += ("[", inner, template % next(rows))
+    chunks += map(("," + inner + template).__mod__, rows)
+    chunks += (outer, "]")
 
 
 def _json_key(key) -> str:

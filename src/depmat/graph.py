@@ -187,6 +187,18 @@ class ActivityGraph:
         self.__dict__.update(found)
         return found[name]
 
+    def __getstate__(self) -> dict:
+        """Only the form the graph was built in, which its ``__dict__`` holds first."""
+        from_records = next(iter(self.__dict__)) == "activities"
+        built = ("activities", "edges") if from_records else _NODE_COLUMNS + _EDGE_COLUMNS
+        return {name: self.__dict__[name] for name in (*built, "unit")}
+
+    def __copy__(self) -> ActivityGraph:
+        """A shallow copy shares every derived fact."""
+        clone = ActivityGraph.__new__(ActivityGraph)
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     @cached_property
     def _positions(self) -> dict[str, int]:
         return dict(zip(self.node_ids, range(len(self.node_ids))))

@@ -165,8 +165,7 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
     cond = g.dependency_condensation if view == VIEW_ALL else g.scheduling_condensation
 
     try:
-        kinds = classify_activities(g).kinds
-        critical = [kinds[v] == KIND_CRITICAL for v in ids]
+        critical = [kind == KIND_CRITICAL for kind in classify_activities(g).node_classes]
     except CyclicScheduleError:
         if view == VIEW_SCHEDULING:
             raise

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import ne, not_, sub
 
 from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL
 
@@ -18,20 +20,27 @@ class EmptyGraphError(ValueError):
     pass
 
 
+def _by_id(column: str) -> cached_property:
+    """The id-keyed dict of a per-position ``column``, built on first read."""
+    return cached_property(lambda self: dict(zip(self.node_ids, getattr(self, column))))
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Earliest/latest event times, slack, project duration, the critical
-    node set (input order) and every critical path (lexicographic by node
-    input position). It keeps the graph's node ids and scheduling view,
-    which ``paths`` reads, but not the graph."""
+    """Per node position (node input order): earliest and latest event
+    times and slack, whose id-keyed dicts are ``earliest``, ``latest`` and
+    ``slack``; the duration, the critical nodes (input order) and every
+    critical path (lexicographic by node input position). It keeps the
+    graph's node ids and scheduling view, which ``paths`` reads, not the graph."""
 
-    earliest: dict[str, int]
-    latest: dict[str, int]
-    slack: dict[str, int]
+    node_earliest: tuple[int, ...]
+    node_latest: tuple[int, ...]
+    node_slack: tuple[int, ...]
     duration: int
     critical_nodes: tuple[str, ...]
-    node_ids: tuple[str, ...] = field(repr=False, compare=False)
+    node_ids: tuple[str, ...] = field(repr=False)
     scheduling_view: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] = field(repr=False, compare=False)
+    earliest, latest, slack = _by_id("node_earliest"), _by_id("node_latest"), _by_id("node_slack")
 
     @cached_property
     def paths(self) -> tuple[tuple[str, ...], ...]:
@@ -42,11 +51,17 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Classification:
-    """Final critical/non-critical class per node; ``overrides`` lists the
-    nodes whose declared kind changed the computed class."""
+    """Per node position, the final critical/non-critical class and whether
+    the declared kind changed it; ``kinds`` and ``overrides`` by id."""
 
-    kinds: dict[str, str]
-    overrides: tuple[str, ...]
+    node_classes: tuple[str, ...]
+    node_overrides: tuple[bool, ...]
+    node_ids: tuple[str, ...] = field(repr=False)
+    kinds = _by_id("node_classes")
+
+    @cached_property
+    def overrides(self) -> tuple[str, ...]:
+        return tuple(compress(self.node_ids, self.node_overrides))
 
 
 def forward_pass(g: ActivityGraph) -> dict[str, int]:
@@ -88,11 +103,11 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
         return kept
     if not g.node_ids:
         raise EmptyGraphError("cannot schedule a graph with no activities")
-    earliest = forward_pass(g)
-    duration = max(earliest.values())
-    latest = backward_pass(g, duration)
-    slack = {v: latest[v] - earliest[v] for v in g.node_ids}
-    critical = tuple(v for v in g.node_ids if slack[v] == 0)
+    earliest = tuple(map(forward_pass(g).__getitem__, g.node_ids))  # by id: an unvalidated graph may repeat one
+    duration = max(earliest)
+    latest = tuple(map(backward_pass(g, duration).__getitem__, g.node_ids))
+    slack = tuple(map(sub, latest, earliest))
+    critical = tuple(compress(g.node_ids, map(not_, slack)))
     schedule = Schedule(earliest, latest, slack, duration, critical, g.node_ids, g.scheduling_view)
     g.__dict__["_schedule"] = schedule
     return schedule
@@ -103,8 +118,8 @@ def _critical_paths(s: Schedule) -> tuple[tuple[str, ...], ...]:
     scheduling edges sum to the duration, depth-first in node input order."""
     ids = s.node_ids
     heads, weights = s.scheduling_view
-    early = [s.earliest[v] for v in ids]
-    tight = [s.slack[v] == 0 for v in ids]
+    early = s.node_earliest
+    tight = list(map(not_, s.node_slack))
     has_predecessor = {w for successors in heads for w in successors}
     starts = [v for v in range(len(ids)) if v not in has_predecessor and tight[v]]
     paths: list[tuple[str, ...]] = []
@@ -131,14 +146,7 @@ def classify_activities(g: ActivityGraph) -> Classification:
     """Zero slack in ``compute_schedule(g)`` classifies a node critical; a
     non-auto declared kind is applied last, and listed as an override when
     it flips the computed class."""
-    schedule = compute_schedule(g)
-    kinds: dict[str, str] = {}
-    overrides: list[str] = []
-    for v, declared in zip(g.node_ids, g.node_kinds):
-        computed = KIND_CRITICAL if schedule.slack[v] == 0 else KIND_NON_CRITICAL
-        if declared != KIND_AUTO and declared != computed:
-            kinds[v] = declared
-            overrides.append(v)
-        else:
-            kinds[v] = computed
-    return Classification(kinds, tuple(overrides))
+    slack = compute_schedule(g).node_slack
+    computed = [KIND_NON_CRITICAL if s else KIND_CRITICAL for s in slack]
+    classes = tuple(c if d == KIND_AUTO else d for c, d in zip(computed, g.node_kinds))
+    return Classification(classes, tuple(map(ne, classes, computed)), g.node_ids)

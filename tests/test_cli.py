@@ -1,9 +1,11 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from itertools import compress
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from depmat import cli, simulation
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
 from depmat.graph import (
+    ActivityGraph,
     EDGE_DUMMY,
     EDGE_KINDS,
     NODE_KINDS,
@@ -25,9 +28,10 @@ from depmat.graph import (
     KIND_NON_CRITICAL,
     UnknownNodeError,
     build_graph,
+    shown,
 )
 from depmat.matrices import MAX_DENSE_NODES, CapacityError
-from depmat.schedule import EmptyGraphError
+from depmat.schedule import EmptyGraphError, classify_activities, compute_schedule
 from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
 
 from conftest import GOLDENS, REPO_ROOT, ROBOT_PATH
@@ -789,6 +793,85 @@ def test_schedule_output_matches_golden(capsys, argv, golden):
     code, out, err = run(capsys, argv[0], str(MATRIX_GOLDENS / "graph.json"), *argv[1:])
     assert (code, err) == (0, "")
     assert out.encode() == (SCHEDULE_GOLDENS / golden).read_bytes()
+
+
+def _cpm_by_node_records(graph: ActivityGraph) -> tuple[str, str]:
+    """``cpm``'s JSON and text output as it was rendered from one dict and
+    one table row per node, looked up by id in the schedule's dicts."""
+    schedule = compute_schedule(graph)
+    classification = classify_activities(graph)
+    overrides = set(classification.overrides)
+    payload = {
+        "unit": graph.unit,
+        "duration": schedule.duration,
+        "nodes": [
+            {
+                "id": v,
+                "earliest": schedule.earliest[v],
+                "latest": schedule.latest[v],
+                "slack": schedule.slack[v],
+                "class": classification.kinds[v],
+                "override": v in overrides,
+            }
+            for v in graph.node_ids
+        ],
+        "critical_nodes": schedule.critical_nodes,
+        "critical_paths": schedule.paths,
+    }
+    header = ("node", "earliest", "latest", "slack", "class")
+    table = [
+        (
+            v,
+            str(schedule.earliest[v]),
+            str(schedule.latest[v]),
+            str(schedule.slack[v]),
+            classification.kinds[v] + (" (override)" if v in overrides else ""),
+        )
+        for v in graph.node_ids
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *table)]
+    lines = [f"duration: {schedule.duration} {shown(graph.unit)}"]
+    lines += ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in (header, *table)]
+    lines.append("critical nodes: " + ", ".join(schedule.critical_nodes))
+    lines += ["critical path: " + " -> ".join(path) for path in schedule.paths]
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "\n".join(lines) + "\n"
+
+
+def test_cpm_renders_as_it_did_from_per_node_records(tmp_path, capsys):
+    """On 200 generated graphs with random declared kinds and units, both
+    ``cpm`` formats equal the per-node rendering byte for byte, and the
+    id-keyed schedule and classification views are their columns by id."""
+    rnd = random.Random(19)
+    path = tmp_path / "graph.json"
+    for _ in range(200):
+        nodes = rnd.randint(1, 40)
+        params = GeneratorParams(
+            node_count=nodes,
+            layer_count=rnd.randint(1, min(nodes, 6)),
+            edge_density=rnd.uniform(0.05, 0.6),
+            max_weight=rnd.choice((1, 9, 2**64)),
+            feedback_edge_fraction=rnd.uniform(0, 0.3),
+            seed=rnd.randrange(2**32),
+        )
+        generated = generate_graph(params)
+        kinds = [rnd.choice(sorted(NODE_KINDS)) for _ in generated.node_ids]
+        graph = ActivityGraph.from_columns(
+            (generated.node_ids, generated.node_labels, kinds),
+            (generated.edge_ids, generated.edge_tails, generated.edge_heads, generated.edge_weights, generated.edge_kinds),
+            unit=rnd.choice(("ms", "días", "h\tr")),
+        )
+        path.write_bytes(serialize_graph(graph))
+        expected_json, expected_text = _cpm_by_node_records(graph)
+        assert run(capsys, "cpm", str(path), "--format", "json") == (0, expected_json, "")
+        assert run(capsys, "cpm", str(path)) == (0, expected_text, "")
+
+        schedule, classification = compute_schedule(graph), classify_activities(graph)
+        ids = graph.node_ids
+        assert schedule.earliest == dict(zip(ids, schedule.node_earliest))
+        assert schedule.latest == dict(zip(ids, schedule.node_latest))
+        assert schedule.slack == dict(zip(ids, schedule.node_slack))
+        assert classification.kinds == dict(zip(ids, classification.node_classes))
+        assert classification.overrides == tuple(compress(ids, classification.node_overrides))
 
 
 BAD_DOCUMENTS = GOLDENS / "bad_documents"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from depmat import fileio
 from depmat.fileio import (
     ParseError,
+    Records,
     SchemaError,
     dumps_json,
     export_dot,
@@ -689,3 +690,60 @@ def _json_sharing_objects(draw):
 @settings(max_examples=150, deadline=None)
 def test_dumps_json_with_shared_objects_matches_json_dumps(value):
     assert dumps_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+_record_keys = st.one_of(_json_keys, st.text(alphabet='%s"\\\n\x00\x1f\u2028é中', max_size=4))
+
+
+@st.composite
+def _record_lists(draw):
+    """Records of 0-5 rows whose columns are each of one kind: one scalar
+    type, mixed int and bool, None, floats, or nested values among which one
+    tuple object recurs in several rows. A column may be one row longer."""
+    shared = draw(st.lists(_json_scalars, min_size=1, max_size=3).map(tuple))
+    kinds = [
+        st.integers(),
+        st.booleans(),
+        _json_text,
+        st.one_of(st.integers(), st.booleans()),
+        st.none(),
+        st.floats(),
+        st.one_of(st.just(shared), st.just((shared, 1)), _json_values),
+    ]
+    keys = draw(st.lists(_record_keys, min_size=1, max_size=4))
+    rows = draw(st.integers(0, 5))
+    columns = [draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows + 1)) for _ in keys]
+    return Records(keys, columns)
+
+
+def _as_dicts(records: Records) -> list[dict]:
+    return [dict(zip(records.keys, row)) for row in zip(*records.columns)]
+
+
+@given(_record_lists())
+@settings(max_examples=200, deadline=None)
+def test_dumps_json_renders_records_as_their_list_of_dicts(records):
+    listed = _as_dicts(records)
+    for value, expected in (
+        (records, listed),
+        ({"unit": "ms", "nodes": records, "end": [records]}, {"unit": "ms", "nodes": listed, "end": [listed]}),
+        ([records, 0, [records]], [listed, 0, [listed]]),
+    ):
+        assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        Records(("id",), ([],)),
+        Records(("id", "slack"), ((), (1, 2))),
+        Records(("only",), (["a", "b"],)),
+        Records(("a%", "a%"), ([1, 2], [True, False])),
+        Records(("k", "k"), ([1], ["x", "y"])),
+        Records((), ()),
+        Records((), ([1, 2],)),
+    ],
+)
+def test_dumps_json_renders_zero_rows_a_single_key_and_repeated_keys(records):
+    for value in (records, {"nodes": records}, [records]):
+        assert dumps_json(value) == json.dumps(value, default=_as_dicts, indent=2, ensure_ascii=False)

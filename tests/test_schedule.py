@@ -33,7 +33,7 @@ from depmat.schedule import (
     compute_schedule,
     forward_pass,
 )
-from depmat.simulation import GeneratorParams, run_experiment
+from depmat.simulation import GeneratorParams, generate_graph, run_experiment
 
 from oracles import (
     bfs_hops,
@@ -153,6 +153,52 @@ def test_scheduled_graph_pickles_and_each_copy_gets_its_own_schedule(robot):
     # a shallow copy shares the schedule, which holds nothing of the graph
     assert compute_schedule(copy.copy(g)) is schedule
     assert compute_schedule(g) is schedule
+
+
+def _read_derived_facts(g: ActivityGraph) -> None:
+    validate(g)
+    compute_schedule(g).paths
+    g.dependency_condensation
+
+
+@pytest.mark.parametrize("form", ["columns", "records"])
+def test_pickle_carries_only_the_form_the_graph_was_built_in(form):
+    generated = generate_graph(
+        GeneratorParams(node_count=1000, layer_count=20, edge_density=0.05, feedback_edge_fraction=0.02, seed=7)
+    )
+    g = generated if form == "columns" else build_graph(generated.activities, generated.edges)
+    fresh = pickle.dumps(g)
+    _read_derived_facts(g)
+    after = pickle.dumps(g)
+    assert len(after) <= len(fresh)
+    restored = pickle.loads(after)
+    built = ("activities", "edges") if form == "records" else ("node_ids", "edge_kinds")
+    assert set(built) <= restored.__dict__.keys()
+    assert not {"_schedule", "dependency_view", "dependency_condensation"} & restored.__dict__.keys()
+    assert restored == g
+    assert restored.dependency_view == g.dependency_view
+    assert restored.scheduling_view == g.scheduling_view
+    assert restored.dependency_condensation == g.dependency_condensation
+    assert compute_schedule(restored) == compute_schedule(g)
+    assert compute_schedule(restored).paths == compute_schedule(g).paths
+
+
+def test_pickle_of_a_record_built_graph_keeps_an_edge_no_column_holds():
+    # an unvalidated graph's edge to an undeclared node is in no view, so
+    # only the records carry it
+    g = ActivityGraph((Activity("v0"), Activity("v1")), (ActivityEdge("a", "v0", "v1", 1), ActivityEdge("b", "v0", "zz", 2)))
+    assert g.edge_ids == ("a",)
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored.edges == g.edges and restored.edge_ids == ("a",)
+
+
+def test_schedule_columns_follow_node_ids_when_an_unvalidated_graph_repeats_one():
+    g = ActivityGraph((Activity("a"), Activity("a"), Activity("b")), (ActivityEdge("x", "a", "b", 3),))
+    assert not validate(g).ok
+    s = compute_schedule(g)
+    assert s.node_earliest == (0, 0, 3) and s.node_slack == (0, 0, 0)
+    assert s.critical_nodes == ("a", "a", "b")
+    assert classify_activities(g).node_classes == (KIND_CRITICAL,) * 3
 
 
 def count_tarjan_passes(monkeypatch) -> list:
