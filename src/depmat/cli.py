@@ -20,7 +20,7 @@ from .fileio import (
     parse_document,
     parse_graph,
 )
-from .graph import ActivityGraph, shown, validate
+from .graph import ActivityGraph, GraphBuildError, ValidationReport, build_graph, shown, validate
 from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
     adjacency_matrix,
@@ -56,9 +56,11 @@ def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
 
 
 def cmd_validate(args) -> int:
-    with open(args.file, "rb") as handle:
-        activities, edges, unit = parse_document(handle.read())
-    report = validate(ActivityGraph(tuple(activities), tuple(edges), unit=unit))
+    try:
+        with open(args.file, "rb") as handle:
+            report = validate(build_graph(*parse_document(handle.read())))
+    except GraphBuildError as exc:  # the errors validate would list
+        report = ValidationReport(exc.issues)
     if args.format == "json":
         _emit_json(
             {

@@ -80,7 +80,11 @@ class SchemaError(ValueError):
 def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge], str]:
     """Schema-checked decode into activities, edges and unit, without the
     structural graph validation (see ``parse_graph``)."""
-    doc, unit = _decode(data)
+    return _records(*_decode(data))
+
+
+def _records(doc: dict, unit: str) -> tuple[list[Activity], list[ActivityEdge], str]:
+    """``parse_document`` of the document ``_decode`` has returned."""
     raw_nodes = _get(doc, "nodes", "$")
     if not isinstance(raw_nodes, list):
         raise SchemaError("nodes must be an array", "nodes")
@@ -145,12 +149,14 @@ def parse_graph(data: bytes | str) -> ActivityGraph:
 
     A valid document is checked a column at a time and becomes a graph of
     columns, with no records. A document that fails any check is read
-    again item by item (``parse_document``, then ``build_graph``), which
-    names the first error exactly as if no column had been checked."""
-    graph = _checked_columns(*_decode(data))
+    again item by item from the same decoded document (the records, then
+    ``build_graph``), which names the first error exactly as if no column
+    had been checked."""
+    doc, unit = _decode(data)
+    graph = _checked_columns(doc, unit)
     if graph is not None:
         return graph
-    activities, edges, unit = parse_document(data)
+    activities, edges, unit = _records(doc, unit)
     try:
         return build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
@@ -194,9 +200,10 @@ def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:
             return None
     except (KeyError, TypeError):
         return None
-    return ActivityGraph.from_columns(
-        (node_ids, labels, node_kinds), (edge_ids, tails, heads, weights, edge_kinds), unit
-    )
+    edge_columns = (edge_ids, tails, heads, weights, edge_kinds)
+    graph = ActivityGraph.from_columns((node_ids, labels, node_kinds), edge_columns, unit)
+    graph.__dict__["_checked"] = True  # as build_graph does: validate need not look again
+    return graph
 
 
 def _get(mapping: dict, key: str, locus: str, index: int | None = None):
@@ -268,23 +275,16 @@ def _parse_edge(item, i: int) -> ActivityEdge:
 def serialize_graph(g: ActivityGraph) -> bytes:
     """Canonical UTF-8 document bytes; inverse of ``parse_graph``."""
     nodes = []
-    for a in g.activities:
-        entry: dict = {"id": a.id}
-        if a.label is not None:
-            entry["label"] = a.label
-        if a.declared_kind != KIND_AUTO:
-            entry["kind"] = a.declared_kind
+    for node_id, label, kind in zip(g.node_ids, g.node_labels, g.node_kinds):
+        entry: dict = {"id": node_id}
+        if label is not None:
+            entry["label"] = label
+        if kind != KIND_AUTO:
+            entry["kind"] = kind
         nodes.append(entry)
-    edges = [
-        {"id": e.id, "from": e.tail, "to": e.head, "weight": e.weight, "kind": e.kind}
-        for e in g.edges
-    ]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "unit": g.unit,
-        "nodes": nodes,
-        "edges": edges,
-    }
+    ends = [[g.node_ids[v] for v in column] for column in (g.edge_tails, g.edge_heads)]
+    edges = Records(("id", "from", "to", "weight", "kind"), (g.edge_ids, *ends, g.edge_weights, g.edge_kinds))
+    doc = {"format_version": FORMAT_VERSION, "unit": g.unit, "nodes": nodes, "edges": edges}
     return (dumps_json(doc) + "\n").encode("utf-8")
 
 

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -136,68 +136,54 @@ class ActivityEdge:
     kind: str = EDGE_SCHEDULING
 
 
-_NODE_COLUMNS = ("node_ids", "node_labels", "node_kinds")
-_EDGE_COLUMNS = ("edge_ids", "edge_tails", "edge_heads", "edge_weights", "edge_kinds")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ActivityGraph:
     """Immutable activity digraph; safe to share across threads. Passes
     walk only its integer views; ``position`` maps an id to its position.
 
-    Its form is position columns, each a tuple: ``node_ids``,
-    ``node_labels``, ``node_kinds`` (declared), ``edge_ids``, ``edge_tails``
-    and ``edge_heads`` (positions), ``edge_weights`` and ``edge_kinds``. A
-    graph built from records derives them on first read, leaving out each
-    edge with an undeclared endpoint: such an edge is in no view."""
+    Its one form is its fields: position columns, each a tuple (the
+    declared ``node_kinds``; ``edge_tails`` and ``edge_heads`` as node
+    positions), and ``unit``. Its ``activities`` and ``edges`` records are a
+    view built on first read; records become a graph only through
+    ``build_graph``."""
 
-    activities: tuple[Activity, ...]
-    edges: tuple[ActivityEdge, ...]
-    unit: str = "ms"
+    node_ids: tuple[str, ...]
+    node_labels: tuple[str | None, ...]
+    node_kinds: tuple[str, ...]
+    edge_ids: tuple[str, ...]
+    edge_tails: tuple[int, ...]
+    edge_heads: tuple[int, ...]
+    edge_weights: tuple[int, ...]
+    edge_kinds: tuple[str, ...]
+    unit: str
 
     @classmethod
     def from_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
         """The graph of node columns (ids, labels, declared kinds) and edge
-        columns (ids, tail and head positions, weights, kinds), unchecked;
-        its records are built on first read."""
+        columns (ids, tail and head positions, weights, kinds), unchecked."""
         graph = cls.__new__(cls)
-        graph.__dict__.update(zip(_NODE_COLUMNS + _EDGE_COLUMNS, map(tuple, (*nodes, *edges))), unit=unit)
+        graph.__dict__.update(zip(cls.__dataclass_fields__, (*map(tuple, (*nodes, *edges)), unit)))
         return graph
 
-    def __getattr__(self, name: str):
-        """The form the graph was not built in, on first read: the records
-        from the columns, or from the records the node or the edge columns,
-        each set in one pass."""
-        if name == "activities":
-            found = {name: tuple(map(Activity, self.node_ids, self.node_labels, self.node_kinds))}
-        elif name == "edges":
-            ids = self.node_ids
-            columns = zip(self.edge_ids, self.edge_tails, self.edge_heads, self.edge_weights, self.edge_kinds)
-            found = {name: tuple(ActivityEdge(e, ids[t], ids[h], w, k) for e, t, h, w, k in columns)}
-        elif name in _NODE_COLUMNS:
-            rows = [(a.id, a.label, a.declared_kind) for a in self.activities]
-            found = dict(zip(_NODE_COLUMNS, zip(*rows) if rows else [()] * 3))
-        elif name in _EDGE_COLUMNS:
-            position = self._positions.get
-            rows = [(e.id, position(e.tail), position(e.head), e.weight, e.kind) for e in self.edges]
-            rows = [r for r in rows if r[1] is not None and r[2] is not None]
-            found = dict(zip(_EDGE_COLUMNS, zip(*rows) if rows else [()] * 5))
-        else:
-            raise AttributeError(name)
-        self.__dict__.update(found)
-        return found[name]
-
     def __getstate__(self) -> dict:
-        """Only the form the graph was built in, which its ``__dict__`` holds first."""
-        from_records = next(iter(self.__dict__)) == "activities"
-        built = ("activities", "edges") if from_records else _NODE_COLUMNS + _EDGE_COLUMNS
-        return {name: self.__dict__[name] for name in (*built, "unit")}
+        """The columns and the unit: no view or derived fact."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
     def __copy__(self) -> ActivityGraph:
         """A shallow copy shares every derived fact."""
         clone = ActivityGraph.__new__(ActivityGraph)
         clone.__dict__.update(self.__dict__)
         return clone
+
+    @cached_property
+    def activities(self) -> tuple[Activity, ...]:
+        return tuple(map(Activity, self.node_ids, self.node_labels, self.node_kinds))
+
+    @cached_property
+    def edges(self) -> tuple[ActivityEdge, ...]:
+        ids = self.node_ids
+        columns = zip(self.edge_ids, self.edge_tails, self.edge_heads, self.edge_weights, self.edge_kinds)
+        return tuple(ActivityEdge(e, ids[t], ids[h], w, k) for e, t, h, w, k in columns)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -271,18 +257,25 @@ def build_graph(
     edges: Iterable[ActivityEdge],
     unit: str = "ms",
 ) -> ActivityGraph:
-    """Construct and validate a graph; raises GraphBuildError on any
-    structural error (order of activities and edges is preserved)."""
-    graph = ActivityGraph(tuple(activities), tuple(edges), unit=unit)
-    errors, loci = _structural_errors(graph)
+    """The graph of the records, kept as its ``activities`` and ``edges``
+    view (order preserved); raises GraphBuildError on any structural error.
+    The graph holds that it has none, so ``validate`` does not look again."""
+    activities, edges = tuple(activities), tuple(edges)
+    errors, loci = _structural_errors(activities, edges)
     if errors:
         raise GraphBuildError(errors, loci)
+    nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
+    position = dict(zip(nodes[0], range(len(activities))))
+    columns = [tuple(map(attrgetter(name), edges)) for name in ("id", "tail", "head", "weight", "kind")]
+    columns[1:3] = (map(position.__getitem__, ends) for ends in columns[1:3])
+    graph = ActivityGraph.from_columns(nodes, columns, unit)
+    graph.__dict__.update(activities=activities, edges=edges, _positions=position, _checked=True)
     return graph
 
 
-def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[str]]:
-    """Every structural error and, in a parallel list, the item it is on;
-    a duplicate id is on its later copy."""
+def _structural_errors(activities: Sequence[Activity], edges: Sequence[ActivityEdge]) -> tuple[list, list[str]]:
+    """Every structural error of the records and, in a parallel list, the
+    item it is on; a duplicate id is on its later copy."""
     issues: list[ValidationIssue] = []
     loci: list[str] = []
 
@@ -292,7 +285,7 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
 
     array = "nodes"
     seen_nodes: set[str] = set()
-    for i, a in enumerate(g.activities):
+    for i, a in enumerate(activities):
         if not isinstance(a.id, str) or not ID_PATTERN.match(a.id):
             err("invalid-id", f"activity id {_named(a.id, repr)} is not a valid token", _named(a.id, str))
         elif a.id in seen_nodes:
@@ -302,10 +295,10 @@ def _structural_errors(g: ActivityGraph) -> tuple[list[ValidationIssue], list[st
         if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
             err("invalid-kind", f"activity {_named(a.id)}: unknown kind {_named(a.declared_kind, repr)}", a.id)
 
-    declared = {a.id for a in g.activities if isinstance(a.id, str)}
+    declared = {a.id for a in activities if isinstance(a.id, str)}
     array = "edges"
     seen_edges: set[str] = set()
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(edges):
         if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
             err("invalid-id", f"edge id {_named(e.id, repr)} is not a valid token", _named(e.id, str))
         elif e.id in seen_edges:
@@ -338,11 +331,11 @@ def _named(value, form=shown) -> str:
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
-    """Collect all structural errors and advisory warnings (never raises)."""
-    issues = _structural_errors(g)[0]
-    if not issues:
-        issues.extend(_warnings(g))
-    return ValidationReport(tuple(issues))
+    """Every structural error of the graph's records or, when there is
+    none, every advisory warning (never raises). A graph from
+    ``build_graph`` or ``parse_graph`` holds that it has none."""
+    errors = [] if g.__dict__.get("_checked") else _structural_errors(g.activities, g.edges)[0]
+    return ValidationReport(tuple(errors) if errors else tuple(_warnings(g)))
 
 
 def _warnings(g: ActivityGraph) -> list[ValidationIssue]:
@@ -391,10 +384,10 @@ def scheduling_subgraph(g: ActivityGraph) -> ActivityGraph:
     edge set is cyclic.
     """
     g.scheduling_order  # raises CyclicScheduleError with the witness
-    return ActivityGraph(
-        g.activities,
-        tuple(e for e in g.edges if e.kind in SCHEDULING_KINDS),
-        unit=g.unit,
+    kept = list(map(SCHEDULING_KINDS.__contains__, g.edge_kinds))
+    edges = (g.edge_ids, g.edge_tails, g.edge_heads, g.edge_weights, g.edge_kinds)
+    return ActivityGraph.from_columns(
+        (g.node_ids, g.node_labels, g.node_kinds), [compress(column, kept) for column in edges], g.unit
     )
 
 

@@ -161,26 +161,30 @@ def _check_capacity(count: int) -> None:
 def incidence_matrix(g: ActivityGraph) -> IncidenceMatrix:
     """Node x edge matrix with each edge's weight in its tail row; every
     other entry in the column is zero."""
-    _check_capacity(len(g.node_ids))
-    edge_ids = tuple(e.id for e in g.edges)
-    rows = tuple(
-        tuple(e.weight if e.tail == a.id else 0 for e in g.edges)
-        for a in g.activities
-    )
-    return IncidenceMatrix(g.node_ids, edge_ids, rows)
+    return IncidenceMatrix(g.node_ids, g.edge_ids, _weight_rows(g, range(len(g.edge_ids)), len(g.edge_ids)))
 
 
 def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
     """Square weight matrix; parallel edges collapse to their max weight
     (longest-path semantics). Includes dependency-only edges."""
+    return AdjacencyMatrix(g.node_ids, _weight_rows(g, g.edge_heads, len(g.node_ids)))
+
+
+def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...], ...]:
+    """Per node position, ``width`` cells, each the largest of 0 and the
+    weights of the node's edges in that column (``columns``, per edge)."""
     _check_capacity(len(g.node_ids))
-    n = len(g.node_ids)
-    grid = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        i, j = g.position(e.tail), g.position(e.head)
-        if e.weight > grid[i][j]:
-            grid[i][j] = e.weight
-    return AdjacencyMatrix(g.node_ids, tuple(tuple(r) for r in grid))
+    cells: list[list[tuple[int, int]]] = [[] for _ in g.node_ids]
+    for tail, column, weight in zip(g.edge_tails, columns, g.edge_weights):
+        cells[tail].append((column, weight))
+    rows = []
+    for row_cells in cells:  # one row list at a time, beside the finished tuples
+        row = [0] * width
+        for column, weight in row_cells:
+            if weight > row[column]:
+                row[column] = weight
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:

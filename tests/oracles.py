@@ -191,18 +191,26 @@ def random_mixed_graph(rnd: random.Random, max_nodes: int = 10) -> ActivityGraph
     return build_graph(base.activities, edges)
 
 
-def with_self_loops(rnd: random.Random, g: ActivityGraph, undeclared_head: bool = False) -> ActivityGraph:
+def unchecked_graph(activities, edges, unit: str = "ms") -> ActivityGraph:
+    """The graph of the records with no structural check
+    (``ActivityGraph.from_columns``), so self-loops, cycles and repeated ids
+    stay representable. Every endpoint must be declared; a repeated id
+    stands for its last node."""
+    ids = [a.id for a in activities]
+    position = dict(zip(ids, range(len(ids))))
+    nodes = (ids, [a.label for a in activities], [a.declared_kind for a in activities])
+    columns = [(e.id, position[e.tail], position[e.head], e.weight, e.kind) for e in edges]
+    return ActivityGraph.from_columns(nodes, list(zip(*columns)) or [()] * 5, unit)
+
+
+def with_self_loops(rnd: random.Random, g: ActivityGraph) -> ActivityGraph:
     """``g`` unvalidated, plus dependency-only self-loops on a random subset
-    of its nodes and, optionally, one dependency-only edge from a declared
-    node to the undeclared id ``zz``; the scheduling view is unchanged."""
+    of its nodes; the scheduling view is unchanged."""
     edges = list(g.edges)
     for v in g.node_ids:
         if rnd.random() < 0.4:
             edges.append(ActivityEdge(f"e{len(edges)}", v, v, rnd.randint(0, 9), EDGE_DEPENDENCY_ONLY))
-    if undeclared_head:
-        tail = rnd.choice(g.node_ids)
-        edges.append(ActivityEdge(f"e{len(edges)}", tail, "zz", 1, EDGE_DEPENDENCY_ONLY))
-    return ActivityGraph(g.activities, tuple(edges))
+    return unchecked_graph(g.activities, edges, g.unit)
 
 
 def series_diamonds(k: int) -> ActivityGraph:

@@ -152,6 +152,24 @@ def test_validate_bad_graph_exits_3(tmp_path, capsys):
     assert "zz" in out
 
 
+@pytest.mark.parametrize(
+    "path",
+    [ROBOT, str(GOLDENS / "matrix_100n_seed5" / "graph.json"), str(GOLDENS / "bad_documents" / "self_loop.json")],
+    ids=["robot", "100n", "self_loop"],
+)
+def test_validate_checks_the_structure_once(path, capsys, monkeypatch):
+    passes = []
+    check = depmat.graph._structural_errors
+
+    def counting(activities, edges):
+        passes.append(len(activities))
+        return check(activities, edges)
+
+    monkeypatch.setattr(depmat.graph, "_structural_errors", counting)
+    code, _, _ = run(capsys, "validate", path)
+    assert code in (0, 3) and len(passes) == 1
+
+
 def test_validate_json_format(capsys):
     code, out, _ = run(capsys, "validate", ROBOT, "--format", "json")
     assert code == 0

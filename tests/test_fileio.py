@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depmat.graph
 from depmat import fileio
 from depmat.fileio import (
     ParseError,
@@ -34,6 +37,7 @@ from depmat.graph import (
     UnknownNodeError,
     build_graph,
     shown,
+    validate,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
 from depmat.matrices import (
@@ -372,6 +376,25 @@ def test_bad_document_fails_the_column_checks_as_it_fails_the_records(path):
     _assert_routes_agree(path.read_bytes())
 
 
+@pytest.mark.parametrize(
+    "path", sorted((GOLDENS / "bad_documents").glob("*.json")), ids=lambda p: p.stem
+)
+def test_a_bad_document_is_decoded_once(path, monkeypatch):
+    decoded = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        decoded.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    try:  # two of them parse, and fail only later: an empty graph and a scheduling cycle
+        parse_graph(path.read_bytes())
+    except (ParseError, SchemaError):
+        pass
+    assert len(decoded) == (0 if path.stem == "invalid_utf8" else 1)
+
+
 _ODD_VALUES = st.sampled_from(["odd", "", None, 1, True, ["critical"], {}])
 _MUTATIONS = (
     "duplicate-node-id", "duplicate-edge-id", "unknown-endpoint", "self-loop", "dummy-nonzero",
@@ -382,9 +405,16 @@ _MUTATIONS = (
 )
 
 
+# the mutations a document's records can carry past its schema checks
+_RECORD_MUTATIONS = (
+    "duplicate-node-id", "duplicate-edge-id", "unknown-endpoint", "self-loop", "dummy-nonzero",
+    "weight-at-bound", "invalid-id",
+)
+
+
 @st.composite
-def _documents(draw):
-    """A valid graph document, or one with exactly one mutation."""
+def _documents(draw, mutations=_MUTATIONS):
+    """A valid graph document, or one with exactly one of ``mutations``."""
     ids = draw(st.lists(_token, min_size=2, max_size=6, unique=True))
     nodes = []
     for v in ids:
@@ -404,7 +434,7 @@ def _documents(draw):
             edge["weight"] = 0
         edges.append(edge)
 
-    mutation = draw(st.sampled_from((None, *_MUTATIONS)))
+    mutation = draw(st.sampled_from((None, *mutations)))
     fresh = {"id": "m", "from": ids[0], "to": ids[1], "weight": 1}  # "m" is no other edge's id
     node_at = draw(st.integers(0, len(nodes)))
     edge_at = draw(st.integers(0, len(edges)))
@@ -454,6 +484,33 @@ def _documents(draw):
 @settings(max_examples=400, deadline=None)
 def test_column_checks_agree_with_the_record_route(data):
     _assert_routes_agree(data)
+
+
+def test_validate_does_not_check_a_loaded_graph_again(monkeypatch):
+    data = (GOLDENS / "matrix_100n_seed5" / "graph.json").read_bytes()
+    passes = []
+    monkeypatch.setattr(depmat.graph, "_structural_errors", lambda *records: passes.append(records) or ([], []))
+    assert validate(parse_graph(data)).ok and validate(build_graph(*parse_document(data))).ok
+    assert len(passes) == 1  # build_graph's own; none by validate
+
+
+@given(_documents(_RECORD_MUTATIONS).map(parse_document))
+@settings(max_examples=300, deadline=None)
+def test_build_graph_keeps_valid_records_as_its_view_and_rejects_the_rest(document):
+    activities, edges, unit = document
+    errors, loci = depmat.graph._structural_errors(activities, edges)
+    try:
+        g = build_graph(activities, edges, unit=unit)
+    except GraphBuildError as exc:
+        assert exc.issues == tuple(errors) and exc.loci == tuple(loci)
+        return
+    assert not errors
+    assert g.activities == tuple(activities) and g.edges == tuple(edges)
+    restored = pickle.loads(pickle.dumps(g))
+    # the pickle holds only the columns and the unit; the views come from them
+    assert restored.__dict__.keys() == {field.name for field in dataclasses.fields(ActivityGraph)}
+    assert restored.activities == g.activities and restored.edges == g.edges
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_matrix_csv_robot_dependency(robot):

@@ -6,7 +6,6 @@ import depmat.graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
-    ActivityGraph,
     CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
@@ -36,6 +35,14 @@ from oracles import (
 def codes(exc_or_report):
     issues = exc_or_report.issues
     return {i.code for i in issues}
+
+
+def build_issues(activities, edges):
+    """The issues ``build_graph`` rejects the records for: the errors
+    ``validate`` lists for them."""
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph(activities, edges)
+    return exc.value.issues
 
 
 def test_build_robot_fixture(robot):
@@ -109,8 +116,8 @@ def test_build_rejects_a_weight_above_the_bound_at_its_edge():
 )
 def test_validate_reports_an_out_of_bound_weight_without_formatting_it(weight, kind, expected):
     # a weight past the interpreter's digit limit cannot be formatted at all
-    g = ActivityGraph((Activity("v0"), Activity("v1")), (ActivityEdge("x", "v0", "v1", weight, kind),))
-    assert [(i.code, i.message) for i in validate(g).issues] == [expected]
+    issues = build_issues((Activity("v0"), Activity("v1")), (ActivityEdge("x", "v0", "v1", weight, kind),))
+    assert [(i.code, i.message) for i in issues] == [expected]
 
 
 @pytest.mark.parametrize(
@@ -135,8 +142,8 @@ def test_validate_reports_an_out_of_bound_weight_without_formatting_it(weight, k
 )
 def test_validate_names_a_value_that_has_no_text_by_its_type(activities, edges, message, ids):
     # an int past the interpreter's digit limit cannot be formatted at all
-    report = validate(ActivityGraph(activities, edges))
-    assert [(i.message, i.ids) for i in report.issues] == [(message, ids)]
+    issues = build_issues(activities, edges)
+    assert [(i.message, i.ids) for i in issues] == [(message, ids)]
 
 
 def test_build_rejects_nonzero_dummy():
@@ -219,16 +226,14 @@ def test_validate_robot(robot):
 
 
 def test_validate_empty_graph():
-    report = validate(ActivityGraph((), ()))
+    report = validate(build_graph((), ()))
     assert report.ok
     assert report.issues == ()
 
 
 def test_validate_unknown_endpoint_not_ok():
-    g = ActivityGraph((Activity("v0"),), (ActivityEdge("x", "v0", "zz", 1),))
-    report = validate(g)
-    assert not report.ok
-    assert "unknown-endpoint" in {i.code for i in report.errors}
+    issues = build_issues((Activity("v0"),), (ActivityEdge("x", "v0", "zz", 1),))
+    assert "unknown-endpoint" in {i.code for i in issues}
 
 
 @pytest.mark.parametrize(
@@ -241,9 +246,7 @@ def test_validate_unknown_endpoint_not_ok():
     ],
 )
 def test_validate_unhashable_fields_are_issues(activities, edges, code):
-    report = validate(ActivityGraph(activities, edges))
-    assert not report.ok
-    assert code in {i.code for i in report.errors}
+    assert code in {i.code for i in build_issues(activities, edges)}
 
 
 def test_validate_isolated_node():
@@ -459,19 +462,23 @@ def test_views_match_edge_list_reference():
         assert g.dependency_view is g.dependency_view and g.scheduling_view is g.scheduling_view
 
 
-def test_views_drop_undeclared_endpoints():
-    g = ActivityGraph(
-        (Activity("a"), Activity("b")),
-        (
-            ActivityEdge("x", "a", "b", 2),
-            ActivityEdge("y", "a", "zz", 3),
-            ActivityEdge("z", "zz", "b", 4, EDGE_DEPENDENCY_ONLY),
-            ActivityEdge("w", "b", "a", 5, EDGE_DEPENDENCY_ONLY),
-        ),
-    )
-    assert g.dependency_view == [(1,), (0,)]
-    assert g.scheduling_view == ([(1,), ()], [(2,), ()])
-    assert g.scheduling_order == (0, 1)
+def test_build_rejects_every_edge_with_an_undeclared_endpoint():
+    # no column can hold such an edge, so no graph has one
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph(
+            (Activity("a"), Activity("b")),
+            (
+                ActivityEdge("x", "a", "b", 2),
+                ActivityEdge("y", "a", "zz", 3),
+                ActivityEdge("z", "zz", "b", 4, EDGE_DEPENDENCY_ONLY),
+                ActivityEdge("w", "b", "a", 5, EDGE_DEPENDENCY_ONLY),
+            ),
+        )
+    assert [(i.code, i.ids) for i in exc.value.issues] == [
+        ("unknown-endpoint", ("y", "zz")),
+        ("unknown-endpoint", ("z", "zz")),
+    ]
+    assert exc.value.loci == ("edges[1]", "edges[2]")
 
 
 def test_graph_is_immutable(robot):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depmat.graph import Activity, ActivityEdge, build_graph
+from depmat.graph import EDGE_DUMMY, Activity, ActivityEdge, build_graph
 from depmat.matrices import (
     AlreadyClosedError,
     CapacityError,
@@ -115,6 +115,24 @@ def test_adjacency_parallel_edges_take_max():
         [ActivityEdge("x", "m", "n", 4), ActivityEdge("y", "m", "n", 9)],
     )
     assert adjacency_matrix(g).rows == ((0, 9), (0, 0))
+
+
+def test_weight_matrices_match_a_cell_by_cell_reference():
+    # parallel edges in random weight order, so the larger may come first
+    for seed in range(100):
+        rnd = random.Random(seed)
+        base = random_mixed_graph(rnd)
+        extra = [
+            ActivityEdge(f"p{k}", e.tail, e.head, rnd.randint(0, 9), e.kind)
+            for k, e in enumerate(base.edges) if e.kind != EDGE_DUMMY and rnd.random() < 0.5
+        ]
+        g = build_graph(base.activities, rnd.sample([*base.edges, *extra], len(base.edges) + len(extra)))
+        ids = g.node_ids
+        assert adjacency_matrix(g).rows == tuple(
+            tuple(max((e.weight for e in g.edges if (e.tail, e.head) == (v, w)), default=0) for w in ids)
+            for v in ids
+        )
+        assert incidence_matrix(g).rows == tuple(tuple(e.weight if e.tail == v else 0 for e in g.edges) for v in ids)
 
 
 def test_dependency_robot_matches_published_matrix(robot):

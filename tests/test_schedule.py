@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -17,6 +18,7 @@ from depmat.graph import (
     CyclicScheduleError,
     EDGE_DUMMY,
     EDGE_KINDS,
+    GraphBuildError,
     KIND_CRITICAL,
     KIND_NON_CRITICAL,
     SCHEDULING_KINDS,
@@ -46,6 +48,7 @@ from oracles import (
     random_kinded_digraph,
     random_mixed_graph,
     series_diamonds,
+    unchecked_graph,
 )
 
 
@@ -172,9 +175,8 @@ def test_pickle_carries_only_the_form_the_graph_was_built_in(form):
     after = pickle.dumps(g)
     assert len(after) <= len(fresh)
     restored = pickle.loads(after)
-    built = ("activities", "edges") if form == "records" else ("node_ids", "edge_kinds")
-    assert set(built) <= restored.__dict__.keys()
-    assert not {"_schedule", "dependency_view", "dependency_condensation"} & restored.__dict__.keys()
+    # one form whichever way the graph was built: its columns and unit
+    assert restored.__dict__.keys() == {field.name for field in dataclasses.fields(ActivityGraph)}
     assert restored == g
     assert restored.dependency_view == g.dependency_view
     assert restored.scheduling_view == g.scheduling_view
@@ -183,17 +185,16 @@ def test_pickle_carries_only_the_form_the_graph_was_built_in(form):
     assert compute_schedule(restored).paths == compute_schedule(g).paths
 
 
-def test_pickle_of_a_record_built_graph_keeps_an_edge_no_column_holds():
-    # an unvalidated graph's edge to an undeclared node is in no view, so
-    # only the records carry it
-    g = ActivityGraph((Activity("v0"), Activity("v1")), (ActivityEdge("a", "v0", "v1", 1), ActivityEdge("b", "v0", "zz", 2)))
-    assert g.edge_ids == ("a",)
-    restored = pickle.loads(pickle.dumps(g))
-    assert restored.edges == g.edges and restored.edge_ids == ("a",)
+def test_build_rejects_the_edge_no_column_could_hold():
+    # an edge to an undeclared node has no head position, so no graph has one
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph((Activity("v0"), Activity("v1")), (ActivityEdge("a", "v0", "v1", 1), ActivityEdge("b", "v0", "zz", 2)))
+    assert [(i.code, i.message) for i in exc.value.issues] == [("unknown-endpoint", "edge b: unknown node 'zz'")]
+    assert exc.value.loci == ("edges[1]",)
 
 
 def test_schedule_columns_follow_node_ids_when_an_unvalidated_graph_repeats_one():
-    g = ActivityGraph((Activity("a"), Activity("a"), Activity("b")), (ActivityEdge("x", "a", "b", 3),))
+    g = unchecked_graph((Activity("a"), Activity("a"), Activity("b")), (ActivityEdge("x", "a", "b", 3),))
     assert not validate(g).ok
     s = compute_schedule(g)
     assert s.node_earliest == (0, 0, 3) and s.node_slack == (0, 0, 0)
@@ -231,7 +232,7 @@ def test_validate_then_schedule_makes_one_tarjan_pass_per_view(robot, monkeypatc
 
 
 def test_scheduling_self_loop_is_a_cycle():
-    g = ActivityGraph(  # built directly: build_graph rejects the self-loop
+    g = unchecked_graph(  # build_graph rejects the self-loop
         (Activity("a"), Activity("b"), Activity("c")),
         (
             ActivityEdge("x", "a", "b", 2),
@@ -257,7 +258,7 @@ def test_cycle_witness_is_shortest_through_lowest_cyclic_component():
                     kind = rnd.choice(sorted(EDGE_KINDS))
                     weight = 0 if kind == EDGE_DUMMY else rnd.randint(0, 9)
                     edges.append(ActivityEdge(f"e{len(edges)}", tail, head, weight, kind))
-        g = ActivityGraph(tuple(Activity(v) for v in ids), tuple(edges))  # unvalidated
+        g = unchecked_graph([Activity(v) for v in ids], edges)
         succ = graph_succ(g, SCHEDULING_KINDS)
         component = lowest_cyclic_component(ids, succ)
         if component is None:

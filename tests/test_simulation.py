@@ -14,6 +14,7 @@ from depmat.graph import (
     ActivityEdge,
     EDGE_DEPENDENCY_ONLY,
     EDGE_SCHEDULING,
+    GraphBuildError,
     UnknownNodeError,
     build_graph,
     scheduling_subgraph,
@@ -287,13 +288,17 @@ def test_inject_full_detection_equals_affected_set():
 
 def test_inject_matches_reverse_reachability_oracle():
     # cyclic graphs and partial detection: one draw per dependent, node order;
-    # from seed 60 on, unvalidated graphs with dependency-only self-loops and
-    # an edge to an undeclared id, which no walk follows
+    # from seed 60 on, unvalidated graphs with dependency-only self-loops,
+    # whose records plus an edge to an undeclared id build_graph rejects
     for seed in range(120):
         rnd = random.Random(50_000 + seed)
         g = random_mixed_graph(rnd, max_nodes=12)
         if seed >= 60:
-            g = with_self_loops(rnd, g, undeclared_head=True)
+            g = with_self_loops(rnd, g)
+            undeclared = ActivityEdge(f"e{len(g.edges)}", rnd.choice(g.node_ids), "zz", 1, EDGE_DEPENDENCY_ONLY)
+            with pytest.raises(GraphBuildError) as exc:
+                build_graph(g.activities, (*g.edges, undeclared))
+            assert [i.ids for i in exc.value.issues if i.code == "unknown-endpoint"] == [(undeclared.id, "zz")]
         ids = g.node_ids
         succ = graph_succ(g)
         closed = closure_by_powers([[1 if w in succ[v] else 0 for w in ids] for v in ids])
