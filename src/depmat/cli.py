@@ -12,6 +12,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .fileio import (
+    MaskRows,
     Records,
     dumps_json,
     export_dot,
@@ -23,6 +24,7 @@ from .fileio import (
 from .graph import ActivityGraph, GraphBuildError, ValidationReport, build_graph, shown, validate
 from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
+    DependencyMatrix,
     adjacency_matrix,
     dependency_matrix,
     incidence_matrix,
@@ -93,7 +95,11 @@ def cmd_matrix(args) -> int:
             "unit": graph.unit,
             "row_labels": matrix.node_ids,
             "col_labels": matrix.edge_ids if args.kind == "incidence" else matrix.node_ids,
-            "rows": matrix.rows,
+            "rows": (
+                MaskRows(matrix.masks, len(matrix.node_ids))
+                if isinstance(matrix, DependencyMatrix)
+                else matrix.rows
+            ),
         }
         if args.kind == "closure":
             payload["closed"] = True

@@ -23,7 +23,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
 from operator import eq, itemgetter
 from types import SimpleNamespace
@@ -294,6 +294,16 @@ _COLUMN_RENDERERS = {str: encode_basestring, int: int.__repr__, bool: {True: "tr
 
 
 @dataclass(frozen=True)
+class MaskRows:
+    """Rows of 0/1 cells given as packed masks: ``dumps_json`` renders it as
+    the list of ``width``-cell rows whose cell j is bit j of each mask. Every
+    mask is in ``range(1 << width)``, as a ``DependencyMatrix`` keeps it."""
+
+    masks: Sequence[int]
+    width: int
+
+
+@dataclass(frozen=True)
 class Records:
     """A list of records given as column data: ``dumps_json`` renders it as
     the list ``[dict(zip(keys, row)) for row in zip(*columns)]``."""
@@ -315,7 +325,8 @@ def dumps_json(obj) -> str:
     because ``obj`` keeps every tuple alive, so no id is reused, and a
     tuple of scalars cannot change.
 
-    ``obj`` may hold ``Records``. A list whose columns each hold one type
+    ``obj`` may hold ``MaskRows``, each row written from its mask's digits
+    (``_digit_rows``), and ``Records``. A list whose columns each hold one type
     among str, int and bool is rendered into one ``%`` template built from
     its keys, each column by one C-level ``map``; any other list as its
     records' dicts. That is exact because every record has the keys of
@@ -333,6 +344,9 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 
 def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
+    if type(obj) is MaskRows:
+        _append_mask_rows(obj, depth, chunks)
+        return
     if type(obj) is Records:
         _append_records(obj, depth, chunks, rendered)
         return
@@ -400,6 +414,18 @@ def _append_records(records: Records, depth: int, chunks: list[str], rendered: d
     chunks += (outer, "]")
 
 
+def _append_mask_rows(rows: MaskRows, depth: int, chunks: list[str]) -> None:
+    if not (rows.masks and rows.width):  # no rows, or rows of no cells
+        _append_json([[]] * len(rows.masks), depth, chunks, {})
+        return
+    inner, lead = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    texts = _digit_rows(rows.masks, rows.width, "," + lead, "[" + lead, inner + "]")
+    # one chunk per row, as for Records
+    chunks += ("[", inner, next(texts))
+    chunks += chain.from_iterable(zip(repeat("," + inner), texts))
+    chunks += ("\n" + "  " * depth, "]")
+
+
 def _json_key(key) -> str:
     """``key`` as a quoted JSON object key. ``json`` quotes the scalar form
     of a float, int, bool or None key and rejects any other type."""
@@ -413,7 +439,8 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     first column.
 
     ``csv.writer`` renders the header and quotes every label; the cells are
-    bare integers, so each row's cells are one ``join``.
+    bare integers, so each row's cells are one ``join``, or for a
+    dependency matrix its mask's digits (``_digit_rows``).
     """
     row_labels, col_labels = _matrix_labels(matrix)
     written: list[str] = []
@@ -423,10 +450,36 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     # the comma before its cells; with no columns it stands alone, where
     # the writer renders an empty label as '""'.
     rest = ("",) if col_labels else ()
-    for label, row in zip(row_labels, _cell_rows(matrix)):
+    if isinstance(matrix, DependencyMatrix):
+        rows = _digit_rows(matrix.masks, len(col_labels), ",", tail="\n")
+    else:
+        rows = (",".join(row) + "\n" for row in _cell_rows(matrix))
+    for label, row in zip(row_labels, rows):
         writer.writerow((label, *rest))
-        written[-1] = written[-1][:-1] + ",".join(row) + "\n"
+        written[-1] = written[-1][:-1] + row
     return "".join(written)
+
+
+def _digit_rows(masks: Sequence[int], width: int, separator: str, head: str = "", tail: str = "") -> Iterator[str]:
+    """Per mask, ``head``, its low ``width`` bits as 0/1 digits, least
+    significant first, ``separator`` between them, then ``tail``. All
+    three are ASCII; each mask is in ``range(1 << width)``, and there is
+    none when ``width`` is 0.
+
+    The digits of each row go into one reused template with one strided
+    slice assignment, so a row costs a few C calls, whatever its width:
+    ``format`` writes the ``width`` digits most significant first, and the
+    slice walks the cells from the last to the first."""
+    template = bytearray((head + separator.join("0" * width) + tail).encode("ascii"))
+    stride = 1 + len(separator)
+    cells = slice(len(head) + (width - 1) * stride, len(head) - 1 if head else None, -stride)
+    digits = f"0{width}b"
+
+    def row(mask: int) -> str:
+        template[cells] = format(mask, digits).encode("ascii")
+        return template.decode("ascii")
+
+    return map(row, masks)
 
 
 def matrix_text(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:

@@ -65,8 +65,10 @@ class DependencyMatrix:
     the node lies on a cycle.
 
     Rows are stored packed: bit j of ``masks[i]`` is entry (i, j). The
-    constructor packs explicit rows (any truthy cell is a 1); ``rows``
-    unpacks them again, once, for callers that want int tuples.
+    constructor packs explicit rows (any truthy cell is a 1); ``from_masks``
+    takes packed rows, each in ``range(1 << n)``. The CSV and JSON renderers
+    read the masks; ``rows`` unpacks them, once, only for library callers
+    that want int tuples.
     """
 
     node_ids: tuple[str, ...]
@@ -82,12 +84,16 @@ class DependencyMatrix:
 
     @classmethod
     def from_masks(cls, node_ids, masks: tuple[int, ...], closed: bool = False) -> DependencyMatrix:
-        """A matrix over already packed rows, taken as they are."""
+        """A matrix over already packed rows: one per node, none negative
+        and none with a bit at or above the node count."""
         matrix = cls.__new__(cls)
         matrix._fill(node_ids, masks, closed)
         return matrix
 
     def _fill(self, node_ids, masks, closed) -> None:
+        n = len(node_ids)
+        if len(masks) != n or masks and not (0 <= min(masks) and max(masks) >> n == 0):
+            raise DimensionMismatchError(f"dependency matrix masks must be {n} rows of {n} bits")
         object.__setattr__(self, "node_ids", node_ids)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "closed", closed)

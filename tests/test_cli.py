@@ -30,7 +30,7 @@ from depmat.graph import (
     build_graph,
     shown,
 )
-from depmat.matrices import MAX_DENSE_NODES, CapacityError
+from depmat.matrices import MAX_DENSE_NODES, CapacityError, DependencyMatrix
 from depmat.schedule import EmptyGraphError, classify_activities, compute_schedule
 from depmat.simulation import GeneratorParams, InvalidParamsError, generate_graph
 
@@ -559,10 +559,12 @@ def test_simulate_above_dense_cap(capsys):
 
 def test_matrix_above_dense_cap_exits_2(capsys, above_dense_cap):
     _, path = above_dense_cap
-    code, out, err = run(capsys, "matrix", path)
-    assert code == 2
-    assert out == ""
-    assert f"capped at {MAX_DENSE_NODES}" in err
+    for kind in ("incidence", "adjacency", "dependency", "closure"):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run(capsys, "matrix", path, "--kind", kind, "--format", fmt)
+            assert code == 2, (kind, fmt)
+            assert out == ""
+            assert f"capped at {MAX_DENSE_NODES}" in err
 
 
 @pytest.fixture(scope="module")
@@ -768,6 +770,23 @@ _MATRIX_SUFFIX = {"text": "txt", "csv": "csv", "json": "json"}
 def test_matrix_output_matches_golden(capsys, kind, fmt):
     """A generated 100-node graph with feedback cycles (two strongly
     connected components of 7 and 3 nodes), every matrix kind and format."""
+    code, out, err = run(
+        capsys, "matrix", str(MATRIX_GOLDENS / "graph.json"), "--kind", kind, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (MATRIX_GOLDENS / f"{kind}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["dependency", "closure"])
+def test_matrix_renders_dependency_rows_from_masks(capsys, monkeypatch, kind, fmt):
+    """CSV and JSON read the packed masks; unpacking ``rows`` would be an
+    n x n detour, so here it raises rather than let a fallback pass."""
+
+    def unpacked(matrix):
+        raise AssertionError("DependencyMatrix.rows computed")
+
+    monkeypatch.setattr(DependencyMatrix, "rows", property(unpacked))
     code, out, err = run(
         capsys, "matrix", str(MATRIX_GOLDENS / "graph.json"), "--kind", kind, "--format", fmt
     )

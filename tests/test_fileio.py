@@ -6,12 +6,13 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import depmat.graph
 from depmat import fileio
 from depmat.fileio import (
+    MaskRows,
     ParseError,
     Records,
     SchemaError,
@@ -598,6 +599,49 @@ def test_matrix_csv_matches_csv_writer_on_generated_graphs(builder):
         if builder is dependency_matrix:
             closed = transitive_closure(matrix)
             assert matrix_csv(closed) == csv_writer_reference(closed)
+
+
+_EDGE_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 70)
+
+
+@st.composite
+def _width_and_masks(draw, square: bool):
+    """A width of 0-70 cells and masks of at most that many bits, each
+    all zeros, all ones or any: ``width`` of them when ``square``."""
+    width = draw(st.one_of(st.sampled_from(_EDGE_WIDTHS), st.integers(0, 70)))
+    full = (1 << width) - 1
+    mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    size = {"min_size": width, "max_size": width} if square else {"max_size": 6}
+    return width, draw(st.lists(mask, **size))
+
+
+@given(_width_and_masks(square=True))
+@example((0, []))
+@example((1, [1]))
+@example((64, [0] * 64))
+@example((65, [(1 << 65) - 1] * 65))
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_from_masks_matches_csv_writer(width_and_masks):
+    width, masks = width_and_masks
+    labels = tuple(AWKWARD_LABELS[i] if i < len(AWKWARD_LABELS) else f"n{i}" for i in range(width))
+    for closed in (False, True):
+        matrix = DependencyMatrix.from_masks(labels, tuple(masks), closed=closed)
+        assert matrix_csv(matrix) == csv_writer_reference(matrix)
+
+
+@given(_width_and_masks(square=False), st.lists(st.booleans(), max_size=3))
+@example((0, [0, 0]), [])
+@example((1, [0, 1]), [True])
+@example((63, [(1 << 63) - 1, 0]), [False, True])
+@example((64, [1 << 63]), [True, True, True])
+@settings(max_examples=200, deadline=None)
+def test_dumps_json_renders_mask_rows_as_their_digit_lists(width_and_masks, wrappers):
+    width, masks = width_and_masks
+    value = MaskRows(tuple(masks), width)
+    expected = [[mask >> j & 1 for j in range(width)] for mask in masks]
+    for in_list in wrappers:  # at depth 0 to 3, under a list or a dict key
+        value, expected = ([value], [expected]) if in_list else ({"rows": value}, {"rows": expected})
+    assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
 
 
 def text_reference(matrix):

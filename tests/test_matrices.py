@@ -357,6 +357,21 @@ def test_non_square_rows_are_rejected():
         DependencyMatrix(("a", "b"), ((0, 1), (0, 1, 0)))
 
 
+@pytest.mark.parametrize(
+    "masks",
+    [(0b111, -1), (0b100, 0), (0, -1), (1 << 70, 0), (0,), (0, 0, 0)],
+    ids=["wide-and-negative", "bit-at-n", "negative", "far-bit", "too-few", "too-many"],
+)
+def test_from_masks_rejects_masks_that_are_not_n_rows_of_n_bits(masks):
+    with pytest.raises(DimensionMismatchError):
+        DependencyMatrix.from_masks(("a", "b"), masks)
+
+
+def test_from_masks_takes_every_row_of_n_bits():
+    assert DependencyMatrix.from_masks(("a", "b"), (0b11, 0b10)).rows == ((1, 1), (0, 1))
+    assert DependencyMatrix.from_masks((), ()).rows == ()
+
+
 def test_closure_of_a_self_loop_marks_the_diagonal():
     closed = transitive_closure(rows_to_matrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]]))
     assert closed.rows == ((1, 1, 0), (0, 0, 0), (0, 0, 0))
