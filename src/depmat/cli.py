@@ -45,11 +45,6 @@ def _emit_json(payload: dict) -> None:
     print(dumps_json(payload))
 
 
-def _records(items: Sequence, fields: tuple[str, ...]) -> Records:
-    """``items`` as the JSON list of their ``fields``, one column per field."""
-    return Records(fields, [list(map(attrgetter(name), items)) for name in fields])
-
-
 def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
     """Left-aligned columns two spaces apart, each as wide as its widest cell."""
     widths = [max(map(len, column)) for column in zip(header, *rows)]
@@ -64,12 +59,9 @@ def cmd_validate(args) -> int:
     except GraphBuildError as exc:  # the errors validate would list
         report = ValidationReport(exc.issues)
     if args.format == "json":
-        _emit_json(
-            {
-                "ok": report.ok,
-                "issues": _records(report.issues, ("severity", "code", "message", "ids")),
-            }
-        )
+        fields = ("severity", "code", "message", "ids")
+        issues = Records(fields, [list(map(attrgetter(name), report.issues)) for name in fields])
+        _emit_json({"ok": report.ok, "issues": issues})
     else:
         for issue in report.issues:
             print(f"{issue.severity}: {issue.message}")
@@ -143,13 +135,15 @@ def cmd_localize(args) -> int:
     graph = _load(args.file)
     symptoms = [s for s in args.symptoms.split(",") if s]
     report = localize(graph, symptoms, view=_VIEWS[args.view])
+    nodes = [graph.node_ids[v] for v in report.ranked]
     if args.format == "json":
         _emit_json(
             {
                 "view": report.view,
                 "symptoms": report.symptoms,
-                "candidates": _records(
-                    report.candidates, ("node", "explains", "is_critical", "min_distance", "scc")
+                "candidates": Records(
+                    ("node", "explains", "is_critical", "min_distance", "scc"),
+                    (nodes, report.explains, report.critical, report.distances, report.sccs),
                 ),
                 "independent": report.independent,
                 "nodes_examined": report.nodes_examined,
@@ -161,16 +155,10 @@ def cmd_localize(args) -> int:
     print(f"view: {report.view}")
     print("symptoms: " + ", ".join(report.symptoms))
     header = ("rank", "node", "explains", "critical", "distance", "scc")
+    columns = zip(nodes, report.masks, report.critical, report.distances, report.sccs)
     table = [
-        (
-            str(rank),
-            c.node,
-            str(len(c.explains)),
-            "yes" if c.is_critical else "no",
-            str(c.min_distance),
-            str(c.scc),
-        )
-        for rank, c in enumerate(report.candidates, start=1)
+        (str(rank), node, str(mask.bit_count()), "yes" if critical else "no", str(distance), str(scc))
+        for rank, (node, mask, critical, distance, scc) in enumerate(columns, start=1)
     ]
     _print_table(header, table)
     print("independent: " + (", ".join(report.independent) or "(none)"))

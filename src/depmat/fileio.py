@@ -41,6 +41,7 @@ from .graph import (
     GraphBuildError,
     ID_PATTERN,
     KIND_AUTO,
+    LONE_SURROGATE,
     MAX_WEIGHT,
     NODE_KINDS,
     build_graph,
@@ -55,8 +56,6 @@ FORMAT_VERSION = 1
 _DOCUMENT_FIELDS = {"format_version", "unit", "nodes", "edges"}
 _NODE_FIELDS = {"id", "label", "kind"}
 _EDGE_FIELDS = {"id", "from", "to", "weight", "kind"}
-# a lone surrogate decodes from a JSON escape but has no UTF-8 encoding
-_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -129,7 +128,7 @@ def _decode(data: bytes | str) -> tuple[dict, str]:
     unit = doc.get("unit", "ms")
     if not isinstance(unit, str) or not unit:
         raise SchemaError("unit must be a non-empty string", "unit")
-    if _LONE_SURROGATE.search(unit):
+    if LONE_SURROGATE.search(unit):
         raise SchemaError("unit must not contain a lone surrogate", "unit")
     return doc, unit
 
@@ -188,7 +187,7 @@ def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:
             and all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
             and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
             and {str, type(None)}.issuperset(map(type, labels))
-            and not _LONE_SURROGATE.search("".join(filter(None, labels)))
+            and not LONE_SURROGATE.search("".join(filter(None, labels)))
             and NODE_KINDS.issuperset(node_kinds)
             and None not in tails and None not in heads  # an undeclared or non-string endpoint
             and not any(map(eq, tails, heads))
@@ -233,7 +232,7 @@ def _parse_node(item, i: int) -> Activity:
     label = item.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError("label must be a string", f"nodes[{i}].label")
-    if label is not None and _LONE_SURROGATE.search(label):
+    if label is not None and LONE_SURROGATE.search(label):
         raise SchemaError("label must not contain a lone surrogate", f"nodes[{i}].label")
     kind = item.get("kind", KIND_AUTO)
     if not isinstance(kind, str) or kind not in NODE_KINDS:
@@ -319,21 +318,18 @@ def dumps_json(obj) -> str:
     Here each container whose values are all scalars is one C call whose
     item separator carries the newline and indentation.
 
-    A tuple of scalars that appears more than once at one depth (say, the
-    ``explains`` set that many localization candidates share) is rendered
-    once per call: its text is kept by ``(id, depth)``. That is exact
-    because ``obj`` keeps every tuple alive, so no id is reused, and a
-    tuple of scalars cannot change.
-
     ``obj`` may hold ``MaskRows``, each row written from its mask's digits
     (``_digit_rows``), and ``Records``. A list whose columns each hold one type
-    among str, int and bool is rendered into one ``%`` template built from
-    its keys, each column by one C-level ``map``; any other list as its
-    records' dicts. That is exact because every record has the keys of
-    ``dict(zip(keys, columns))`` in that order, and ``json`` renders a
-    value alike wherever it stands at one depth."""
+    among str, int and bool, or hold only tuples of scalars, is rendered
+    into one ``%`` template built from its keys, each column by one C-level
+    ``map``; any other list as its records' dicts. The template is cut at
+    each tuple column, whose distinct tuples (by id: ``obj`` keeps them
+    alive) are rendered once each and stay chunks of their own. That is
+    exact because every record has the keys of ``dict(zip(keys, columns))``
+    in that order, and ``json`` renders a value alike wherever it stands at
+    one depth."""
     chunks: list[str] = []
-    _append_json(obj, 0, chunks, {})
+    _append_json(obj, 0, chunks)
     return "".join(chunks)
 
 
@@ -343,15 +339,12 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
 
 
-def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
+def _append_json(obj, depth: int, chunks: list[str]) -> None:
     if type(obj) is MaskRows:
         _append_mask_rows(obj, depth, chunks)
         return
     if type(obj) is Records:
-        _append_records(obj, depth, chunks, rendered)
-        return
-    if type(obj) is tuple and (id(obj), depth) in rendered:
-        chunks += rendered[id(obj), depth]
+        _append_records(obj, depth, chunks)
         return
     if isinstance(obj, dict):
         values, opening, closing = obj.values(), "{", "}"
@@ -372,11 +365,7 @@ def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
     if _SCALAR_TYPES.issuperset(map(type, values)):
-        text = _encoder(depth + 1).encode(obj)
-        pieces = (opening, inner, text[1:-1], outer, closing)
-        if type(obj) is tuple:
-            rendered[id(obj), depth] = pieces
-        chunks += pieces
+        chunks += (opening, inner, _encoder(depth + 1).encode(obj)[1:-1], outer, closing)
         return
     chunks.append(opening)
     lead = inner
@@ -384,39 +373,64 @@ def _append_json(obj, depth: int, chunks: list[str], rendered: dict) -> None:
         for key, value in obj.items():
             chunks += (lead, _json_key(key), ": ")
             lead = "," + inner
-            _append_json(value, depth + 1, chunks, rendered)
+            _append_json(value, depth + 1, chunks)
     else:
         for value in obj:
             chunks.append(lead)
             lead = "," + inner
-            _append_json(value, depth + 1, chunks, rendered)
+            _append_json(value, depth + 1, chunks)
     chunks += (outer, closing)
 
 
-def _append_records(records: Records, depth: int, chunks: list[str], rendered: dict) -> None:
+def _append_records(records: Records, depth: int, chunks: list[str]) -> None:
     count = min(map(len, records.columns), default=0)  # the rows zip(*columns) yields
     fields = dict(zip(records.keys, records.columns))
     columns = [column[:count] for column in fields.values()]
-    kinds = [set(map(type, column)) for column in columns]
-    renders = [_COLUMN_RENDERERS.get(k.pop()) if len(k) == 1 else None for k in kinds]
-    if None in renders or not renders:  # no rows or keys, or a column of other types
-        # as each record's dict: a long nested value (localize's explains) stays
-        # in chunks, where a text per value would copy it twice more
-        _append_json([dict(zip(records.keys, row)) for row in zip(*records.columns)], depth, chunks, rendered)
+    texts = [_column_texts(column, depth + 2) for column in columns]
+    if None in texts or not texts:  # no rows or keys, or a column of other types
+        _append_json([dict(zip(records.keys, row)) for row in zip(*records.columns)], depth, chunks)
         return
-    lead, inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    keys = [_json_key(key).replace("%", "%%") + ": %s" for key in fields]
-    template = "{" + lead + ("," + lead).join(keys) + inner + "}"
-    rows = zip(*map(map, renders, columns))
-    # one chunk per record: joining them here first would copy the list's text once more
-    chunks += ("[", inner, template % next(rows))
-    chunks += map(("," + inner + template).__mod__, rows)
-    chunks += (outer, "]")
+    lead, inner = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+    # Each record, comma-led, as the pieces of a template cut at each tuple
+    # column, whose text is a piece of its own. One chunk per piece: joining
+    # them here first would copy the list's text once more.
+    pieces, values, template = [], [], "," + inner + "{"
+    for n, (key, column, text) in enumerate(zip(fields, columns, texts)):
+        template += ("," if n else "") + lead + _json_key(key).replace("%", "%%") + ": "
+        if type(column[0]) is tuple:
+            pieces += (map(template.__mod__, zip(*values) if values else repeat((), count)), text)
+            template, values = "", []
+        else:
+            template, values = template + "%s", values + [text]
+    template += inner + "}"
+    pieces.append(map(template.__mod__, zip(*values) if values else repeat((), count)))
+    chunks.append("[")
+    first = len(chunks)
+    chunks += pieces[0] if len(pieces) == 1 else chain.from_iterable(zip(*pieces))
+    chunks[first] = chunks[first][1:]  # no comma before the first record
+    chunks += ("\n" + "  " * depth, "]")
+
+
+def _column_texts(column: Sequence, depth: int) -> Iterator[str] | None:
+    """Each value's JSON text at ``depth`` when all are of one type among
+    str, int and bool, or all are tuples of scalars, each distinct one
+    rendered once; else None."""
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is not tuple:
+        return map(_COLUMN_RENDERERS[kind], column) if kind in _COLUMN_RENDERERS else None
+    distinct = {id(value): value for value in column}
+    if not _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(distinct.values()))):
+        return None
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    texts = {key: "[" + inner + _encoder(depth + 1).encode(value)[1:-1] + outer + "]" if value else "[]"
+             for key, value in distinct.items()}
+    return map(texts.__getitem__, map(id, column))
 
 
 def _append_mask_rows(rows: MaskRows, depth: int, chunks: list[str]) -> None:
     if not (rows.masks and rows.width):  # no rows, or rows of no cells
-        _append_json([[]] * len(rows.masks), depth, chunks, {})
+        _append_json([[]] * len(rows.masks), depth, chunks)
         return
     inner, lead = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
     texts = _digit_rows(rows.masks, rows.width, "," + lead, "[" + lead, inner + "]")

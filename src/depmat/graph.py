@@ -36,6 +36,8 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+# a lone surrogate decodes from a JSON escape but has no UTF-8 encoding
+LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 KIND_AUTO = "auto"
 KIND_CRITICAL = "critical"
@@ -82,8 +84,8 @@ class ValidationReport:
 
 class GraphBuildError(ValueError):
     """Graph construction rejected; carries every error-severity issue, the
-    ``nodes[i]`` or ``edges[i]`` locus of each, and ``more``: `` (+N more)``
-    after the first of several issues, or empty."""
+    ``nodes[i]``, ``edges[i]`` or ``unit`` locus of each, and ``more``:
+    `` (+N more)`` after the first of several issues, or empty."""
 
     def __init__(self, issues: Iterable[ValidationIssue], loci: Iterable[str] = ()):
         self.issues = tuple(issues)
@@ -258,10 +260,11 @@ def build_graph(
     unit: str = "ms",
 ) -> ActivityGraph:
     """The graph of the records, kept as its ``activities`` and ``edges``
-    view (order preserved); raises GraphBuildError on any structural error.
-    The graph holds that it has none, so ``validate`` does not look again."""
+    view (order preserved); raises GraphBuildError on any structural error
+    and on any label or unit that a graph file cannot carry. The graph
+    holds that it has none, so ``validate`` does not look again."""
     activities, edges = tuple(activities), tuple(edges)
-    errors, loci = _structural_errors(activities, edges)
+    errors, loci = _structural_errors(activities, edges, unit)
     if errors:
         raise GraphBuildError(errors, loci)
     nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
@@ -273,15 +276,23 @@ def build_graph(
     return graph
 
 
-def _structural_errors(activities: Sequence[Activity], edges: Sequence[ActivityEdge]) -> tuple[list, list[str]]:
-    """Every structural error of the records and, in a parallel list, the
-    item it is on; a duplicate id is on its later copy."""
+def _structural_errors(
+    activities: Sequence[Activity], edges: Sequence[ActivityEdge], unit: str
+) -> tuple[list, list[str]]:
+    """Every structural error of the records, and every label or unit that
+    a graph file cannot carry, and, in a parallel list, the item it is on
+    (or ``unit``); a duplicate id is on its later copy."""
     issues: list[ValidationIssue] = []
     loci: list[str] = []
 
-    def err(code: str, message: str, *ids: str) -> None:
+    def err(code: str, message: str, *ids: str, locus: str = "") -> None:
         issues.append(ValidationIssue(SEVERITY_ERROR, code, message, tuple(ids)))
-        loci.append(f"{array}[{i}]")  # the item the loops below are checking
+        loci.append(locus or f"{array}[{i}]")  # the item the loops below are checking
+
+    if not isinstance(unit, str) or not unit:
+        err("invalid-unit", "unit must be a non-empty string", locus="unit")
+    elif LONE_SURROGATE.search(unit):
+        err("invalid-unit", "unit must not contain a lone surrogate", locus="unit")
 
     array = "nodes"
     seen_nodes: set[str] = set()
@@ -294,6 +305,10 @@ def _structural_errors(activities: Sequence[Activity], edges: Sequence[ActivityE
             seen_nodes.add(a.id)
         if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
             err("invalid-kind", f"activity {_named(a.id)}: unknown kind {_named(a.declared_kind, repr)}", a.id)
+        if not isinstance(a.label, (str, type(None))):
+            err("invalid-label", f"activity {_named(a.id)}: label must be a string", a.id)
+        elif a.label and LONE_SURROGATE.search(a.label):
+            err("invalid-label", f"activity {_named(a.id)}: label must not contain a lone surrogate", a.id)
 
     declared = {a.id for a in activities if isinstance(a.id, str)}
     array = "edges"
@@ -334,7 +349,7 @@ def validate(g: ActivityGraph) -> ValidationReport:
     """Every structural error of the graph's records or, when there is
     none, every advisory warning (never raises). A graph from
     ``build_graph`` or ``parse_graph`` holds that it has none."""
-    errors = [] if g.__dict__.get("_checked") else _structural_errors(g.activities, g.edges)[0]
+    errors = [] if g.__dict__.get("_checked") else _structural_errors(g.activities, g.edges, g.unit)[0]
     return ValidationReport(tuple(errors) if errors else tuple(_warnings(g)))
 
 

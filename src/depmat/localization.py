@@ -12,18 +12,21 @@ sit on the matrix diagonal.
 ``localize`` works on the adjacency lists, never on a dense matrix:
 the view's condensation, which the graph keeps for either view, gives the
 component ids and, by one ``push`` of the symptoms, each node's explained
-symptoms; one multi-source BFS gives the hop distances, and candidates
-are ranked as positions. It runs in O(n + m) set operations plus the size
-of its output, in which candidates that explain the same symptoms share
-one ``explains`` tuple. ``candidate_set`` and ``independent_faults``
-answer the same questions from an explicit closure matrix;
-``independent_faults`` reads each symptom row once.
+symptoms as a bitmask; one multi-source BFS gives the hop distances, and
+candidates are ranked as positions. The report keeps its candidates as
+columns in rank order, masks included, so it runs in O(n + m) set
+operations on the masks; the ``explains`` tuples (one per distinct mask)
+and the ``Candidate`` records are built only when read.
+``candidate_set`` and ``independent_faults`` answer the same questions
+from an explicit closure matrix; ``independent_faults`` reads each
+symptom row once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL
@@ -56,12 +59,33 @@ class Candidate:
 
 @dataclass(frozen=True)
 class LocalizationReport:
+    """The candidates are columns in rank order: ``ranked`` their node
+    positions, ``masks`` their explained symptoms (bit i for
+    ``symptoms[i]``), then ``critical``, ``distances`` and ``sccs``; the
+    ``explains`` and ``candidates`` views are built on first read."""
+
     symptoms: tuple[str, ...]
-    candidates: tuple[Candidate, ...]
+    ranked: tuple[int, ...]
+    masks: tuple[int, ...]
+    critical: tuple[bool, ...]
+    distances: tuple[int, ...]
+    sccs: tuple[int, ...]
     independent: tuple[str, ...]
     nodes_examined: int
     view: str
     node_ids: tuple[str, ...]
+
+    @cached_property
+    def explains(self) -> tuple[tuple[str, ...], ...]:
+        """Per candidate, the symptoms it explains: one tuple per distinct
+        mask, shared by every candidate with that mask."""
+        explained = {mask: tuple(compress(self.symptoms, unpack_mask(mask))) for mask in set(self.masks)}
+        return tuple(map(explained.__getitem__, self.masks))
+
+    @cached_property
+    def candidates(self) -> tuple[Candidate, ...]:
+        nodes = map(self.node_ids.__getitem__, self.ranked)
+        return tuple(map(Candidate, nodes, self.explains, self.critical, self.distances, self.sccs))
 
 
 @dataclass(frozen=True)
@@ -161,7 +185,6 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
         raise ValueError(f"unknown view: {view!r}")
     ordered, sources = _symptom_positions(g, symptoms)
 
-    ids = g.node_ids
     cond = g.dependency_condensation if view == VIEW_ALL else g.scheduling_condensation
 
     try:
@@ -173,16 +196,10 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
 
     masks = cond.push(sources)
     hops = _hops_from_nearest(cond.succ, sources)
-    # Upstream nodes mostly share a mask: unpack each distinct one once.
-    explained = {mask: tuple(compress(ordered, unpack_mask(mask))) for mask in set(masks)}
-
-    ranked = sorted(  # by RANK_KEYS, which cli prints as the policy
+    ranked = tuple(sorted(  # by RANK_KEYS, which cli prints as the policy
         (v for v, mask in enumerate(masks) if mask),
         key=lambda v: (-masks[v].bit_count(), not critical[v], hops[v], v),
-    )
-    candidates = tuple(
-        Candidate(ids[v], explained[masks[v]], critical[v], hops[v], cond.component_of[v]) for v in ranked
-    )
+    ))
     independent = tuple(  # a self-loop on s still leaves its candidate set {s}
         s for bit, (s, v) in enumerate(zip(ordered, sources))
         if masks[v] == 1 << bit and all(w == v for w in cond.succ[v])
@@ -190,11 +207,15 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
     examined = sum(1 for v, mask in enumerate(masks) if mask or critical[v])
     return LocalizationReport(
         symptoms=ordered,
-        candidates=candidates,
+        ranked=ranked,
+        masks=tuple(map(masks.__getitem__, ranked)),
+        critical=tuple(map(critical.__getitem__, ranked)),
+        distances=tuple(map(hops.__getitem__, ranked)),
+        sccs=tuple(map(cond.component_of.__getitem__, ranked)),
         independent=independent,
         nodes_examined=examined,
         view=view,
-        node_ids=ids,
+        node_ids=g.node_ids,
     )
 
 
@@ -209,7 +230,7 @@ def annotate_matrix(d: DependencyMatrix, report: LocalizationReport) -> Annotate
             "matrix nodes do not match the report's graph: "
             f"{len(d.node_ids)} vs {len(report.node_ids)}"
         )
-    candidate_nodes = {c.node for c in report.candidates}
+    candidate_nodes = {report.node_ids[v] for v in report.ranked}
     suspects: list[tuple[str, str]] = []
     for s in report.symptoms:
         row = d.masks[d.position(s)]

@@ -290,11 +290,11 @@ def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
     """Localize the scenario's symptoms (all-edges view) and compare the
     examined-node cost against the exhaustive baseline."""
     report = localize(g, scenario.symptoms, view=VIEW_ALL)
-    ranked = [c.node for c in report.candidates]
-    hit = scenario.root in ranked
+    ranked, root = report.ranked, g.position(scenario.root)
+    hit = root in ranked
     return TrialMetrics(
         candidates=len(ranked),
-        root_rank=ranked.index(scenario.root) + 1 if hit else 0,
+        root_rank=ranked.index(root) + 1 if hit else 0,
         examined_localizer=report.nodes_examined,
         examined_baseline=len(g.node_ids),
         hit=hit,

@@ -161,9 +161,9 @@ def test_validate_checks_the_structure_once(path, capsys, monkeypatch):
     passes = []
     check = depmat.graph._structural_errors
 
-    def counting(activities, edges):
+    def counting(activities, edges, unit):
         passes.append(len(activities))
-        return check(activities, edges)
+        return check(activities, edges, unit)
 
     monkeypatch.setattr(depmat.graph, "_structural_errors", counting)
     code, _, _ = run(capsys, "validate", path)

@@ -4,6 +4,7 @@ import io
 import json
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -487,6 +488,35 @@ def test_column_checks_agree_with_the_record_route(data):
     _assert_routes_agree(data)
 
 
+_texts = st.text(st.one_of(st.characters(), st.sampled_from("\ud800\udc00\udfff")), max_size=4)
+
+
+@st.composite
+def _graph_records(draw):
+    """Activities, edges and a unit with arbitrary labels and units (any
+    text, lone surrogates included, or a value that is not a string)."""
+    labels = st.one_of(st.none(), _texts, st.integers(), st.booleans())
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4))
+    activities = [Activity(i, draw(labels), draw(st.sampled_from(sorted(NODE_KINDS)))) for i in ids]
+    ends = st.sampled_from(ids or ["a"])
+    edges = [
+        ActivityEdge(f"e{k}", draw(ends), draw(ends), draw(st.integers(0, 3)), draw(st.sampled_from(sorted(EDGE_KINDS))))
+        for k in range(draw(st.integers(0, 4)))
+    ]
+    return activities, edges, draw(st.one_of(_texts, st.integers(), st.none()))
+
+
+@given(_graph_records())
+@settings(max_examples=300, deadline=None)
+def test_a_graph_validate_accepts_round_trips(records):
+    try:
+        g = build_graph(*records)
+    except GraphBuildError:
+        return
+    if validate(g).ok:
+        assert parse_graph(serialize_graph(g)) == g
+
+
 def test_validate_does_not_check_a_loaded_graph_again(monkeypatch):
     data = (GOLDENS / "matrix_100n_seed5" / "graph.json").read_bytes()
     passes = []
@@ -499,7 +529,7 @@ def test_validate_does_not_check_a_loaded_graph_again(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_build_graph_keeps_valid_records_as_its_view_and_rejects_the_rest(document):
     activities, edges, unit = document
-    errors, loci = depmat.graph._structural_errors(activities, edges)
+    errors, loci = depmat.graph._structural_errors(activities, edges, unit)
     try:
         g = build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
@@ -831,6 +861,60 @@ def test_dumps_json_renders_records_as_their_list_of_dicts(records):
         ([records, 0, [records]], [listed, 0, [listed]]),
     ):
         assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
+
+
+_tuple_members = st.one_of(_json_text, st.integers(), st.booleans())
+
+
+@st.composite
+def _tuple_column_records(draw):
+    """Records of 0-5 rows with one or more columns of tuples of str, int
+    and bool, some empty, some one object recurring in several rows; the
+    other columns are of one scalar type. With ``nested``, one tuple holds a
+    list. A column may be one row longer."""
+    pool = draw(st.lists(st.lists(_tuple_members, max_size=3).map(tuple), min_size=1, max_size=3))
+    tuples = st.one_of(st.sampled_from(pool), st.lists(_tuple_members, max_size=3).map(tuple))
+    keys = draw(st.lists(_record_keys, min_size=1, max_size=5))
+    at = draw(st.sets(st.integers(0, len(keys) - 1), min_size=1))
+    rows = draw(st.integers(0, 5))
+    scalars = st.sampled_from([st.integers(), st.booleans(), _json_text])
+    columns = [
+        draw(st.lists(tuples if i in at else draw(scalars), min_size=rows, max_size=rows + 1)) for i in range(len(keys))
+    ]
+    if draw(st.booleans()) and rows:
+        column = columns[min(at)]
+        column[draw(st.integers(0, rows - 1))] = ("x", [1, "y"])
+    return Records(keys, columns)
+
+
+@given(_tuple_column_records())
+@settings(max_examples=300, deadline=None)
+def test_dumps_json_renders_tuple_columns_as_their_list_of_dicts(records):
+    listed = _as_dicts(records)
+    for value, expected in (
+        (records, listed),
+        ({"nodes": records, "end": [records]}, {"nodes": listed, "end": [listed]}),
+        ([[[records]], 0], [[[listed]], 0]),
+    ):
+        assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
+
+
+def test_a_tuple_column_is_rendered_once_per_distinct_tuple_and_not_as_records(monkeypatch):
+    calls, encoded = [], []
+    append, encoder = fileio._append_json, fileio._encoder
+    monkeypatch.setattr(fileio, "_append_json", lambda obj, *rest: calls.append(obj) or append(obj, *rest))
+    monkeypatch.setattr(
+        fileio, "_encoder", lambda depth: SimpleNamespace(encode=lambda obj: encoded.append(obj) or encoder(depth).encode(obj))
+    )
+    shared = ("a", 1, True)
+    records = Records(("node", "explains", "ids"), (["x", "y", "z"], [shared, (), shared], [(), ("b",), tuple("b")]))
+    assert dumps_json(records) == json.dumps(_as_dicts(records), indent=2, ensure_ascii=False)
+    assert calls == [records]  # no record went through its dict
+    assert encoded == [shared, ("b",), ("b",)]  # two equal tuples are two objects
+    nested = Records(("node", "explains"), (["x", "y"], [shared, ("a", ["b"])]))
+    calls.clear()
+    assert dumps_json(nested) == json.dumps(_as_dicts(nested), indent=2, ensure_ascii=False)
+    assert len(calls) > 1  # a tuple that holds a list: every record as its dict
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from oracles import (
     random_digraph_rows,
     random_kinded_digraph,
     random_mixed_graph,
+    unchecked_graph,
 )
 
 
@@ -144,6 +145,31 @@ def test_validate_names_a_value_that_has_no_text_by_its_type(activities, edges, 
     # an int past the interpreter's digit limit cannot be formatted at all
     issues = build_issues(activities, edges)
     assert [(i.message, i.ids) for i in issues] == [(message, ids)]
+
+
+@pytest.mark.parametrize(
+    "activities, unit, locus, message",
+    [
+        ((Activity("a", label=5),), "ms", "nodes[0]", "activity a: label must be a string"),
+        (
+            (Activity("a"), Activity("b", label="x\ud800")),
+            "ms",
+            "nodes[1]",
+            "activity b: label must not contain a lone surrogate",
+        ),
+        ((Activity("a"),), 5, "unit", "unit must be a non-empty string"),
+        ((Activity("a"),), "", "unit", "unit must be a non-empty string"),
+        ((Activity("a"),), "m\udfffs", "unit", "unit must not contain a lone surrogate"),
+    ],
+    ids=["label-int", "label-surrogate", "unit-int", "unit-empty", "unit-surrogate"],
+)
+def test_build_rejects_a_label_or_unit_that_a_file_cannot_carry(activities, unit, locus, message):
+    with pytest.raises(GraphBuildError) as exc:
+        build_graph(activities, [], unit=unit)
+    assert exc.value.loci == (locus,)
+    code = "invalid-unit" if locus == "unit" else "invalid-label"
+    assert [(i.code, i.message) for i in exc.value.issues] == [(code, message)]
+    assert validate(unchecked_graph(activities, [], unit)).errors == exc.value.issues
 
 
 def test_build_rejects_nonzero_dummy():

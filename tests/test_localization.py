@@ -3,8 +3,11 @@ import time
 
 import pytest
 
+import depmat.cli
 import depmat.graph
+import depmat.localization
 import depmat.schedule
+import depmat.simulation
 from depmat.graph import (
     Activity,
     ActivityEdge,
@@ -32,8 +35,9 @@ from depmat.matrices import (
     transitive_closure,
 )
 from depmat.schedule import classify_activities, compute_schedule
-from depmat.simulation import inject
+from depmat.simulation import GeneratorParams, inject, run_experiment
 
+from conftest import ROBOT_PATH
 from oracles import (
     bfs_hops,
     closure_by_powers,
@@ -464,3 +468,40 @@ def test_candidates_with_one_mask_share_explains():
                 assert by_set.setdefault(c.explains, c.explains) is c.explains
             shared += len(by_set) < len(report.candidates)
     assert shared  # some reports do have candidates with equal sets
+
+
+def test_report_columns_are_its_candidates_in_rank_order(robot):
+    report = localize(robot, ["v2", "v4"])
+    candidates = report.candidates
+    assert [report.node_ids[v] for v in report.ranked] == [c.node for c in candidates]
+    assert report.explains == tuple(c.explains for c in candidates)
+    assert [mask.bit_count() for mask in report.masks] == [len(c.explains) for c in candidates]
+    assert report.critical == tuple(c.is_critical for c in candidates)
+    assert report.distances == tuple(c.min_distance for c in candidates)
+    assert report.sccs == tuple(c.scc for c in candidates)
+
+
+def test_text_output_and_trials_build_no_candidate_records(monkeypatch, capsys):
+    """``localize`` text output and ``run_trial`` read the report's columns:
+    they build no ``Candidate`` and no ``explains`` tuple; JSON output
+    builds the tuples but no ``Candidate``."""
+
+    def refused(*fields):
+        raise AssertionError("a Candidate was built")
+
+    reports = []
+
+    def keeping(*args, **kwargs):
+        reports.append(localize(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(depmat.localization, "Candidate", refused)
+    monkeypatch.setattr(depmat.cli, "localize", keeping)
+    monkeypatch.setattr(depmat.simulation, "localize", keeping)
+    assert depmat.cli.main(["localize", str(ROBOT_PATH), "--symptoms", "v2,v4"]) == 0
+    assert run_experiment(GeneratorParams(node_count=40, layer_count=4, edge_density=0.3, seed=3), 5, 0.8).rows
+    assert len(reports) == 6
+    assert not any({"explains", "candidates"} & r.__dict__.keys() for r in reports)
+    assert depmat.cli.main(["localize", str(ROBOT_PATH), "--symptoms", "v2,v4", "--format", "json"]) == 0
+    assert "explains" in reports[-1].__dict__ and "candidates" not in reports[-1].__dict__
+    capsys.readouterr()
