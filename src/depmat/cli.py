@@ -14,14 +14,14 @@ from typing import Sequence
 from .fileio import (
     MaskRows,
     Records,
+    SchemaError,
     dumps_json,
     export_dot,
     matrix_csv,
     matrix_text,
-    parse_document,
     parse_graph,
 )
-from .graph import ActivityGraph, GraphBuildError, ValidationReport, build_graph, shown, validate
+from .graph import ActivityGraph, ValidationReport, shown, validate
 from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
 from .matrices import (
     DependencyMatrix,
@@ -54,10 +54,11 @@ def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.file, "rb") as handle:
-            report = validate(build_graph(*parse_document(handle.read())))
-    except GraphBuildError as exc:  # the errors validate would list
-        report = ValidationReport(exc.issues)
+        report = validate(_load(args.file))
+    except SchemaError as exc:
+        if not exc.issues:  # a schema error: validate has nothing to list
+            raise
+        report = ValidationReport(exc.issues)  # the structural errors validate would list
     if args.format == "json":
         fields = ("severity", "code", "message", "ids")
         issues = Records(fields, [list(map(attrgetter(name), report.issues)) for name in fields])

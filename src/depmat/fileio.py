@@ -1,9 +1,10 @@
 """Graph JSON format, matrix rendering, and DOT export.
 
 The graph document is strict JSON: unknown fields are rejected so typos
-surface early. Serialization is canonical (schema field order, 2-space
-indent, trailing newline) and parse(serialize(g)) == g, including node and
-edge order.
+surface early. The loader checks the JSON shape; every other input rule
+is ``graph``'s, and a valid document is loaded a column at a time.
+Serialization is canonical (schema field order, 2-space indent, trailing
+newline) and parse(serialize(g)) == g, including node and edge order.
 
     {
       "format_version": 1,
@@ -22,28 +23,29 @@ import json
 import re
 import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import eq, itemgetter
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .graph import (
+    MISSING,
     Activity,
     ActivityEdge,
     ActivityGraph,
     CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
-    EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
-    ID_PATTERN,
     KIND_AUTO,
-    LONE_SURROGATE,
-    MAX_WEIGHT,
-    NODE_KINDS,
+    _columns_ok,
+    _edge_faults,
+    _node_faults,
+    _unit_faults,
     build_graph,
     shown,
 )
@@ -54,8 +56,9 @@ from .schedule import EmptyGraphError, compute_schedule
 FORMAT_VERSION = 1
 
 _DOCUMENT_FIELDS = {"format_version", "unit", "nodes", "edges"}
-_NODE_FIELDS = {"id", "label", "kind"}
-_EDGE_FIELDS = {"id", "from", "to", "weight", "kind"}
+# each item field in file order, with its value when left out
+_NODE_FIELDS = {"id": MISSING, "label": None, "kind": KIND_AUTO}
+_EDGE_FIELDS = {"id": MISSING, "from": MISSING, "to": MISSING, "weight": MISSING, "kind": EDGE_SCHEDULING}
 
 
 class ParseError(ValueError):
@@ -68,11 +71,12 @@ class ParseError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Well-formed JSON that violates the graph schema; carries a locus
-    like ``edges[3].weight``."""
+    """Well-formed JSON that violates the graph schema; carries a locus like
+    ``edges[3].weight`` and, for a structural error, its ``issues``."""
 
-    def __init__(self, message: str, locus: str):
+    def __init__(self, message: str, locus: str, issues: tuple = ()):
         self.locus = locus
+        self.issues = issues
         super().__init__(f"{locus}: {message}")
 
 
@@ -83,17 +87,27 @@ def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge
 
 
 def _records(doc: dict, unit: str) -> tuple[list[Activity], list[ActivityEdge], str]:
-    """``parse_document`` of the document ``_decode`` has returned."""
-    raw_nodes = _get(doc, "nodes", "$")
-    if not isinstance(raw_nodes, list):
-        raise SchemaError("nodes must be an array", "nodes")
-    activities = [_parse_node(item, i) for i, item in enumerate(raw_nodes)]
-
-    raw_edges = _get(doc, "edges", "$")
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges must be an array", "edges")
-    edges = [_parse_edge(item, i) for i, item in enumerate(raw_edges)]
-    return activities, edges, unit
+    """``parse_document`` of the document ``_decode`` has returned; raises
+    the loader message of the first rule that an item breaks."""
+    arrays: list[list] = []
+    for array, fields, record in ("nodes", _NODE_FIELDS, Activity), ("edges", _EDGE_FIELDS, ActivityEdge):
+        items = _get(doc, array, "$")
+        if not isinstance(items, list):
+            raise SchemaError(f"{array} must be an array", array)
+        faults = functools.partial(_edge_faults, declared={a.id for a in arrays[0]}) if arrays else _node_faults
+        arrays.append([])
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise SchemaError(f"{array[:-1]} must be an object", f"{array}[{i}]")
+            unknown = [key for key in item if key not in fields]
+            if unknown:
+                raise SchemaError(f"unknown field {unknown[0]!r}", f"{array}[{i}].{shown(unknown[0])}")
+            values = [item.get(field, default) for field, default in fields.items()]
+            for suffix, template, _ in faults(*values):
+                if template:
+                    raise SchemaError(template.format_map(item), f"{array}[{i}]{suffix}")
+            arrays[-1].append(record(*values))
+    return (*arrays, unit)
 
 
 def _decode(data: bytes | str) -> tuple[dict, str]:
@@ -126,10 +140,8 @@ def _decode(data: bytes | str) -> tuple[dict, str]:
     if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}", "format_version")
     unit = doc.get("unit", "ms")
-    if not isinstance(unit, str) or not unit:
-        raise SchemaError("unit must be a non-empty string", "unit")
-    if LONE_SURROGATE.search(unit):
-        raise SchemaError("unit must not contain a lone surrogate", "unit")
+    for issue in _unit_faults(unit):
+        raise SchemaError(issue.message, "unit")
     return doc, unit
 
 
@@ -143,14 +155,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_graph(data: bytes | str) -> ActivityGraph:
-    """Parse and fully validate; structural errors surface as one
-    SchemaError at the first error's array locus, counting the rest.
-
-    A valid document is checked a column at a time and becomes a graph of
-    columns, with no records. A document that fails any check is read
-    again item by item from the same decoded document (the records, then
-    ``build_graph``), which names the first error exactly as if no column
-    had been checked."""
+    """Parse and fully validate: a valid document becomes a graph of columns
+    with no records; any other is read again item by item, and its first
+    broken rule raised. Structural errors surface as one SchemaError at the
+    first one's array locus, counting the rest, and carry them all."""
     doc, unit = _decode(data)
     graph = _checked_columns(doc, unit)
     if graph is not None:
@@ -159,116 +167,40 @@ def parse_graph(data: bytes | str) -> ActivityGraph:
     try:
         return build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:
-        raise SchemaError(exc.issues[0].message + exc.more, exc.loci[0]) from None
+        raise SchemaError(exc.issues[0].message + exc.more, exc.loci[0], exc.issues) from None
 
 
 def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:
-    """The graph of a document that passes every schema and structural
-    check, each made once over a whole column, or None when any fails. A
-    missing field (KeyError), an item that is not an object, and an
-    unhashable or non-string value where a string belongs (TypeError) are
-    failures too."""
+    """The graph of a document whose items are objects with only known
+    fields and whose columns pass ``_columns_ok``, or None. A missing field
+    (KeyError) or an unhashable or non-string value (TypeError) fails too."""
     nodes, edges = doc.get("nodes"), doc.get("edges")
     if type(nodes) is not list or type(edges) is not list:
         return None
-    try:
-        node_ids = list(map(itemgetter("id"), nodes))  # first, so every item is an object
-        edge_ids = list(map(itemgetter("id"), edges))
+    with suppress(KeyError, TypeError):  # ids first, so every item is an object
+        node_ids = list(map(itemgetter("id"), nodes))
         position = dict(zip(node_ids, range(len(node_ids))))
-        tails = list(map(position.get, map(itemgetter("from"), edges)))
-        heads = list(map(position.get, map(itemgetter("to"), edges)))
-        weights = list(map(itemgetter("weight"), edges))
-        labels = [item.get("label") for item in nodes]
-        node_kinds = [item.get("kind", KIND_AUTO) for item in nodes]
-        edge_kinds = [item.get("kind", EDGE_SCHEDULING) for item in edges]
-        if not (
-            _NODE_FIELDS.issuperset(set().union(*nodes))
-            and _EDGE_FIELDS.issuperset(set().union(*edges))
-            and all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
-            and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
-            and {str, type(None)}.issuperset(map(type, labels))
-            and not LONE_SURROGATE.search("".join(filter(None, labels)))
-            and NODE_KINDS.issuperset(node_kinds)
-            and None not in tails and None not in heads  # an undeclared or non-string endpoint
-            and not any(map(eq, tails, heads))
-            and {int}.issuperset(map(type, weights))  # no bool, no float
-            and 0 <= min(weights, default=0) and max(weights, default=0) <= MAX_WEIGHT
-            and EDGE_KINDS.issuperset(edge_kinds)
-            and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
+        node_columns = (node_ids, [item.get("label") for item in nodes])
+        node_columns += ([item.get("kind", KIND_AUTO) for item in nodes],)
+        edge_columns = [list(map(itemgetter(key), edges)) for key in ("id", "from", "to", "weight")]
+        edge_columns[1:3] = (list(map(position.get, ends)) for ends in edge_columns[1:3])
+        edge_columns.append([item.get("kind", EDGE_SCHEDULING) for item in edges])
+        if (
+            _NODE_FIELDS.keys() >= set().union(*nodes)
+            and _EDGE_FIELDS.keys() >= set().union(*edges)
+            and _columns_ok(node_columns, position, edge_columns)
         ):
-            return None
-    except (KeyError, TypeError):
-        return None
-    edge_columns = (edge_ids, tails, heads, weights, edge_kinds)
-    graph = ActivityGraph.from_columns((node_ids, labels, node_kinds), edge_columns, unit)
-    graph.__dict__["_checked"] = True  # as build_graph does: validate need not look again
-    return graph
+            graph = ActivityGraph.from_columns(node_columns, edge_columns, unit)
+            graph.__dict__["_checked"] = True  # as build_graph does: validate need not look again
+            return graph
+    return None
 
 
-def _get(mapping: dict, key: str, locus: str, index: int | None = None):
-    """``mapping[key]``; a missing key is reported at ``locus``, or at
-    ``locus[index]`` for an array item."""
+def _get(mapping: dict, key: str, locus: str):
+    """``mapping[key]``; a missing key is reported at ``locus``."""
     if key not in mapping:
-        if index is not None:
-            locus = f"{locus}[{index}]"
         raise SchemaError(f"missing required field {key!r}", locus)
     return mapping[key]
-
-
-def _unknown_field(item: dict, fields: set, locus: str) -> SchemaError:
-    key = next(k for k in item if k not in fields)
-    return SchemaError(f"unknown field {key!r}", f"{locus}.{shown(key)}")
-
-
-def _parse_node(item, i: int) -> Activity:
-    """One ``nodes[i]`` entry; its locus is formatted only for an error."""
-    if not isinstance(item, dict):
-        raise SchemaError("node must be an object", f"nodes[{i}]")
-    if not item.keys() <= _NODE_FIELDS:
-        raise _unknown_field(item, _NODE_FIELDS, f"nodes[{i}]")
-    node_id = _get(item, "id", "nodes", i)
-    if not isinstance(node_id, str):
-        raise SchemaError("id must be a string", f"nodes[{i}].id")
-    label = item.get("label")
-    if label is not None and not isinstance(label, str):
-        raise SchemaError("label must be a string", f"nodes[{i}].label")
-    if label is not None and LONE_SURROGATE.search(label):
-        raise SchemaError("label must not contain a lone surrogate", f"nodes[{i}].label")
-    kind = item.get("kind", KIND_AUTO)
-    if not isinstance(kind, str) or kind not in NODE_KINDS:
-        raise SchemaError(f"unknown node kind {kind!r}", f"nodes[{i}].kind")
-    return Activity(node_id, label, kind)
-
-
-def _parse_edge(item, i: int) -> ActivityEdge:
-    """One ``edges[i]`` entry; its locus is formatted only for an error."""
-    if not isinstance(item, dict):
-        raise SchemaError("edge must be an object", f"edges[{i}]")
-    if not item.keys() <= _EDGE_FIELDS:
-        raise _unknown_field(item, _EDGE_FIELDS, f"edges[{i}]")
-    edge_id = _get(item, "id", "edges", i)
-    if not isinstance(edge_id, str):
-        raise SchemaError("id must be a string", f"edges[{i}].id")
-    tail = _get(item, "from", "edges", i)
-    head = _get(item, "to", "edges", i)
-    if not isinstance(tail, str):
-        raise SchemaError("from must be a string", f"edges[{i}].from")
-    if not isinstance(head, str):
-        raise SchemaError("to must be a string", f"edges[{i}].to")
-    weight = _get(item, "weight", "edges", i)
-    if isinstance(weight, bool) or not isinstance(weight, int):
-        raise SchemaError(
-            f"edge {edge_id!r}: weight must be an integer number of time units",
-            f"edges[{i}].weight",
-        )
-    if weight < 0:
-        raise SchemaError(f"edge {edge_id!r}: weight must be non-negative", f"edges[{i}].weight")
-    if weight > MAX_WEIGHT:
-        raise SchemaError(f"edge {edge_id!r}: weight must be at most 2**64", f"edges[{i}].weight")
-    kind = item.get("kind", EDGE_SCHEDULING)
-    if not isinstance(kind, str) or kind not in EDGE_KINDS:
-        raise SchemaError(f"unknown edge kind {kind!r}", f"edges[{i}].kind")
-    return ActivityEdge(edge_id, tail, head, weight, kind)
 
 
 def serialize_graph(g: ActivityGraph) -> bytes:
@@ -513,8 +445,7 @@ def _cell_rows(matrix) -> Iterator[Sequence[str]]:
     """Each row's cells as strings, in column order. A dependency row is its
     packed mask's binary digits, one character per cell."""
     if isinstance(matrix, DependencyMatrix):
-        width = len(matrix.node_ids)
-        return (bin(mask)[:1:-1].ljust(width, "0") for mask in matrix.masks)
+        return _digit_rows(matrix.masks, len(matrix.node_ids), "")
     return (list(map(str, row)) for row in matrix.rows)
 
 

@@ -16,6 +16,10 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 (``scheduling_order``, hence CPM and ``localize``'s scheduling view)
 raises ``CyclicScheduleError`` for it.
 
+Every input rule is written here once: ``_columns_ok`` accepts valid
+columns a whole column at a time, and one rule list per item kind names
+each fault both as the loader reports it and as ``validate`` lists it.
+
 One Tarjan pass over node positions (``condensation``) answers every
 order and component question about a view, and one sweep of its
 ``Condensation`` (``pull`` or ``push``) every reachability question. A
@@ -29,10 +33,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import attrgetter, itemgetter
+from itertools import chain, compress
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -55,6 +60,8 @@ MAX_WEIGHT = 2**64
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
+
+MISSING = object()  # the value of a required field that a graph document leaves out
 
 
 @dataclass(frozen=True)
@@ -138,8 +145,22 @@ class ActivityEdge:
     kind: str = EDGE_SCHEDULING
 
 
+class NodePositions:
+    """``position``: a node id's position in ``node_ids``."""
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return dict(zip(self.node_ids, range(len(self.node_ids))))
+
+    def position(self, node: str) -> int:
+        try:
+            return self._positions[node]
+        except KeyError:
+            raise UnknownNodeError(node) from None
+
+
 @dataclass(frozen=True, init=False)
-class ActivityGraph:
+class ActivityGraph(NodePositions):
     """Immutable activity digraph; safe to share across threads. Passes
     walk only its integer views; ``position`` maps an id to its position.
 
@@ -186,10 +207,6 @@ class ActivityGraph:
         ids = self.node_ids
         columns = zip(self.edge_ids, self.edge_tails, self.edge_heads, self.edge_weights, self.edge_kinds)
         return tuple(ActivityEdge(e, ids[t], ids[h], w, k) for e, t, h, w, k in columns)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return dict(zip(self.node_ids, range(len(self.node_ids))))
 
     @cached_property
     def dependency_view(self) -> list[tuple[int, ...]]:
@@ -247,18 +264,8 @@ class ActivityGraph:
         """``condensation(self.scheduling_view[0])``, computed once per graph."""
         return condensation(self.scheduling_view[0])
 
-    def position(self, node: str) -> int:
-        try:
-            return self._positions[node]
-        except KeyError:
-            raise UnknownNodeError(node) from None
 
-
-def build_graph(
-    activities: Iterable[Activity],
-    edges: Iterable[ActivityEdge],
-    unit: str = "ms",
-) -> ActivityGraph:
+def build_graph(activities: Iterable[Activity], edges: Iterable[ActivityEdge], unit: str = "ms") -> ActivityGraph:
     """The graph of the records, kept as its ``activities`` and ``edges``
     view (order preserved); raises GraphBuildError on any structural error
     and on any label or unit that a graph file cannot carry. The graph
@@ -267,76 +274,132 @@ def build_graph(
     errors, loci = _structural_errors(activities, edges, unit)
     if errors:
         raise GraphBuildError(errors, loci)
-    nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
-    position = dict(zip(nodes[0], range(len(activities))))
-    columns = [tuple(map(attrgetter(name), edges)) for name in ("id", "tail", "head", "weight", "kind")]
-    columns[1:3] = (map(position.__getitem__, ends) for ends in columns[1:3])
+    nodes, position, columns = _record_columns(activities, edges)
     graph = ActivityGraph.from_columns(nodes, columns, unit)
     graph.__dict__.update(activities=activities, edges=edges, _positions=position, _checked=True)
     return graph
 
 
-def _structural_errors(
-    activities: Sequence[Activity], edges: Sequence[ActivityEdge], unit: str
-) -> tuple[list, list[str]]:
+def _record_columns(activities: Sequence[Activity], edges: Sequence[ActivityEdge]) -> tuple[list, dict, list]:
+    """The columns of the records as ``_columns_ok`` takes them."""
+    nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
+    position = dict(zip(nodes[0], range(len(activities))))
+    columns = [tuple(map(attrgetter(name), edges)) for name in ("id", "tail", "head", "weight", "kind")]
+    columns[1:3] = (tuple(map(position.get, ends)) for ends in columns[1:3])
+    return nodes, position, columns
+
+
+def _columns_ok(nodes: Sequence[Sequence], position: dict, edges: Sequence[Sequence]) -> bool:
+    """Whether node columns (ids, labels, kinds) and edge columns (ids, tail and head positions,
+    None where undeclared, weights, kinds) break no per-item rule and repeat no id, ``position``
+    being each node id's; each check is made over a whole column. May raise TypeError."""
+    (node_ids, labels, node_kinds), (edge_ids, tails, heads, weights, edge_kinds) = nodes, edges
+    return (
+        all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
+        and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
+        and {str, type(None)}.issuperset(map(type, labels))
+        and not LONE_SURROGATE.search("".join(filter(None, labels)))
+        and NODE_KINDS.issuperset(node_kinds)
+        and None not in tails and None not in heads  # an undeclared or non-string endpoint
+        and not any(map(eq, tails, heads))
+        and {int}.issuperset(map(type, weights))  # no bool, no float
+        and 0 <= min(weights, default=0) and max(weights, default=0) <= MAX_WEIGHT
+        and EDGE_KINDS.issuperset(edge_kinds)
+        and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
+    )
+
+
+def _structural_errors(activities: Sequence, edges: Sequence, unit: str) -> tuple[list, list[str]]:
     """Every structural error of the records, and every label or unit that
     a graph file cannot carry, and, in a parallel list, the item it is on
-    (or ``unit``); a duplicate id is on its later copy."""
-    issues: list[ValidationIssue] = []
-    loci: list[str] = []
-
-    def err(code: str, message: str, *ids: str, locus: str = "") -> None:
-        issues.append(ValidationIssue(SEVERITY_ERROR, code, message, tuple(ids)))
-        loci.append(locus or f"{array}[{i}]")  # the item the loops below are checking
-
-    if not isinstance(unit, str) or not unit:
-        err("invalid-unit", "unit must be a non-empty string", locus="unit")
-    elif LONE_SURROGATE.search(unit):
-        err("invalid-unit", "unit must not contain a lone surrogate", locus="unit")
-
-    array = "nodes"
-    seen_nodes: set[str] = set()
-    for i, a in enumerate(activities):
-        if not isinstance(a.id, str) or not ID_PATTERN.match(a.id):
-            err("invalid-id", f"activity id {_named(a.id, repr)} is not a valid token", _named(a.id, str))
-        elif a.id in seen_nodes:
-            err("duplicate-id", f"duplicate activity id: {a.id}", a.id)
-        else:
-            seen_nodes.add(a.id)
-        if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
-            err("invalid-kind", f"activity {_named(a.id)}: unknown kind {_named(a.declared_kind, repr)}", a.id)
-        if not isinstance(a.label, (str, type(None))):
-            err("invalid-label", f"activity {_named(a.id)}: label must be a string", a.id)
-        elif a.label and LONE_SURROGATE.search(a.label):
-            err("invalid-label", f"activity {_named(a.id)}: label must not contain a lone surrogate", a.id)
-
+    (or ``unit``); a duplicate id is on its later copy. Records that pass
+    ``_columns_ok`` are not walked."""
+    issues = _unit_faults(unit)
+    loci = ["unit"] * len(issues)
+    with suppress(TypeError):  # an unhashable value, or a non-string where a string belongs
+        if _columns_ok(*_record_columns(activities, edges)):
+            return issues, loci
     declared = {a.id for a in activities if isinstance(a.id, str)}
-    array = "edges"
-    seen_edges: set[str] = set()
-    for i, e in enumerate(edges):
-        if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
-            err("invalid-id", f"edge id {_named(e.id, repr)} is not a valid token", _named(e.id, str))
-        elif e.id in seen_edges:
-            err("duplicate-id", f"duplicate edge id: {e.id}", e.id)
-        else:
-            seen_edges.add(e.id)
-        if not isinstance(e.kind, str) or e.kind not in EDGE_KINDS:
-            err("invalid-kind", f"edge {_named(e.id)}: unknown kind {_named(e.kind, repr)}", e.id)
-        if not isinstance(e.weight, int) or isinstance(e.weight, bool):
-            err("invalid-weight", f"edge {_named(e.id)}: weight must be an integer", e.id)
-        elif e.weight < 0:  # no message formats an unbounded weight
-            err("negative-weight", f"edge {_named(e.id)}: weight is negative", e.id)
-        elif e.weight > MAX_WEIGHT:
-            err("weight-too-large", f"edge {_named(e.id)}: weight is above 2**64", e.id)
-        elif e.kind == EDGE_DUMMY and e.weight != 0:
-            err("dummy-nonzero", f"dummy edge {_named(e.id)} has non-zero weight {e.weight}", e.id)
-        for endpoint in (e.tail, e.head):
-            if not isinstance(endpoint, str) or endpoint not in declared:
-                message = f"edge {_named(e.id)}: unknown node {_named(endpoint, repr)}"
-                err("unknown-endpoint", message, e.id, _named(endpoint, str))
-        if e.tail == e.head:
-            err("self-loop", f"edge {_named(e.id)}: self-loop on {_named(e.tail)}", e.id)
+    for array, noun, records, faults in (
+        ("nodes", "activity", activities, lambda a: _node_faults(a.id, a.label, a.declared_kind)),
+        ("edges", "edge", edges, lambda e: _edge_faults(e.id, e.tail, e.head, e.weight, e.kind, declared)),
+    ):
+        first: dict[str, int] = {}  # each valid id's first position
+        for i, record in enumerate(records):
+            found = [issue for _, _, issue in faults(record) if issue]
+            if (not found or found[0].code != "invalid-id") and first.setdefault(record.id, i) != i:
+                found.insert(0, _error("duplicate-id", f"duplicate {noun} id: {record.id}", record.id))
+            issues += found
+            loci += [f"{array}[{i}]"] * len(found)
     return issues, loci
+
+
+def _error(code: str, message: str, *ids) -> ValidationIssue:
+    return ValidationIssue(SEVERITY_ERROR, code, message, ids)
+
+
+def _unit_faults(unit) -> list[ValidationIssue]:
+    """The fault of a unit that a graph file cannot carry, if any."""
+    if not isinstance(unit, str) or not unit:
+        return [_error("invalid-unit", "unit must be a non-empty string")]
+    if LONE_SURROGATE.search(unit):
+        return [_error("invalid-unit", "unit must not contain a lone surrogate")]
+    return []
+
+
+def _node_faults(node_id, label, kind) -> Iterator[tuple]:
+    """Per rule that a node's fields break, in the loader's order and at
+    most one per field: its locus suffix, the loader's message template
+    (which only the loader formats, with the item's fields) or None, and the
+    ValidationIssue or None. A field that a document leaves out is MISSING."""
+    yield from _id_faults(node_id, "activity")
+    if not isinstance(label, (str, type(None))) or label and LONE_SURROGATE.search(label):
+        fault = "label must " + ("be a string" if not isinstance(label, str) else "not contain a lone surrogate")
+        yield ".label", fault, _error("invalid-label", f"activity {_named(node_id)}: {fault}", node_id)
+    if not isinstance(kind, str) or kind not in NODE_KINDS:
+        message = f"activity {_named(node_id)}: unknown kind {_named(kind, repr)}"
+        yield ".kind", "unknown node kind {kind!r}", _error("invalid-kind", message, node_id)
+
+
+def _edge_faults(edge_id, tail, head, weight, kind, declared) -> Iterator[tuple]:
+    """``_node_faults`` for an edge, its endpoints among ``declared`` ids."""
+    yield from _id_faults(edge_id, "edge")
+    name = _named(edge_id)
+    if kind == EDGE_DUMMY and type(weight) is not bool and isinstance(weight, int) and 0 < weight <= MAX_WEIGHT:
+        yield "", None, _error("dummy-nonzero", f"dummy edge {name} has non-zero weight {weight}", edge_id)
+    for field, end in ("from", tail), ("to", head):
+        if end is MISSING:
+            yield "", f"missing required field {field!r}", None
+    for field, end in ("from", tail), ("to", head):
+        if end is not MISSING and (not isinstance(end, str) or end not in declared):
+            message = f"edge {name}: unknown node {_named(end, repr)}"
+            issue = _error("unknown-endpoint", message, edge_id, _named(end, str))
+            yield f".{field}", None if isinstance(end, str) else f"{field} must be a string", issue
+    if weight is MISSING:
+        yield "", "missing required field 'weight'", None
+    elif isinstance(weight, bool) or not isinstance(weight, int):
+        issue = _error("invalid-weight", f"edge {name}: weight must be an integer", edge_id)
+        yield ".weight", "edge {id!r}: weight must be an integer number of time units", issue
+    elif weight < 0:  # no message formats an unbounded weight
+        issue = _error("negative-weight", f"edge {name}: weight is negative", edge_id)
+        yield ".weight", "edge {id!r}: weight must be non-negative", issue
+    elif weight > MAX_WEIGHT:
+        issue = _error("weight-too-large", f"edge {name}: weight is above 2**64", edge_id)
+        yield ".weight", "edge {id!r}: weight must be at most 2**64", issue
+    if not isinstance(kind, str) or kind not in EDGE_KINDS:
+        message = f"edge {name}: unknown kind {_named(kind, repr)}"
+        yield ".kind", "unknown edge kind {kind!r}", _error("invalid-kind", message, edge_id)
+    if tail == head:
+        yield "", None, _error("self-loop", f"edge {name}: self-loop on {_named(tail)}", edge_id)
+
+
+def _id_faults(item_id, noun: str) -> Iterator[tuple]:
+    if item_id is MISSING:
+        yield "", "missing required field 'id'", None
+    elif not isinstance(item_id, str) or not ID_PATTERN.match(item_id):
+        message = f"{noun} id {_named(item_id, repr)} is not a valid token"
+        issue = _error("invalid-id", message, _named(item_id, str))
+        yield ".id", None if isinstance(item_id, str) else "id must be a string", issue
 
 
 def _named(value, form=shown) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import ActivityGraph, UnknownNodeError, condensation
+from .graph import ActivityGraph, NodePositions, condensation
 
 MAX_DENSE_NODES = 4096
 
@@ -56,7 +56,7 @@ class AdjacencyMatrix:
 
 
 @dataclass(frozen=True, init=False)
-class DependencyMatrix:
+class DependencyMatrix(NodePositions):
     """Boolean node x node matrix; entry (m, n) = 1 iff m depends on n.
 
     ``closed=False`` is the raw single-edge support (all-zero diagonal).
@@ -102,16 +102,6 @@ class DependencyMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.node_ids)
         return tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in self.masks)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.node_ids)}
-
-    def position(self, node: str) -> int:
-        try:
-            return self._positions[node]
-        except KeyError:
-            raise UnknownNodeError(node) from None
 
     def entry(self, tail: str, head: str) -> int:
         return self.masks[self.position(tail)] >> self.position(head) & 1

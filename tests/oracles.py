@@ -10,15 +10,26 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Sequence
 
+from depmat.fileio import ParseError, SchemaError, _decode
 from depmat.graph import (
     Activity,
     ActivityEdge,
     ActivityGraph,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
+    EDGE_KINDS,
     EDGE_SCHEDULING,
+    ID_PATTERN,
+    KIND_AUTO,
+    LONE_SURROGATE,
+    MAX_WEIGHT,
+    NODE_KINDS,
+    SEVERITY_ERROR,
+    ValidationIssue,
     build_graph,
+    shown,
 )
 from depmat.rng import SplitMix64
 
@@ -275,3 +286,169 @@ def generate_graph_by_pair_lists(params) -> ActivityGraph:
         weight = 1 + rng.below(params.max_weight)
         edges.append(ActivityEdge(f"e{len(edges)}", ids[i], ids[j], weight, EDGE_DEPENDENCY_ONLY))
     return build_graph([Activity(v) for v in ids], edges)
+
+
+# The loader and structural walk as they stood before every input rule moved
+# into one per-item rule list in ``depmat.graph``: the reference that the
+# first error ``parse_graph`` raises and the issues ``build_graph`` lists are
+# checked against.
+
+
+_NODE_FIELDS = {"id", "label", "kind"}
+_EDGE_FIELDS = {"id", "from", "to", "weight", "kind"}
+
+
+def reference_first_error(data: bytes) -> str | None:
+    """The text of the error ``parse_graph`` raised for ``data`` when each
+    item was parsed by its own function, or None when it was accepted."""
+    try:
+        doc, unit = _decode(data)
+        for name, parse in (("nodes", _parse_node), ("edges", _parse_edge)):
+            items = _get(doc, name, "$")
+            if not isinstance(items, list):
+                raise SchemaError(f"{name} must be an array", name)
+            records = [parse(item, i) for i, item in enumerate(items)]
+            if name == "nodes":
+                activities = records
+        errors, loci = _structural_errors(activities, records, unit)
+    except (ParseError, SchemaError) as exc:
+        return str(exc)
+    if errors:
+        more = f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""
+        return f"{loci[0]}: {errors[0].message}{more}"
+    return None
+
+
+def _get(mapping: dict, key: str, locus: str, index: int | None = None):
+    """``mapping[key]``; a missing key is reported at ``locus``, or at
+    ``locus[index]`` for an array item."""
+    if key not in mapping:
+        if index is not None:
+            locus = f"{locus}[{index}]"
+        raise SchemaError(f"missing required field {key!r}", locus)
+    return mapping[key]
+
+
+def _unknown_field(item: dict, fields: set, locus: str) -> SchemaError:
+    key = next(k for k in item if k not in fields)
+    return SchemaError(f"unknown field {key!r}", f"{locus}.{shown(key)}")
+
+
+def _parse_node(item, i: int) -> Activity:
+    """One ``nodes[i]`` entry; its locus is formatted only for an error."""
+    if not isinstance(item, dict):
+        raise SchemaError("node must be an object", f"nodes[{i}]")
+    if not item.keys() <= _NODE_FIELDS:
+        raise _unknown_field(item, _NODE_FIELDS, f"nodes[{i}]")
+    node_id = _get(item, "id", "nodes", i)
+    if not isinstance(node_id, str):
+        raise SchemaError("id must be a string", f"nodes[{i}].id")
+    label = item.get("label")
+    if label is not None and not isinstance(label, str):
+        raise SchemaError("label must be a string", f"nodes[{i}].label")
+    if label is not None and LONE_SURROGATE.search(label):
+        raise SchemaError("label must not contain a lone surrogate", f"nodes[{i}].label")
+    kind = item.get("kind", KIND_AUTO)
+    if not isinstance(kind, str) or kind not in NODE_KINDS:
+        raise SchemaError(f"unknown node kind {kind!r}", f"nodes[{i}].kind")
+    return Activity(node_id, label, kind)
+
+
+def _parse_edge(item, i: int) -> ActivityEdge:
+    """One ``edges[i]`` entry; its locus is formatted only for an error."""
+    if not isinstance(item, dict):
+        raise SchemaError("edge must be an object", f"edges[{i}]")
+    if not item.keys() <= _EDGE_FIELDS:
+        raise _unknown_field(item, _EDGE_FIELDS, f"edges[{i}]")
+    edge_id = _get(item, "id", "edges", i)
+    if not isinstance(edge_id, str):
+        raise SchemaError("id must be a string", f"edges[{i}].id")
+    tail = _get(item, "from", "edges", i)
+    head = _get(item, "to", "edges", i)
+    if not isinstance(tail, str):
+        raise SchemaError("from must be a string", f"edges[{i}].from")
+    if not isinstance(head, str):
+        raise SchemaError("to must be a string", f"edges[{i}].to")
+    weight = _get(item, "weight", "edges", i)
+    if isinstance(weight, bool) or not isinstance(weight, int):
+        raise SchemaError(
+            f"edge {edge_id!r}: weight must be an integer number of time units",
+            f"edges[{i}].weight",
+        )
+    if weight < 0:
+        raise SchemaError(f"edge {edge_id!r}: weight must be non-negative", f"edges[{i}].weight")
+    if weight > MAX_WEIGHT:
+        raise SchemaError(f"edge {edge_id!r}: weight must be at most 2**64", f"edges[{i}].weight")
+    kind = item.get("kind", EDGE_SCHEDULING)
+    if not isinstance(kind, str) or kind not in EDGE_KINDS:
+        raise SchemaError(f"unknown edge kind {kind!r}", f"edges[{i}].kind")
+    return ActivityEdge(edge_id, tail, head, weight, kind)
+
+
+def _structural_errors(
+    activities: Sequence[Activity], edges: Sequence[ActivityEdge], unit: str
+) -> tuple[list, list[str]]:
+    """Every structural error of the records, and every label or unit that
+    a graph file cannot carry, and, in a parallel list, the item it is on
+    (or ``unit``); a duplicate id is on its later copy."""
+    issues: list[ValidationIssue] = []
+    loci: list[str] = []
+
+    def err(code: str, message: str, *ids: str, locus: str = "") -> None:
+        issues.append(ValidationIssue(SEVERITY_ERROR, code, message, tuple(ids)))
+        loci.append(locus or f"{array}[{i}]")  # the item the loops below are checking
+
+    if not isinstance(unit, str) or not unit:
+        err("invalid-unit", "unit must be a non-empty string", locus="unit")
+    elif LONE_SURROGATE.search(unit):
+        err("invalid-unit", "unit must not contain a lone surrogate", locus="unit")
+
+    array = "nodes"
+    seen_nodes: set[str] = set()
+    for i, a in enumerate(activities):
+        if not isinstance(a.id, str) or not ID_PATTERN.match(a.id):
+            err("invalid-id", f"activity id {_named(a.id, repr)} is not a valid token", _named(a.id, str))
+        elif a.id in seen_nodes:
+            err("duplicate-id", f"duplicate activity id: {a.id}", a.id)
+        else:
+            seen_nodes.add(a.id)
+        if not isinstance(a.declared_kind, str) or a.declared_kind not in NODE_KINDS:
+            err("invalid-kind", f"activity {_named(a.id)}: unknown kind {_named(a.declared_kind, repr)}", a.id)
+        if not isinstance(a.label, (str, type(None))):
+            err("invalid-label", f"activity {_named(a.id)}: label must be a string", a.id)
+        elif a.label and LONE_SURROGATE.search(a.label):
+            err("invalid-label", f"activity {_named(a.id)}: label must not contain a lone surrogate", a.id)
+
+    declared = {a.id for a in activities if isinstance(a.id, str)}
+    array = "edges"
+    seen_edges: set[str] = set()
+    for i, e in enumerate(edges):
+        if not isinstance(e.id, str) or not ID_PATTERN.match(e.id):
+            err("invalid-id", f"edge id {_named(e.id, repr)} is not a valid token", _named(e.id, str))
+        elif e.id in seen_edges:
+            err("duplicate-id", f"duplicate edge id: {e.id}", e.id)
+        else:
+            seen_edges.add(e.id)
+        if not isinstance(e.kind, str) or e.kind not in EDGE_KINDS:
+            err("invalid-kind", f"edge {_named(e.id)}: unknown kind {_named(e.kind, repr)}", e.id)
+        if not isinstance(e.weight, int) or isinstance(e.weight, bool):
+            err("invalid-weight", f"edge {_named(e.id)}: weight must be an integer", e.id)
+        elif e.weight < 0:  # no message formats an unbounded weight
+            err("negative-weight", f"edge {_named(e.id)}: weight is negative", e.id)
+        elif e.weight > MAX_WEIGHT:
+            err("weight-too-large", f"edge {_named(e.id)}: weight is above 2**64", e.id)
+        elif e.kind == EDGE_DUMMY and e.weight != 0:
+            err("dummy-nonzero", f"dummy edge {_named(e.id)} has non-zero weight {e.weight}", e.id)
+        for endpoint in (e.tail, e.head):
+            if not isinstance(endpoint, str) or endpoint not in declared:
+                message = f"edge {_named(e.id)}: unknown node {_named(endpoint, repr)}"
+                err("unknown-endpoint", message, e.id, _named(endpoint, str))
+        if e.tail == e.head:
+            err("self-loop", f"edge {_named(e.id)}: self-loop on {_named(e.tail)}", e.id)
+    return issues, loci
+
+
+def _named(value, form=shown) -> str:
+    """``form(value)`` for a str; any other value, which may have no text
+    form at all (an int past the digit limit), by its type's name."""
+    return form(value) if isinstance(value, str) else f"<{type(value).__name__}>"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import depmat.graph
 import depmat.schedule
-from depmat import cli, simulation
+from depmat import cli, fileio, simulation
 from depmat.cli import main
 from depmat.fileio import ParseError, SchemaError, serialize_graph
 from depmat.graph import (
@@ -153,11 +153,16 @@ def test_validate_bad_graph_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "path",
-    [ROBOT, str(GOLDENS / "matrix_100n_seed5" / "graph.json"), str(GOLDENS / "bad_documents" / "self_loop.json")],
+    "path, passes_expected",
+    [
+        (ROBOT, 0),
+        (str(GOLDENS / "matrix_100n_seed5" / "graph.json"), 0),
+        (str(GOLDENS / "bad_documents" / "self_loop.json"), 1),
+    ],
     ids=["robot", "100n", "self_loop"],
 )
-def test_validate_checks_the_structure_once(path, capsys, monkeypatch):
+def test_validate_checks_the_structure_once(path, passes_expected, capsys, monkeypatch):
+    # a valid file is judged by the column checks alone, with no records
     passes = []
     check = depmat.graph._structural_errors
 
@@ -167,7 +172,18 @@ def test_validate_checks_the_structure_once(path, capsys, monkeypatch):
 
     monkeypatch.setattr(depmat.graph, "_structural_errors", counting)
     code, _, _ = run(capsys, "validate", path)
-    assert code in (0, 3) and len(passes) == 1
+    assert code in (0, 3) and len(passes) == passes_expected
+
+
+def test_validate_of_a_valid_file_builds_no_record(capsys, monkeypatch):
+    def no_records(*args):
+        raise AssertionError("records built for a valid file")
+
+    monkeypatch.setattr(fileio, "_records", no_records)
+    for path in (ROBOT, str(GOLDENS / "matrix_100n_seed5" / "graph.json")):
+        for options in ([], ["--format", "json"]):
+            code, out, err = run(capsys, "validate", path, *options)
+            assert (code, err) == (0, "") and out
 
 
 def test_validate_json_format(capsys):

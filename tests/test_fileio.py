@@ -34,9 +34,11 @@ from depmat.graph import (
     EDGE_KINDS,
     EDGE_SCHEDULING,
     GraphBuildError,
+    KIND_AUTO,
     MAX_WEIGHT,
     NODE_KINDS,
     UnknownNodeError,
+    ValidationIssue,
     build_graph,
     shown,
     validate,
@@ -53,6 +55,7 @@ from depmat.matrices import (
 )
 from depmat.simulation import GeneratorParams, generate_graph
 
+import oracles
 from conftest import GOLDENS
 
 
@@ -542,6 +545,138 @@ def test_build_graph_keeps_valid_records_as_its_view_and_rejects_the_rest(docume
     assert restored.__dict__.keys() == {field.name for field in dataclasses.fields(ActivityGraph)}
     assert restored.activities == g.activities and restored.edges == g.edges
     assert parse_graph(serialize_graph(g)) == g
+
+
+def _without(item: dict, keys) -> dict:
+    return {key: value for key, value in item.items() if key not in keys}
+
+
+_MISSING_EDGE_FIELDS = st.sampled_from([{"id"}, {"from"}, {"to"}, {"weight"}, {"from", "to"}, {"to", "weight"}])
+
+# Faults an item can carry; each document below takes several, some on one item.
+_NODE_FAULTS = {
+    "not-object": lambda node, draw: draw(_ODD_VALUES),
+    "unknown-field": lambda node, draw: {**node, "extra": 1},
+    "missing-id": lambda node, draw: _without(node, {"id"}),
+    "id-not-string": lambda node, draw: {**node, "id": draw(st.sampled_from([5, None, [], True]))},
+    "id-bad-token": lambda node, draw: {**node, "id": draw(st.sampled_from(["1a", "", "a b"]))},
+    "label-not-string": lambda node, draw: {**node, "label": draw(st.sampled_from([0, 5, False, [], {}]))},
+    "label-surrogate": lambda node, draw: {**node, "label": "x\ud800"},
+    "kind": lambda node, draw: {**node, "kind": draw(_ODD_VALUES)},
+}
+_EDGE_FAULTS = {
+    "not-object": lambda edge, draw: draw(_ODD_VALUES),
+    "unknown-field": lambda edge, draw: {**edge, "extra": 1},
+    "missing-fields": lambda edge, draw: _without(edge, draw(_MISSING_EDGE_FIELDS)),
+    "id-not-string": lambda edge, draw: {**edge, "id": draw(st.sampled_from([5, None, []]))},
+    "id-bad-token": lambda edge, draw: {**edge, "id": draw(st.sampled_from(["1a", ""]))},
+    "endpoint-not-string": lambda edge, draw: {**edge, draw(st.sampled_from(["from", "to"])): draw(_ODD_VALUES)},
+    "endpoint-undeclared": lambda edge, draw: {**edge, draw(st.sampled_from(["from", "to"])): "zz"},
+    "self-loop": lambda edge, draw: {**edge, "to": edge.get("from")},
+    "weight": lambda edge, draw: {**edge, "weight": draw(st.sampled_from([True, 1.0, -1, MAX_WEIGHT + 1, "1"]))},
+    "dummy-nonzero": lambda edge, draw: {**edge, "kind": EDGE_DUMMY, "weight": draw(st.sampled_from([2, 2**64]))},
+    "kind": lambda edge, draw: {**edge, "kind": draw(_ODD_VALUES)},
+}
+
+
+@st.composite
+def _multi_fault_documents(draw):
+    """A graph document with one to five faults, across items and inside
+    one item; a duplicate id repeats an earlier item's id."""
+    ids = draw(st.lists(_token, min_size=2, max_size=5, unique=True))
+    nodes = [{"id": v, **({"kind": draw(st.sampled_from(sorted(NODE_KINDS)))} if draw(st.booleans()) else {})}
+             for v in ids]
+    edges = []
+    for k in range(draw(st.integers(1, 5))):
+        tail, head = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        edges.append({"id": f"e{k}", "from": tail, "to": head, "weight": draw(st.integers(0, 9))})
+        if draw(st.booleans()):
+            edges[-1]["kind"] = draw(st.sampled_from([EDGE_SCHEDULING, EDGE_DEPENDENCY_ONLY]))
+    for _ in range(draw(st.integers(1, 5))):
+        items, faults = draw(st.sampled_from([(nodes, _NODE_FAULTS), (edges, _EDGE_FAULTS)]))
+        i = draw(st.integers(0, len(items) - 1))
+        name = draw(st.sampled_from(sorted(faults) + ["duplicate-id"]))
+        if not isinstance(items[i], dict):
+            continue
+        if name == "duplicate-id":
+            if i and isinstance(items[i - 1], dict) and "id" in items[i - 1]:
+                items[i] = {**items[i], "id": items[i - 1]["id"]}
+        else:
+            items[i] = faults[name](items[i], draw)
+    unit = draw(st.sampled_from(["ms", "ms", "ms", "", 5]))
+    return json.dumps({"format_version": 1, "unit": unit, "nodes": nodes, "edges": edges}).encode()
+
+
+def _first_error(data: bytes) -> str | None:
+    try:
+        parse_graph(data)
+    except (ParseError, SchemaError) as exc:
+        return str(exc)
+    return None
+
+
+def _lenient_records(data: bytes):
+    """Every object item of the document as a record, whatever its fields
+    hold: what ``build_graph`` may be given by a library caller."""
+    doc = json.loads(data)
+    nodes, edges = ([item for item in doc[array] if type(item) is dict] for array in ("nodes", "edges"))
+    activities = [Activity(n.get("id"), n.get("label"), n.get("kind", KIND_AUTO)) for n in nodes]
+    fields = (("id", None), ("from", None), ("to", None), ("weight", None), ("kind", EDGE_SCHEDULING))
+    edges = [ActivityEdge(*(e.get(key, default) for key, default in fields)) for e in edges]
+    return activities, edges, doc["unit"]
+
+
+# the codes whose order inside one record follows the file's field order
+_FIELD_ORDERED = {"invalid-label", "invalid-kind", "invalid-weight", "negative-weight", "weight-too-large",
+                  "unknown-endpoint"}
+
+
+def _by_record(issues, loci) -> dict[str, list[ValidationIssue]]:
+    records: dict[str, list[ValidationIssue]] = {}
+    for issue, locus in zip(issues, loci):
+        records.setdefault(locus, []).append(issue)
+    return records
+
+
+@given(_multi_fault_documents())
+@example(b'{"format_version": 1, "unit": "ms", "nodes": [{"id": "a"}], "edges": [{"id": "e", "weight": 1}]}')
+@settings(max_examples=600, deadline=None)
+def test_several_faults_raise_the_first_error_and_list_the_issues_the_reference_does(data):
+    assert _first_error(data) == oracles.reference_first_error(data)
+    activities, edges, unit = _lenient_records(data)
+    expected, expected_loci = oracles._structural_errors(activities, edges, unit)
+    try:
+        build_graph(activities, edges, unit=unit)
+        issues, loci = (), ()
+    except GraphBuildError as exc:
+        issues, loci = exc.issues, exc.loci
+    records, reference = _by_record(issues, loci), _by_record(expected, expected_loci)
+    assert list(records) == list(reference)  # the same records, in the same order
+    for locus, found in records.items():
+        if sum(issue.code in _FIELD_ORDERED for issue in found) < 2:
+            assert found == reference[locus]
+        else:  # two or more fields of one record are at fault
+            assert sorted(map(repr, found)) == sorted(map(repr, reference[locus]))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((GOLDENS / "bad_documents").glob("*.json")), ids=lambda p: p.stem
+)
+def test_a_structural_schema_error_carries_the_issues_build_graph_lists(path):
+    data = path.read_bytes()
+    try:
+        parse_graph(data)
+    except SchemaError as exc:
+        try:
+            build_graph(*parse_document(data))
+        except GraphBuildError as build_error:
+            assert exc.issues == build_error.issues and exc.locus == build_error.loci[0]
+        except SchemaError:  # a schema error: no record is built, and no issue carried
+            assert exc.issues == ()
+        else:
+            raise AssertionError("parse_graph rejected what build_graph accepts")
+    except ParseError:
+        pass
 
 
 def test_matrix_csv_robot_dependency(robot):

@@ -269,6 +269,10 @@ def test_validate_unknown_endpoint_not_ok():
         ((Activity("a"), Activity("b")), (ActivityEdge("e", "a", "b", 1, {}),), "invalid-kind"),
         ((Activity([]),), (), "invalid-id"),
         ((Activity("a"),), (ActivityEdge("e", [], "a", 1),), "unknown-endpoint"),
+        # an int past the digit limit: no message may format it
+        ((Activity(10**5000),), (), "invalid-id"),
+        ((Activity("a", None, 10**5000),), (), "invalid-kind"),
+        ((Activity("a"),), (ActivityEdge("e", "a", 10**5000, 1),), "unknown-endpoint"),
     ],
 )
 def test_validate_unhashable_fields_are_issues(activities, edges, code):
