@@ -12,24 +12,19 @@ from operator import attrgetter
 from typing import Sequence
 
 from .fileio import (
-    MaskRows,
     Records,
     SchemaError,
     dumps_json,
     export_dot,
     matrix_csv,
+    matrix_fields,
     matrix_text,
     parse_graph,
+    text_table,
 )
-from .graph import ActivityGraph, ValidationReport, shown, validate
+from .graph import LONE_SURROGATE, ActivityGraph, ValidationReport, shown, validate
 from .localization import RANK_KEYS, VIEW_ALL, VIEW_SCHEDULING, localize
-from .matrices import (
-    DependencyMatrix,
-    adjacency_matrix,
-    dependency_matrix,
-    incidence_matrix,
-    transitive_closure,
-)
+from .matrices import adjacency_matrix, dependency_matrix, incidence_matrix, transitive_closure
 from .schedule import classify_activities, compute_schedule
 from .simulation import GeneratorParams, run_experiment
 
@@ -45,11 +40,10 @@ def _emit_json(payload: dict) -> None:
     print(dumps_json(payload))
 
 
-def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
-    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    for row in (header, *rows):
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+def _encodable(value):
+    """``value``, or its ``repr`` (as the message shows it) when it
+    holds a lone surrogate, which has no UTF-8 encoding."""
+    return repr(value) if isinstance(value, str) and LONE_SURROGATE.search(value) else value
 
 
 def cmd_validate(args) -> int:
@@ -61,7 +55,9 @@ def cmd_validate(args) -> int:
         report = ValidationReport(exc.issues)  # the structural errors validate would list
     if args.format == "json":
         fields = ("severity", "code", "message", "ids")
-        issues = Records(fields, [list(map(attrgetter(name), report.issues)) for name in fields])
+        columns = [list(map(attrgetter(name), report.issues)) for name in fields]
+        columns[3] = [tuple(map(_encodable, ids)) for ids in columns[3]]
+        issues = Records(fields, columns)
         _emit_json({"ok": report.ok, "issues": issues})
     else:
         for issue in report.issues:
@@ -80,25 +76,10 @@ def cmd_matrix(args) -> int:
         matrix = dependency_matrix(graph)
     else:
         matrix = transitive_closure(dependency_matrix(graph))
-    if args.format == "csv":
-        print(matrix_csv(matrix), end="")
-    elif args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "unit": graph.unit,
-            "row_labels": matrix.node_ids,
-            "col_labels": matrix.edge_ids if args.kind == "incidence" else matrix.node_ids,
-            "rows": (
-                MaskRows(matrix.masks, len(matrix.node_ids))
-                if isinstance(matrix, DependencyMatrix)
-                else matrix.rows
-            ),
-        }
-        if args.kind == "closure":
-            payload["closed"] = True
-        _emit_json(payload)
+    if args.format == "json":
+        _emit_json({"kind": args.kind, "unit": graph.unit, **matrix_fields(matrix)})
     else:
-        print(matrix_text(matrix), end="")
+        print((matrix_csv if args.format == "csv" else matrix_text)(matrix), end="")
     return 0
 
 
@@ -125,7 +106,8 @@ def cmd_cpm(args) -> int:
     print(f"duration: {schedule.duration} {shown(graph.unit)}")
     header = ("node", "earliest", "latest", "slack", "class")
     shown_classes = (kind + " (override)" if flag else kind for kind, flag in zip(classes, overrides))
-    _print_table(header, list(zip(graph.node_ids, *(map(str, column) for column in times), shown_classes)))
+    rows = list(zip(*(map(str, column) for column in times), shown_classes))
+    print(text_table(header, graph.node_ids, rows), end="")
     print("critical nodes: " + ", ".join(schedule.critical_nodes))
     for path in schedule.paths:
         print("critical path: " + " -> ".join(path))
@@ -158,10 +140,10 @@ def cmd_localize(args) -> int:
     header = ("rank", "node", "explains", "critical", "distance", "scc")
     columns = zip(nodes, report.masks, report.critical, report.distances, report.sccs)
     table = [
-        (str(rank), node, str(mask.bit_count()), "yes" if critical else "no", str(distance), str(scc))
-        for rank, (node, mask, critical, distance, scc) in enumerate(columns, start=1)
+        (node, str(mask.bit_count()), "yes" if critical else "no", str(distance), str(scc))
+        for node, mask, critical, distance, scc in columns
     ]
-    _print_table(header, table)
+    print(text_table(header, list(map(str, range(1, len(table) + 1))), table), end="")
     print("independent: " + (", ".join(report.independent) or "(none)"))
     print(f"nodes examined: {report.nodes_examined} of {len(report.node_ids)}")
     return 0

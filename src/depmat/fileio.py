@@ -1,10 +1,13 @@
-"""Graph JSON format, matrix rendering, and DOT export.
+"""Graph JSON format, matrix and table rendering, and DOT export.
 
 The graph document is strict JSON: unknown fields are rejected so typos
 surface early. The loader checks the JSON shape; every other input rule
 is ``graph``'s, and a valid document is loaded a column at a time.
 Serialization is canonical (schema field order, 2-space indent, trailing
 newline) and parse(serialize(g)) == g, including node and edge order.
+
+Output is laid out here alone: ``_matrix_rows`` writes every matrix row,
+in every format, and ``text_table`` every aligned text table.
 
     {
       "format_version": 1,
@@ -220,18 +223,9 @@ def serialize_graph(g: ActivityGraph) -> bytes:
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_MATRIX_TYPES = frozenset({IncidenceMatrix, AdjacencyMatrix, DependencyMatrix})
 # per one-type column, the C-level function json applies to each value
 _COLUMN_RENDERERS = {str: encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
-
-
-@dataclass(frozen=True)
-class MaskRows:
-    """Rows of 0/1 cells given as packed masks: ``dumps_json`` renders it as
-    the list of ``width``-cell rows whose cell j is bit j of each mask. Every
-    mask is in ``range(1 << width)``, as a ``DependencyMatrix`` keeps it."""
-
-    masks: Sequence[int]
-    width: int
 
 
 @dataclass(frozen=True)
@@ -250,8 +244,8 @@ def dumps_json(obj) -> str:
     Here each container whose values are all scalars is one C call whose
     item separator carries the newline and indentation.
 
-    ``obj`` may hold ``MaskRows``, each row written from its mask's digits
-    (``_digit_rows``), and ``Records``. A list whose columns each hold one type
+    ``obj`` may hold matrices, each rendered as its ``rows`` list by
+    ``_matrix_rows``, and ``Records``. A list whose columns each hold one type
     among str, int and bool, or hold only tuples of scalars, is rendered
     into one ``%`` template built from its keys, each column by one C-level
     ``map``; any other list as its records' dicts. The template is cut at
@@ -266,14 +260,15 @@ def dumps_json(obj) -> str:
 
 
 @functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """C-backed encoder whose item separator indents to ``depth``."""
-    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * depth, ": "))
+def _encoder(separator: str) -> json.JSONEncoder:
+    """C-backed encoder whose item separator is ``separator``: for the items
+    of a container at depth d, a comma, a newline and d indents."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(separator, ": "))
 
 
 def _append_json(obj, depth: int, chunks: list[str]) -> None:
-    if type(obj) is MaskRows:
-        _append_mask_rows(obj, depth, chunks)
+    if type(obj) in _MATRIX_TYPES:
+        _append_matrix(obj, depth, chunks)
         return
     if type(obj) is Records:
         _append_records(obj, depth, chunks)
@@ -289,7 +284,7 @@ def _append_json(obj, depth: int, chunks: list[str]) -> None:
         chunks.append(int.__repr__(obj))
         return
     else:
-        chunks.append(_encoder(0).encode(obj))
+        chunks.append(_encoder(",").encode(obj))
         return
     if not obj:
         chunks.append(opening + closing)
@@ -297,7 +292,7 @@ def _append_json(obj, depth: int, chunks: list[str]) -> None:
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
     if _SCALAR_TYPES.issuperset(map(type, values)):
-        chunks += (opening, inner, _encoder(depth + 1).encode(obj)[1:-1], outer, closing)
+        chunks += (opening, inner, _encoder("," + inner).encode(obj)[1:-1], outer, closing)
         return
     chunks.append(opening)
     lead = inner
@@ -355,17 +350,18 @@ def _column_texts(column: Sequence, depth: int) -> Iterator[str] | None:
     if not _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(distinct.values()))):
         return None
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    texts = {key: "[" + inner + _encoder(depth + 1).encode(value)[1:-1] + outer + "]" if value else "[]"
+    texts = {key: "[" + inner + _encoder("," + inner).encode(value)[1:-1] + outer + "]" if value else "[]"
              for key, value in distinct.items()}
     return map(texts.__getitem__, map(id, column))
 
 
-def _append_mask_rows(rows: MaskRows, depth: int, chunks: list[str]) -> None:
-    if not (rows.masks and rows.width):  # no rows, or rows of no cells
-        _append_json([[]] * len(rows.masks), depth, chunks)
+def _append_matrix(matrix, depth: int, chunks: list[str]) -> None:
+    row_labels, col_labels = _labels(matrix)
+    if not (row_labels and col_labels):  # no rows, or rows of no cells
+        _append_json([[]] * len(row_labels), depth, chunks)
         return
     inner, lead = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    texts = _digit_rows(rows.masks, rows.width, "," + lead, "[" + lead, inner + "]")
+    texts = _matrix_rows(matrix, "," + lead, "[" + lead, inner + "]")
     # one chunk per row, as for Records
     chunks += ("[", inner, next(texts))
     chunks += chain.from_iterable(zip(repeat("," + inner), texts))
@@ -377,7 +373,7 @@ def _json_key(key) -> str:
     of a float, int, bool or None key and rejects any other type."""
     if isinstance(key, str):
         return encode_basestring(key)
-    return _encoder(0).encode({key: None})[1:-7]  # drop '{' and ': null}'
+    return _encoder(",").encode({key: None})[1:-7]  # drop '{' and ': null}'
 
 
 def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:
@@ -385,10 +381,9 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     first column.
 
     ``csv.writer`` renders the header and quotes every label; the cells are
-    bare integers, so each row's cells are one ``join``, or for a
-    dependency matrix its mask's digits (``_digit_rows``).
+    bare integers, so each row's cells are one ``_matrix_rows`` text.
     """
-    row_labels, col_labels = _matrix_labels(matrix)
+    row_labels, col_labels = _labels(matrix)
     written: list[str] = []
     writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
     writer.writerow(["", *col_labels])
@@ -396,14 +391,56 @@ def matrix_csv(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> 
     # the comma before its cells; with no columns it stands alone, where
     # the writer renders an empty label as '""'.
     rest = ("",) if col_labels else ()
-    if isinstance(matrix, DependencyMatrix):
-        rows = _digit_rows(matrix.masks, len(col_labels), ",", tail="\n")
-    else:
-        rows = (",".join(row) + "\n" for row in _cell_rows(matrix))
-    for label, row in zip(row_labels, rows):
+    for label, row in zip(row_labels, _matrix_rows(matrix, ",", tail="\n")):
         writer.writerow((label, *rest))
         written[-1] = written[-1][:-1] + row
     return "".join(written)
+
+
+def matrix_text(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:
+    """Aligned plain-text table of the same cells as the CSV form, each
+    cell right-aligned under its column label."""
+    row_labels, col_labels = _labels(matrix)
+    return text_table(("", *col_labels), row_labels, list(_matrix_rows(matrix)), str.rjust)
+
+
+def text_table(header: Sequence[str], labels: Sequence[str], rows: Sequence[Sequence], justify=str.ljust) -> str:
+    """Lines of ``header``, then of each label and its row's cells: columns
+    two spaces apart, each as wide as its widest text, trailing blanks
+    stripped; labels left-aligned, cells aligned by ``justify``."""
+    label_width = max(map(len, chain(header[:1], labels)))
+    widths = [max(map(len, column)) for column in zip(header[1:], *rows)]
+    lines = (
+        "  ".join([label.ljust(label_width), *map(justify, row, widths)]).rstrip() + "\n"
+        for label, row in zip(chain(header[:1], labels), chain((header[1:],), rows))
+    )
+    return "".join(lines)
+
+
+def matrix_fields(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> dict:
+    """A matrix's JSON fields: its labels, ``rows`` (the matrix itself, which
+    ``dumps_json`` renders as its rows) and, for a closure, ``closed``."""
+    row_labels, col_labels = _labels(matrix)
+    closed = {"closed": True} if getattr(matrix, "closed", False) else {}
+    return {"row_labels": row_labels, "col_labels": col_labels, "rows": matrix, **closed}
+
+
+def _labels(matrix) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Row labels (node ids) and column labels (edge ids or node ids)."""
+    return matrix.node_ids, matrix.edge_ids if isinstance(matrix, IncidenceMatrix) else matrix.node_ids
+
+
+def _matrix_rows(matrix, separator: str | None = None, head: str = "", tail: str = "") -> Iterator:
+    """Each row's text: ``head``, its cells with ``separator`` between
+    them, then ``tail``; with no separator, the sequence of its cells. A
+    dependency row is its mask's digits (``_digit_rows``), one character per
+    cell; a weight row is one C-level join of its ints, by the ``_encoder``
+    of ``separator``."""
+    if isinstance(matrix, DependencyMatrix):
+        return _digit_rows(matrix.masks, len(matrix.node_ids), separator or "", head, tail)
+    encode = _encoder(separator or ",").encode
+    texts = (head + encode(row)[1:-1] + tail for row in matrix.rows)
+    return texts if separator is not None else map(str.split, texts, repeat(","))
 
 
 def _digit_rows(masks: Sequence[int], width: int, separator: str, head: str = "", tail: str = "") -> Iterator[str]:
@@ -428,33 +465,6 @@ def _digit_rows(masks: Sequence[int], width: int, separator: str, head: str = ""
     return map(row, masks)
 
 
-def matrix_text(matrix: IncidenceMatrix | AdjacencyMatrix | DependencyMatrix) -> str:
-    """Aligned plain-text table of the same cells as the CSV form."""
-    row_labels, col_labels = _matrix_labels(matrix)
-    cells = list(_cell_rows(matrix))
-    label_width = max(map(len, row_labels), default=0)
-    widths = [max(map(len, column)) for column in zip(col_labels, *cells)]
-    lines = (
-        "  ".join([label.ljust(label_width), *map(str.rjust, row, widths)]).rstrip() + "\n"
-        for label, row in zip(("", *row_labels), (col_labels, *cells))
-    )
-    return "".join(lines)
-
-
-def _cell_rows(matrix) -> Iterator[Sequence[str]]:
-    """Each row's cells as strings, in column order. A dependency row is its
-    packed mask's binary digits, one character per cell."""
-    if isinstance(matrix, DependencyMatrix):
-        return _digit_rows(matrix.masks, len(matrix.node_ids), "")
-    return (list(map(str, row)) for row in matrix.rows)
-
-
-def _matrix_labels(matrix) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if isinstance(matrix, IncidenceMatrix):
-        return matrix.node_ids, matrix.edge_ids
-    return matrix.node_ids, matrix.node_ids
-
-
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -474,22 +484,23 @@ def export_dot(g: ActivityGraph, report: LocalizationReport | None = None) -> by
     except (CyclicScheduleError, EmptyGraphError):
         critical = None
     independent = set(report.independent) if report else set()
+    names = list(map(_dot_id, g.node_ids))  # each node's DOT name, made once
     lines = ["digraph activities {", "  rankdir=LR;"]
-    for a in g.activities:
+    for node_id, name in zip(g.node_ids, names):
         attrs: list[str] = []
         if critical is not None:
-            attrs.append("shape=doublecircle" if a.id in critical else "shape=circle")
-        if a.id in independent:
+            attrs.append("shape=doublecircle" if node_id in critical else "shape=circle")
+        if node_id in independent:
             attrs.append("color=red")
             attrs.append('xlabel="independent fault"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_id(a.id)}{suffix};")
-    for e in g.edges:
-        attrs = [f'label="{e.weight}"']
-        if e.kind == EDGE_DEPENDENCY_ONLY:
+        lines.append(f"  {name}{suffix};")
+    for tail, head, weight, kind in zip(g.edge_tails, g.edge_heads, g.edge_weights, g.edge_kinds):
+        attrs = [f'label="{weight}"']
+        if kind == EDGE_DEPENDENCY_ONLY:
             attrs.append("style=dashed")
-        elif e.kind == EDGE_DUMMY:
+        elif kind == EDGE_DUMMY:
             attrs.append("style=dotted")
-        lines.append(f"  {_dot_id(e.tail)} -> {_dot_id(e.head)} [{', '.join(attrs)}];")
+        lines.append(f"  {names[tail]} -> {names[head]} [{', '.join(attrs)}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -64,9 +64,9 @@ class Classification:
         return tuple(compress(self.node_ids, self.node_overrides))
 
 
-def forward_pass(g: ActivityGraph) -> dict[str, int]:
-    """Earliest event times: longest scheduling-path distance from the
-    sources (sources start at 0). Node input order is preserved."""
+def forward_pass(g: ActivityGraph) -> tuple[int, ...]:
+    """Earliest event times per node position (node input order): longest
+    scheduling-path distance from the sources (sources start at 0)."""
     heads, weights = g.scheduling_view
     earliest = [0] * len(heads)
     for v in g.scheduling_order:
@@ -74,11 +74,11 @@ def forward_pass(g: ActivityGraph) -> dict[str, int]:
             candidate = earliest[v] + weight
             if candidate > earliest[w]:
                 earliest[w] = candidate
-    return dict(zip(g.node_ids, earliest))
+    return tuple(earliest)
 
 
-def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
-    """Latest event times; every sink is seeded with the project duration."""
+def backward_pass(g: ActivityGraph, duration: int) -> tuple[int, ...]:
+    """Latest event times per node position; every sink starts at the duration."""
     heads, weights = g.scheduling_view
     latest = [duration] * len(heads)
     for v in reversed(g.scheduling_order):
@@ -86,7 +86,7 @@ def backward_pass(g: ActivityGraph, duration: int) -> dict[str, int]:
             candidate = latest[w] - weight
             if candidate < latest[v]:
                 latest[v] = candidate
-    return dict(zip(g.node_ids, latest))
+    return tuple(latest)
 
 
 def compute_schedule(g: ActivityGraph) -> Schedule:
@@ -103,9 +103,9 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
         return kept
     if not g.node_ids:
         raise EmptyGraphError("cannot schedule a graph with no activities")
-    earliest = tuple(map(forward_pass(g).__getitem__, g.node_ids))  # by id: an unvalidated graph may repeat one
+    earliest = forward_pass(g)
     duration = max(earliest)
-    latest = tuple(map(backward_pass(g, duration).__getitem__, g.node_ids))
+    latest = backward_pass(g, duration)
     slack = tuple(map(sub, latest, earliest))
     critical = tuple(compress(g.node_ids, map(not_, slack)))
     schedule = Schedule(earliest, latest, slack, duration, critical, g.node_ids, g.scheduling_view)

@@ -186,6 +186,33 @@ def test_validate_of_a_valid_file_builds_no_record(capsys, monkeypatch):
             assert (code, err) == (0, "") and out
 
 
+def _every_command_on(path: str, symptoms: str) -> list[list[str]]:
+    commands = [["cpm", path], ["cpm", path, "--format", "json"], ["validate", path]]
+    commands += [["validate", path, "--format", "json"], ["export", path]]
+    commands += [["export", path, "--symptoms", symptoms]]
+    commands += [["localize", path, "--symptoms", symptoms, "--format", fmt] for fmt in ("text", "json")]
+    kinds = ("incidence", "adjacency", "dependency", "closure")
+    commands += [["matrix", path, "--kind", kind, "--format", fmt] for kind in kinds for fmt in _MATRIX_SUFFIX]
+    return commands
+
+
+def test_no_command_builds_records_for_a_valid_file(capsys, monkeypatch):
+    """Every command reads a valid file's graph as its columns only."""
+    argvs = _every_command_on(ROBOT, "v4")
+    argvs += _every_command_on(str(MATRIX_GOLDENS / "graph.json"), "n10,n40,n71,n95")
+    argvs.append(["simulate", "--nodes", "40", "--layers", "4", "--trials", "5", "--seed", "3"])
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and not err for code, out, err in expected)
+
+    def no_records(graph):
+        raise AssertionError("records built for a valid file")
+
+    monkeypatch.setattr(ActivityGraph, "activities", property(no_records))
+    monkeypatch.setattr(ActivityGraph, "edges", property(no_records))
+    for argv, before in zip(argvs, expected):
+        assert run(capsys, *argv) == before, argv
+
+
 def test_validate_json_format(capsys):
     code, out, _ = run(capsys, "validate", ROBOT, "--format", "json")
     assert code == 0
@@ -949,6 +976,33 @@ def test_bad_document_matches_golden(capsys, name, command):
     code, out, err = run(capsys, subcommand, str(BAD_DOCUMENTS / f"{name}.json"), *options)
     actual = {"code": code, "stdout": out, "stderr": err}
     assert {key: actual[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("name", ["edge_to_lone_surrogate", "node_id_lone_surrogate"])
+def test_validate_json_with_a_lone_surrogate_encodes_as_utf8_and_re_encodes(capsys, name):
+    code, out, err = run(capsys, "validate", str(BAD_DOCUMENTS / f"{name}.json"), "--format", "json")
+    assert (code, err) == (3, "")
+    assert out == json.dumps(json.loads(out.encode("utf-8")), indent=2, ensure_ascii=False) + "\n"
+
+
+def test_validate_json_escapes_only_the_ids_that_hold_a_lone_surrogate(tmp_path, capsys):
+    """An id with a lone surrogate is written as its ``repr``, as in its
+    message, wherever an issue lists it; any other id, printable or not,
+    is written as it is."""
+    edges = [
+        {"id": "f\ud800", "from": "a", "to": "a", "weight": 1},
+        {"id": "g", "from": "a", "to": "x\ny", "weight": 1},
+    ]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format_version": 1, "nodes": [{"id": "a"}], "edges": edges}))
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert (code, err) == (3, "")
+    issues = json.loads(out.encode("utf-8"))["issues"]
+    assert [(issue["code"], issue["ids"]) for issue in issues] == [
+        ("invalid-id", ["'f\\ud800'"]),
+        ("self-loop", ["'f\\ud800'"]),
+        ("unknown-endpoint", ["g", "x\ny"]),
+    ]
 
 
 @pytest.mark.parametrize(

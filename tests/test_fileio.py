@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import depmat.graph
 from depmat import fileio
 from depmat.fileio import (
-    MaskRows,
     ParseError,
     Records,
     SchemaError,
@@ -794,19 +793,33 @@ def test_matrix_csv_from_masks_matches_csv_writer(width_and_masks):
         assert matrix_csv(matrix) == csv_writer_reference(matrix)
 
 
-@given(_width_and_masks(square=False), st.lists(st.booleans(), max_size=3))
-@example((0, [0, 0]), [])
-@example((1, [0, 1]), [True])
-@example((63, [(1 << 63) - 1, 0]), [False, True])
-@example((64, [1 << 63]), [True, True, True])
+@given(_width_and_masks(square=True), st.lists(st.booleans(), max_size=3))
+@example((0, []), [])
+@example((1, [1]), [True])
+@example((2, [(1 << 2) - 1, 0]), [False, True])
+@example((64, [1 << 63] * 64), [True, True, True])
 @settings(max_examples=200, deadline=None)
 def test_dumps_json_renders_mask_rows_as_their_digit_lists(width_and_masks, wrappers):
     width, masks = width_and_masks
-    value = MaskRows(tuple(masks), width)
+    value = DependencyMatrix.from_masks(tuple(f"n{i}" for i in range(width)), tuple(masks))
     expected = [[mask >> j & 1 for j in range(width)] for mask in masks]
     for in_list in wrappers:  # at depth 0 to 3, under a list or a dict key
         value, expected = ([value], [expected]) if in_list else ({"rows": value}, {"rows": expected})
     assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
+
+
+@given(st.lists(st.text(max_size=6), max_size=8, unique=True), st.lists(st.booleans(), max_size=3))
+@example(list(AWKWARD_LABELS), [False])
+@example([], [True])
+@example(["x"], [True, False, True])
+@settings(max_examples=100, deadline=None)
+def test_dumps_json_renders_every_matrix_as_its_rows(labels, wrappers):
+    """Every kind, zero-edge incidence and empty matrices included."""
+    for matrix in awkward_matrices(tuple(labels)):
+        value, expected = matrix, matrix.rows
+        for in_list in wrappers:  # at depth 0 to 3, under a list or a dict key
+            value, expected = ([value], [expected]) if in_list else ({"rows": value}, {"rows": expected})
+        assert dumps_json(value) == json.dumps(expected, indent=2, ensure_ascii=False)
 
 
 def text_reference(matrix):

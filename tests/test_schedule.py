@@ -54,24 +54,26 @@ from oracles import (
 
 def test_forward_pass_robot(robot):
     view = scheduling_subgraph(robot)
-    assert forward_pass(view) == {"v0": 0, "v1": 2, "v2": 9, "v3": 15, "v4": 14}
+    assert view.node_ids == ("v0", "v1", "v2", "v3", "v4")
+    assert forward_pass(view) == (0, 2, 9, 15, 14)
 
 
 def test_backward_pass_robot(robot):
     view = scheduling_subgraph(robot)
-    assert backward_pass(view, 15) == {"v0": 0, "v1": 2, "v2": 9, "v3": 15, "v4": 15}
+    assert view.node_ids == ("v0", "v1", "v2", "v3", "v4")
+    assert backward_pass(view, 15) == (0, 2, 9, 15, 15)
 
 
 def test_passes_trivial_cases():
     single = build_graph([Activity("v0")], [])
-    assert forward_pass(single) == {"v0": 0}
-    assert backward_pass(single, 0) == {"v0": 0}
+    assert forward_pass(single) == (0,)
+    assert backward_pass(single, 0) == (0,)
     chain = build_graph(
         [Activity("v0"), Activity("v1"), Activity("v2")],
         [ActivityEdge("x", "v0", "v1", 2), ActivityEdge("y", "v1", "v2", 3)],
     )
-    assert forward_pass(chain) == {"v0": 0, "v1": 2, "v2": 5}
-    assert backward_pass(chain, 5) == {"v0": 0, "v1": 2, "v2": 5}
+    assert forward_pass(chain) == (0, 2, 5)
+    assert backward_pass(chain, 5) == (0, 2, 5)
 
 
 def test_forward_pass_rejects_cycle():
@@ -196,10 +198,10 @@ def test_build_rejects_the_edge_no_column_could_hold():
 def test_schedule_columns_follow_node_ids_when_an_unvalidated_graph_repeats_one():
     g = unchecked_graph((Activity("a"), Activity("a"), Activity("b")), (ActivityEdge("x", "a", "b", 3),))
     assert not validate(g).ok
-    s = compute_schedule(g)
-    assert s.node_earliest == (0, 0, 3) and s.node_slack == (0, 0, 0)
-    assert s.critical_nodes == ("a", "a", "b")
-    assert classify_activities(g).node_classes == (KIND_CRITICAL,) * 3
+    s = compute_schedule(g)  # per position: the edge leaves the second "a"
+    assert s.node_earliest == (0, 0, 3) and s.node_latest == (3, 0, 3) and s.node_slack == (3, 0, 0)
+    assert s.critical_nodes == ("a", "b")
+    assert classify_activities(g).node_classes == (KIND_NON_CRITICAL, KIND_CRITICAL, KIND_CRITICAL)
 
 
 def count_tarjan_passes(monkeypatch) -> list:
