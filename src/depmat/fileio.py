@@ -36,20 +36,15 @@ from typing import Iterator, Sequence
 
 from .graph import (
     MISSING,
-    Activity,
-    ActivityEdge,
     ActivityGraph,
     CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
     EDGE_SCHEDULING,
-    GraphBuildError,
     KIND_AUTO,
     _columns_ok,
-    _edge_faults,
-    _node_faults,
+    _item_faults,
     _unit_faults,
-    build_graph,
     shown,
 )
 from .localization import LocalizationReport
@@ -81,36 +76,6 @@ class SchemaError(ValueError):
         self.locus = locus
         self.issues = issues
         super().__init__(f"{locus}: {message}")
-
-
-def parse_document(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge], str]:
-    """Schema-checked decode into activities, edges and unit, without the
-    structural graph validation (see ``parse_graph``)."""
-    return _records(*_decode(data))
-
-
-def _records(doc: dict, unit: str) -> tuple[list[Activity], list[ActivityEdge], str]:
-    """``parse_document`` of the document ``_decode`` has returned; raises
-    the loader message of the first rule that an item breaks."""
-    arrays: list[list] = []
-    for array, fields, record in ("nodes", _NODE_FIELDS, Activity), ("edges", _EDGE_FIELDS, ActivityEdge):
-        items = _get(doc, array, "$")
-        if not isinstance(items, list):
-            raise SchemaError(f"{array} must be an array", array)
-        faults = functools.partial(_edge_faults, declared={a.id for a in arrays[0]}) if arrays else _node_faults
-        arrays.append([])
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise SchemaError(f"{array[:-1]} must be an object", f"{array}[{i}]")
-            unknown = [key for key in item if key not in fields]
-            if unknown:
-                raise SchemaError(f"unknown field {unknown[0]!r}", f"{array}[{i}].{shown(unknown[0])}")
-            values = [item.get(field, default) for field, default in fields.items()]
-            for suffix, template, _ in faults(*values):
-                if template:
-                    raise SchemaError(template.format_map(item), f"{array}[{i}]{suffix}")
-            arrays[-1].append(record(*values))
-    return (*arrays, unit)
 
 
 def _decode(data: bytes | str) -> tuple[dict, str]:
@@ -159,18 +124,38 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def parse_graph(data: bytes | str) -> ActivityGraph:
     """Parse and fully validate: a valid document becomes a graph of columns
-    with no records; any other is read again item by item, and its first
-    broken rule raised. Structural errors surface as one SchemaError at the
-    first one's array locus, counting the rest, and carry them all."""
+    with no records. Any other is walked once by ``_item_faults``, and the
+    first item error the loader reports is raised; else the structural errors
+    surface as one SchemaError at the first one's array locus, counting the
+    rest, and carry them all."""
     doc, unit = _decode(data)
     graph = _checked_columns(doc, unit)
     if graph is not None:
         return graph
-    activities, edges, unit = _records(doc, unit)
-    try:
-        return build_graph(activities, edges, unit=unit)
-    except GraphBuildError as exc:
-        raise SchemaError(exc.issues[0].message + exc.more, exc.loci[0], exc.issues) from None
+    issues, loci = [], []
+    for array, i, suffix, template, issue in _item_faults(_fields(doc, "nodes"), _fields(doc, "edges")):
+        if template:
+            raise SchemaError(template.format_map(doc[array][i]), f"{array}[{i}]{suffix}")
+        issues.append(issue)
+        loci.append(f"{array}[{i}]")
+    more = f" (+{len(issues) - 1} more)" if len(issues) > 1 else ""
+    raise SchemaError(issues[0].message + more, loci[0], tuple(issues))
+
+
+def _fields(doc: dict, array: str) -> Iterator[list]:
+    """Each item's field values in file order, defaults filled in; ``array``
+    is looked up on first read. Raises at a non-object or an unknown field."""
+    items = _get(doc, array, "$")
+    if not isinstance(items, list):
+        raise SchemaError(f"{array} must be an array", array)
+    fields = _NODE_FIELDS if array == "nodes" else _EDGE_FIELDS
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaError(f"{array[:-1]} must be an object", f"{array}[{i}]")
+        unknown = [key for key in item if key not in fields]
+        if unknown:
+            raise SchemaError(f"unknown field {unknown[0]!r}", f"{array}[{i}].{shown(unknown[0])}")
+        yield [item.get(field, default) for field, default in fields.items()]
 
 
 def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:

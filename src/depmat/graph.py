@@ -17,7 +17,7 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 raises ``CyclicScheduleError`` for it.
 
 Every input rule is written here once: ``_columns_ok`` accepts valid
-columns a whole column at a time, and one rule list per item kind names
+columns a whole column at a time, and one walk, ``_item_faults``, names
 each fault both as the loader reports it and as ``validate`` lists it.
 
 One Tarjan pass over node positions (``condensation``) answers every
@@ -312,26 +312,34 @@ def _columns_ok(nodes: Sequence[Sequence], position: dict, edges: Sequence[Seque
 def _structural_errors(activities: Sequence, edges: Sequence, unit: str) -> tuple[list, list[str]]:
     """Every structural error of the records, and every label or unit that
     a graph file cannot carry, and, in a parallel list, the item it is on
-    (or ``unit``); a duplicate id is on its later copy. Records that pass
-    ``_columns_ok`` are not walked."""
+    (or ``unit``). Records that pass ``_columns_ok`` are not walked."""
     issues = _unit_faults(unit)
     loci = ["unit"] * len(issues)
     with suppress(TypeError):  # an unhashable value, or a non-string where a string belongs
         if _columns_ok(*_record_columns(activities, edges)):
             return issues, loci
-    declared = {a.id for a in activities if isinstance(a.id, str)}
-    for array, noun, records, faults in (
-        ("nodes", "activity", activities, lambda a: _node_faults(a.id, a.label, a.declared_kind)),
-        ("edges", "edge", edges, lambda e: _edge_faults(e.id, e.tail, e.head, e.weight, e.kind, declared)),
-    ):
-        first: dict[str, int] = {}  # each valid id's first position
-        for i, record in enumerate(records):
-            found = [issue for _, _, issue in faults(record) if issue]
-            if (not found or found[0].code != "invalid-id") and first.setdefault(record.id, i) != i:
-                found.insert(0, _error("duplicate-id", f"duplicate {noun} id: {record.id}", record.id))
-            issues += found
-            loci += [f"{array}[{i}]"] * len(found)
-    return issues, loci
+    nodes = map(attrgetter("id", "label", "declared_kind"), activities)
+    faults = _item_faults(nodes, map(attrgetter("id", "tail", "head", "weight", "kind"), edges))
+    found = [(issue, f"{array}[{i}]") for array, i, _, _, issue in faults if issue]
+    return issues + [issue for issue, _ in found], loci + [locus for _, locus in found]
+
+
+def _item_faults(nodes: Iterable[Sequence], edges: Iterable[Sequence]) -> Iterator[tuple]:
+    """Per rule that an item breaks, in document order: the item's array and
+    index, then the ``_node_faults`` tuple. ``nodes`` and ``edges`` yield each
+    item's field values in file order, ``edges`` read only once every node is
+    walked. A duplicate id comes first, at its later copy."""
+    declared: set[str] = set()
+    for array, noun, items in ("nodes", "activity", nodes), ("edges", "edge", edges):
+        first: dict = {}  # each valid id's first position
+        for i, (item_id, *rest) in enumerate(items):
+            faults = list(_id_faults(item_id, noun))
+            if not any(issue for *_, issue in faults) and first.setdefault(item_id, i) != i:
+                faults.insert(0, ("", None, _error("duplicate-id", f"duplicate {noun} id: {item_id}", item_id)))
+            rules = _edge_faults(item_id, *rest, declared) if array == "edges" else _node_faults(item_id, *rest)
+            yield from ((array, i, *fault) for fault in chain(faults, rules))
+            if array == "nodes" and isinstance(item_id, str):
+                declared.add(item_id)
 
 
 def _error(code: str, message: str, *ids) -> ValidationIssue:
@@ -348,11 +356,10 @@ def _unit_faults(unit) -> list[ValidationIssue]:
 
 
 def _node_faults(node_id, label, kind) -> Iterator[tuple]:
-    """Per rule that a node's fields break, in the loader's order and at
-    most one per field: its locus suffix, the loader's message template
-    (which only the loader formats, with the item's fields) or None, and the
-    ValidationIssue or None. A field that a document leaves out is MISSING."""
-    yield from _id_faults(node_id, "activity")
+    """Per rule that a node's label or kind breaks, in the loader's order: its
+    locus suffix, the loader's message template (which only the loader formats,
+    with the item's fields) or None, and the ValidationIssue or None. A field
+    that a document leaves out is MISSING. ``_id_faults`` checks the id."""
     if not isinstance(label, (str, type(None))) or label and LONE_SURROGATE.search(label):
         fault = "label must " + ("be a string" if not isinstance(label, str) else "not contain a lone surrogate")
         yield ".label", fault, _error("invalid-label", f"activity {_named(node_id)}: {fault}", node_id)
@@ -363,34 +370,33 @@ def _node_faults(node_id, label, kind) -> Iterator[tuple]:
 
 def _edge_faults(edge_id, tail, head, weight, kind, declared) -> Iterator[tuple]:
     """``_node_faults`` for an edge, its endpoints among ``declared`` ids."""
-    yield from _id_faults(edge_id, "edge")
-    name = _named(edge_id)
     if kind == EDGE_DUMMY and type(weight) is not bool and isinstance(weight, int) and 0 < weight <= MAX_WEIGHT:
-        yield "", None, _error("dummy-nonzero", f"dummy edge {name} has non-zero weight {weight}", edge_id)
+        message = f"dummy edge {_named(edge_id)} has non-zero weight {weight}"
+        yield "", None, _error("dummy-nonzero", message, edge_id)
     for field, end in ("from", tail), ("to", head):
         if end is MISSING:
             yield "", f"missing required field {field!r}", None
     for field, end in ("from", tail), ("to", head):
         if end is not MISSING and (not isinstance(end, str) or end not in declared):
-            message = f"edge {name}: unknown node {_named(end, repr)}"
+            message = f"edge {_named(edge_id)}: unknown node {_named(end, repr)}"
             issue = _error("unknown-endpoint", message, edge_id, _named(end, str))
             yield f".{field}", None if isinstance(end, str) else f"{field} must be a string", issue
     if weight is MISSING:
         yield "", "missing required field 'weight'", None
     elif isinstance(weight, bool) or not isinstance(weight, int):
-        issue = _error("invalid-weight", f"edge {name}: weight must be an integer", edge_id)
+        issue = _error("invalid-weight", f"edge {_named(edge_id)}: weight must be an integer", edge_id)
         yield ".weight", "edge {id!r}: weight must be an integer number of time units", issue
     elif weight < 0:  # no message formats an unbounded weight
-        issue = _error("negative-weight", f"edge {name}: weight is negative", edge_id)
+        issue = _error("negative-weight", f"edge {_named(edge_id)}: weight is negative", edge_id)
         yield ".weight", "edge {id!r}: weight must be non-negative", issue
     elif weight > MAX_WEIGHT:
-        issue = _error("weight-too-large", f"edge {name}: weight is above 2**64", edge_id)
+        issue = _error("weight-too-large", f"edge {_named(edge_id)}: weight is above 2**64", edge_id)
         yield ".weight", "edge {id!r}: weight must be at most 2**64", issue
     if not isinstance(kind, str) or kind not in EDGE_KINDS:
-        message = f"edge {name}: unknown kind {_named(kind, repr)}"
+        message = f"edge {_named(edge_id)}: unknown kind {_named(kind, repr)}"
         yield ".kind", "unknown edge kind {kind!r}", _error("invalid-kind", message, edge_id)
     if tail == head:
-        yield "", None, _error("self-loop", f"edge {name}: self-loop on {_named(tail)}", edge_id)
+        yield "", None, _error("self-loop", f"edge {_named(edge_id)}: self-loop on {_named(tail)}", edge_id)
 
 
 def _id_faults(item_id, noun: str) -> Iterator[tuple]:

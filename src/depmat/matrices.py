@@ -42,17 +42,28 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+def _check_shape(kind: str, rows, n: int, width: int) -> None:
+    if len(rows) != n or any(map(width.__ne__, map(len, rows))):
+        raise DimensionMismatchError(f"{kind} matrix rows must be {n} x {width}")
+
+
 @dataclass(frozen=True)
 class IncidenceMatrix:
     node_ids: tuple[str, ...]
     edge_ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        _check_shape("incidence", self.rows, len(self.node_ids), len(self.edge_ids))
+
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     node_ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        _check_shape("adjacency", self.rows, len(self.node_ids), len(self.node_ids))
 
 
 @dataclass(frozen=True, init=False)
@@ -76,11 +87,8 @@ class DependencyMatrix(NodePositions):
     closed: bool = False
 
     def __init__(self, node_ids, rows, closed: bool = False):
-        n = len(node_ids)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise DimensionMismatchError(f"dependency matrix rows must be {n} x {n}")
-        masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
-        self._fill(node_ids, masks, closed)
+        _check_shape("dependency", rows, len(node_ids), len(node_ids))
+        self._fill(node_ids, tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows), closed)
 
     @classmethod
     def from_masks(cls, node_ids, masks: tuple[int, ...], closed: bool = False) -> DependencyMatrix:

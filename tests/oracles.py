@@ -298,19 +298,25 @@ _NODE_FIELDS = {"id", "label", "kind"}
 _EDGE_FIELDS = {"id", "from", "to", "weight", "kind"}
 
 
+def reference_records(data: bytes | str) -> tuple[list[Activity], list[ActivityEdge], str]:
+    """The activities, edges and unit of ``data``, each item parsed by its
+    own function and no structural rule checked; raises the first schema
+    error, as ``parse_graph`` did when each item was parsed so."""
+    doc, unit = _decode(data)
+    arrays = []
+    for name, parse in (("nodes", _parse_node), ("edges", _parse_edge)):
+        items = _get(doc, name, "$")
+        if not isinstance(items, list):
+            raise SchemaError(f"{name} must be an array", name)
+        arrays.append([parse(item, i) for i, item in enumerate(items)])
+    return (*arrays, unit)
+
+
 def reference_first_error(data: bytes) -> str | None:
     """The text of the error ``parse_graph`` raised for ``data`` when each
     item was parsed by its own function, or None when it was accepted."""
     try:
-        doc, unit = _decode(data)
-        for name, parse in (("nodes", _parse_node), ("edges", _parse_edge)):
-            items = _get(doc, name, "$")
-            if not isinstance(items, list):
-                raise SchemaError(f"{name} must be an array", name)
-            records = [parse(item, i) for i, item in enumerate(items)]
-            if name == "nodes":
-                activities = records
-        errors, loci = _structural_errors(activities, records, unit)
+        errors, loci = _structural_errors(*reference_records(data))
     except (ParseError, SchemaError) as exc:
         return str(exc)
     if errors:

@@ -162,28 +162,64 @@ def test_validate_bad_graph_exits_3(tmp_path, capsys):
     ids=["robot", "100n", "self_loop"],
 )
 def test_validate_checks_the_structure_once(path, passes_expected, capsys, monkeypatch):
-    # a valid file is judged by the column checks alone, with no records
+    # a valid file is judged by the column checks alone, with no item walk
     passes = []
-    check = depmat.graph._structural_errors
+    walk = depmat.graph._item_faults
 
-    def counting(activities, edges, unit):
-        passes.append(len(activities))
-        return check(activities, edges, unit)
+    def counting(nodes, edges):
+        passes.append(1)
+        return walk(nodes, edges)
 
-    monkeypatch.setattr(depmat.graph, "_structural_errors", counting)
+    monkeypatch.setattr(depmat.graph, "_item_faults", counting)
+    monkeypatch.setattr(fileio, "_item_faults", counting)
     code, _, _ = run(capsys, "validate", path)
     assert code in (0, 3) and len(passes) == passes_expected
 
 
 def test_validate_of_a_valid_file_builds_no_record(capsys, monkeypatch):
-    def no_records(*args):
-        raise AssertionError("records built for a valid file")
+    def no_walk(*args):
+        raise AssertionError("items walked for a valid file")
 
-    monkeypatch.setattr(fileio, "_records", no_records)
+    monkeypatch.setattr(depmat.graph, "_item_faults", no_walk)
+    monkeypatch.setattr(fileio, "_item_faults", no_walk)
     for path in (ROBOT, str(GOLDENS / "matrix_100n_seed5" / "graph.json")):
         for options in ([], ["--format", "json"]):
             code, out, err = run(capsys, "validate", path, *options)
             assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
+    "fault, codes",
+    [({"to": "nope"}, (2, 3, 3)), ({"weight": -1}, (2, 2, 2))],
+    ids=["unknown_endpoint", "negative_weight"],
+)
+def test_a_faulted_file_walks_each_item_through_its_rules_once(fault, codes, tmp_path, capsys, monkeypatch):
+    """A file whose last edge breaks a rule is walked once: one rule-list
+    call per node and per edge, and no Activity or ActivityEdge record."""
+    doc = json.loads(ROBOT_PATH.read_text())
+    doc["edges"][-1].update(fault)
+    path = tmp_path / "faulted.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+
+    def counted(name):
+        rules = getattr(depmat.graph, name)
+        return lambda *fields: calls.append(name) or rules(*fields)
+
+    for name in ("_node_faults", "_edge_faults"):
+        rules = counted(name)
+        for module in (depmat.graph, fileio):  # wherever a walk may look the rules up
+            monkeypatch.setattr(module, name, rules, raising=False)
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("record built")
+
+    monkeypatch.setattr(Activity, "__init__", no_records)
+    monkeypatch.setattr(ActivityEdge, "__init__", no_records)
+    for argv, code in zip((["cpm"], ["validate"], ["validate", "--format", "json"]), codes):
+        calls.clear()
+        assert run(capsys, argv[0], str(path), *argv[1:])[0] == code
+        assert (calls.count("_node_faults"), calls.count("_edge_faults")) == (len(doc["nodes"]), len(doc["edges"]))
 
 
 def _every_command_on(path: str, symptoms: str) -> list[list[str]]:

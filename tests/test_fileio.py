@@ -20,7 +20,6 @@ from depmat.fileio import (
     export_dot,
     matrix_csv,
     matrix_text,
-    parse_document,
     parse_graph,
     serialize_graph,
 )
@@ -119,7 +118,7 @@ def test_library_graph_at_the_weight_bound_round_trips():
 def test_integer_literal_past_the_digit_limit_is_a_parse_error():
     for data in (_one_edge_document("9" * 5000), _one_edge_document("9" * 5000).encode()):
         with pytest.raises(ParseError) as exc:
-            parse_document(data)
+            parse_graph(data)
         assert (exc.value.line, exc.value.column) == (1, 1)
         assert str(exc.value) == "line 1 column 1: integer literal longer than 4300 digits"
 
@@ -240,13 +239,13 @@ def test_printable_text_is_shown_as_it_is():
     assert shown("a\u2028b") == "'a\\u2028b'"
 
 
-def test_parse_document_skips_structural_validation():
+def test_reference_records_skip_structural_validation():
     doc = {
         "format_version": 1,
         "nodes": [{"id": "v0"}],
         "edges": [{"id": "x", "from": "v0", "to": "zz", "weight": 1}],
     }
-    activities, edges, unit = parse_document(json.dumps(doc))
+    activities, edges, unit = oracles.reference_records(json.dumps(doc))
     assert len(activities) == 1 and len(edges) == 1 and unit == "ms"
 
 
@@ -357,7 +356,7 @@ def _outcome(route, data):
 
 
 def _record_route(data):
-    return build_graph(*parse_document(data))
+    return build_graph(*oracles.reference_records(data))
 
 
 def _column_checks_pass(data) -> bool:
@@ -523,11 +522,21 @@ def test_validate_does_not_check_a_loaded_graph_again(monkeypatch):
     data = (GOLDENS / "matrix_100n_seed5" / "graph.json").read_bytes()
     passes = []
     monkeypatch.setattr(depmat.graph, "_structural_errors", lambda *records: passes.append(records) or ([], []))
-    assert validate(parse_graph(data)).ok and validate(build_graph(*parse_document(data))).ok
+    assert validate(parse_graph(data)).ok and validate(build_graph(*oracles.reference_records(data))).ok
     assert len(passes) == 1  # build_graph's own; none by validate
 
 
-@given(_documents(_RECORD_MUTATIONS).map(parse_document))
+def test_build_graph_walks_no_item_of_valid_records(monkeypatch):
+    records = oracles.reference_records((GOLDENS / "matrix_100n_seed5" / "graph.json").read_bytes())
+
+    def no_walk(*args):
+        raise AssertionError("valid records walked item by item")
+
+    monkeypatch.setattr(depmat.graph, "_item_faults", no_walk)
+    assert validate(build_graph(*records)).ok
+
+
+@given(_documents(_RECORD_MUTATIONS).map(oracles.reference_records))
 @settings(max_examples=300, deadline=None)
 def test_build_graph_keeps_valid_records_as_its_view_and_rejects_the_rest(document):
     activities, edges, unit = document
@@ -667,7 +676,7 @@ def test_a_structural_schema_error_carries_the_issues_build_graph_lists(path):
         parse_graph(data)
     except SchemaError as exc:
         try:
-            build_graph(*parse_document(data))
+            build_graph(*oracles.reference_records(data))
         except GraphBuildError as build_error:
             assert exc.issues == build_error.issues and exc.locus == build_error.loci[0]
         except SchemaError:  # a schema error: no record is built, and no issue carried

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from depmat.graph import EDGE_DUMMY, Activity, ActivityEdge, build_graph
 from depmat.matrices import (
+    AdjacencyMatrix,
     AlreadyClosedError,
     CapacityError,
     DependencyMatrix,
     DimensionMismatchError,
+    IncidenceMatrix,
     MAX_DENSE_NODES,
     adjacency_matrix,
     condensation,
@@ -355,6 +357,21 @@ def test_non_square_rows_are_rejected():
         DependencyMatrix(("a", "b"), ((0, 1),))
     with pytest.raises(DimensionMismatchError):
         DependencyMatrix(("a", "b"), ((0, 1), (0, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IncidenceMatrix(("a", "b"), ("e",), ((), (1,))),
+        lambda: IncidenceMatrix(("a", "b"), ("e",), ((1,),)),
+        lambda: AdjacencyMatrix(("a", "b"), ((1,), (0, 0, 0))),
+        lambda: AdjacencyMatrix(("a", "b"), ((0, 1), (0, 1), (0, 1))),
+    ],
+    ids=["incidence-short-row", "incidence-too-few", "adjacency-ragged", "adjacency-too-many"],
+)
+def test_weight_rows_that_are_not_one_cell_per_column_label_are_rejected(build):
+    with pytest.raises(DimensionMismatchError):
+        build()
 
 
 @pytest.mark.parametrize(
