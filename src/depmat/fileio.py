@@ -42,7 +42,7 @@ from .graph import (
     EDGE_DUMMY,
     EDGE_SCHEDULING,
     KIND_AUTO,
-    _columns_ok,
+    _checked_graph,
     _item_faults,
     _unit_faults,
     shown,
@@ -160,27 +160,21 @@ def _fields(doc: dict, array: str) -> Iterator[list]:
 
 def _checked_columns(doc: dict, unit: str) -> ActivityGraph | None:
     """The graph of a document whose items are objects with only known
-    fields and whose columns pass ``_columns_ok``, or None. A missing field
+    fields and whose columns pass ``_checked_graph``, or None. A missing field
     (KeyError) or an unhashable or non-string value (TypeError) fails too."""
     nodes, edges = doc.get("nodes"), doc.get("edges")
     if type(nodes) is not list or type(edges) is not list:
         return None
+    arrays = (nodes, _NODE_FIELDS), (edges, _EDGE_FIELDS)
     with suppress(KeyError, TypeError):  # ids first, so every item is an object
-        node_ids = list(map(itemgetter("id"), nodes))
-        position = dict(zip(node_ids, range(len(node_ids))))
-        node_columns = (node_ids, [item.get("label") for item in nodes])
-        node_columns += ([item.get("kind", KIND_AUTO) for item in nodes],)
-        edge_columns = [list(map(itemgetter(key), edges)) for key in ("id", "from", "to", "weight")]
-        edge_columns[1:3] = (list(map(position.get, ends)) for ends in edge_columns[1:3])
-        edge_columns.append([item.get("kind", EDGE_SCHEDULING) for item in edges])
-        if (
-            _NODE_FIELDS.keys() >= set().union(*nodes)
-            and _EDGE_FIELDS.keys() >= set().union(*edges)
-            and _columns_ok(node_columns, position, edge_columns)
-        ):
-            graph = ActivityGraph.from_columns(node_columns, edge_columns, unit)
-            graph.__dict__["_checked"] = True  # as build_graph does: validate need not look again
-            return graph
+        columns = [
+            # a required field by itemgetter, which raises where it is left out
+            [list(map(itemgetter(key), items)) if default is MISSING else [item.get(key, default) for item in items]
+             for key, default in fields.items()]
+            for items, fields in arrays
+        ]
+        if all(fields.keys() >= set().union(*items) for items, fields in arrays):
+            return _checked_graph(*columns, unit)
     return None
 
 

@@ -16,9 +16,11 @@ A cycle of scheduling and dummy edges does not stop ``build_graph``:
 (``scheduling_order``, hence CPM and ``localize``'s scheduling view)
 raises ``CyclicScheduleError`` for it.
 
-Every input rule is written here once: ``_columns_ok`` accepts valid
-columns a whole column at a time, and one walk, ``_item_faults``, names
-each fault both as the loader reports it and as ``validate`` lists it.
+Every input rule is written here once. One gate, ``_checked_graph``,
+accepts valid columns a whole column at a time and is the only code that
+marks a graph checked: the loader, ``build_graph`` and ``validate`` all go
+through it. One walk, ``_item_faults``, names each fault of columns that
+fail it, both as the loader reports it and as ``validate`` lists it.
 
 One Tarjan pass over node positions (``condensation``) answers every
 order and component question about a view, and one sweep of its
@@ -271,57 +273,54 @@ def build_graph(activities: Iterable[Activity], edges: Iterable[ActivityEdge], u
     and on any label or unit that a graph file cannot carry. The graph
     holds that it has none, so ``validate`` does not look again."""
     activities, edges = tuple(activities), tuple(edges)
-    errors, loci = _structural_errors(activities, edges, unit)
-    if errors:
+    nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
+    columns = [tuple(map(attrgetter(name), edges)) for name in ("id", "tail", "head", "weight", "kind")]
+    graph, errors, loci = _verdict(nodes, columns, unit)
+    if graph is None:
         raise GraphBuildError(errors, loci)
-    nodes, position, columns = _record_columns(activities, edges)
-    graph = ActivityGraph.from_columns(nodes, columns, unit)
-    graph.__dict__.update(activities=activities, edges=edges, _positions=position, _checked=True)
+    graph.__dict__.update(activities=activities, edges=edges)
     return graph
 
 
-def _record_columns(activities: Sequence[Activity], edges: Sequence[ActivityEdge]) -> tuple[list, dict, list]:
-    """The columns of the records as ``_columns_ok`` takes them."""
-    nodes = [tuple(map(attrgetter(name), activities)) for name in ("id", "label", "declared_kind")]
-    position = dict(zip(nodes[0], range(len(activities))))
-    columns = [tuple(map(attrgetter(name), edges)) for name in ("id", "tail", "head", "weight", "kind")]
-    columns[1:3] = (tuple(map(position.get, ends)) for ends in columns[1:3])
-    return nodes, position, columns
-
-
-def _columns_ok(nodes: Sequence[Sequence], position: dict, edges: Sequence[Sequence]) -> bool:
-    """Whether node columns (ids, labels, kinds) and edge columns (ids, tail and head positions,
-    None where undeclared, weights, kinds) break no per-item rule and repeat no id, ``position``
-    being each node id's; each check is made over a whole column. May raise TypeError."""
+def _checked_graph(nodes: Sequence[Sequence], edges: Sequence[Sequence], unit) -> ActivityGraph | None:
+    """The graph of node columns (ids, labels, kinds) and edge columns (ids,
+    tail and head ids, weights, kinds), holding that it is checked, when
+    they and ``unit`` break no input rule and repeat no id; else None. Each
+    check is made over a whole column. No other code marks a graph checked."""
     (node_ids, labels, node_kinds), (edge_ids, tails, heads, weights, edge_kinds) = nodes, edges
-    return (
-        all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
-        and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
-        and {str, type(None)}.issuperset(map(type, labels))
-        and not LONE_SURROGATE.search("".join(filter(None, labels)))
-        and NODE_KINDS.issuperset(node_kinds)
-        and None not in tails and None not in heads  # an undeclared or non-string endpoint
-        and not any(map(eq, tails, heads))
-        and {int}.issuperset(map(type, weights))  # no bool, no float
-        and 0 <= min(weights, default=0) and max(weights, default=0) <= MAX_WEIGHT
-        and EDGE_KINDS.issuperset(edge_kinds)
-        and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
-    )
-
-
-def _structural_errors(activities: Sequence, edges: Sequence, unit: str) -> tuple[list, list[str]]:
-    """Every structural error of the records, and every label or unit that
-    a graph file cannot carry, and, in a parallel list, the item it is on
-    (or ``unit``). Records that pass ``_columns_ok`` are not walked."""
-    issues = _unit_faults(unit)
-    loci = ["unit"] * len(issues)
     with suppress(TypeError):  # an unhashable value, or a non-string where a string belongs
-        if _columns_ok(*_record_columns(activities, edges)):
-            return issues, loci
-    nodes = map(attrgetter("id", "label", "declared_kind"), activities)
-    faults = _item_faults(nodes, map(attrgetter("id", "tail", "head", "weight", "kind"), edges))
-    found = [(issue, f"{array}[{i}]") for array, i, _, _, issue in faults if issue]
-    return issues + [issue for issue, _ in found], loci + [locus for _, locus in found]
+        position = dict(zip(node_ids, range(len(node_ids))))
+        tails, heads = (tuple(map(position.get, ends)) for ends in (tails, heads))  # None: undeclared
+        if (
+            not _unit_faults(unit)
+            and all(map(ID_PATTERN.match, chain(node_ids, edge_ids)))  # TypeError on a non-string
+            and len(position) == len(node_ids) and len(set(edge_ids)) == len(edge_ids)
+            and {str, type(None)}.issuperset(map(type, labels))
+            and not LONE_SURROGATE.search("".join(filter(None, labels)))
+            and NODE_KINDS.issuperset(node_kinds)
+            and None not in tails and None not in heads  # an undeclared or non-string endpoint
+            and not any(map(eq, tails, heads))
+            and {int}.issuperset(map(type, weights))  # no bool, no float
+            and 0 <= min(weights, default=0) and max(weights, default=0) <= MAX_WEIGHT
+            and EDGE_KINDS.issuperset(edge_kinds)
+            and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
+        ):
+            graph = ActivityGraph.from_columns(nodes, (edge_ids, tails, heads, weights, edge_kinds), unit)
+            graph.__dict__["_checked"] = True  # not ``_positions``: only a lookup by id needs it
+            return graph
+    return None
+
+
+def _verdict(nodes: Sequence[Sequence], edges: Sequence[Sequence], unit) -> tuple[ActivityGraph | None, list, list]:
+    """``_checked_graph`` of the columns, or None, then every error it has
+    and, in a parallel list, the item each is on (``nodes[i]``, ``edges[i]``
+    or ``unit``). Columns that pass the gate are not walked item by item."""
+    graph = _checked_graph(nodes, edges, unit)
+    if graph is not None:
+        return graph, [], []
+    issues = _unit_faults(unit)
+    found = [(issue, f"{array}[{i}]") for array, i, _, _, issue in _item_faults(zip(*nodes), zip(*edges)) if issue]
+    return None, issues + [issue for issue, _ in found], ["unit"] * len(issues) + [locus for _, locus in found]
 
 
 def _item_faults(nodes: Iterable[Sequence], edges: Iterable[Sequence]) -> Iterator[tuple]:
@@ -415,10 +414,15 @@ def _named(value, form=shown) -> str:
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
-    """Every structural error of the graph's records or, when there is
+    """Every structural error of the graph's columns or, when there is
     none, every advisory warning (never raises). A graph from
-    ``build_graph`` or ``parse_graph`` holds that it has none."""
-    errors = [] if g.__dict__.get("_checked") else _structural_errors(g.activities, g.edges, g.unit)[0]
+    ``build_graph`` or ``parse_graph`` holds that it has none; any other
+    passes through ``_checked_graph`` and builds no record."""
+    errors = []
+    if not g.__dict__.get("_checked"):
+        ends = ([g.node_ids[v] for v in column] for column in (g.edge_tails, g.edge_heads))
+        edges = (g.edge_ids, *ends, g.edge_weights, g.edge_kinds)
+        errors = _verdict((g.node_ids, g.node_labels, g.node_kinds), edges, g.unit)[1]
     return ValidationReport(tuple(errors) if errors else tuple(_warnings(g)))
 
 

@@ -520,8 +520,8 @@ def test_a_graph_validate_accepts_round_trips(records):
 
 def test_validate_does_not_check_a_loaded_graph_again(monkeypatch):
     data = (GOLDENS / "matrix_100n_seed5" / "graph.json").read_bytes()
-    passes = []
-    monkeypatch.setattr(depmat.graph, "_structural_errors", lambda *records: passes.append(records) or ([], []))
+    passes, verdict = [], depmat.graph._verdict
+    monkeypatch.setattr(depmat.graph, "_verdict", lambda *columns: passes.append(columns) or verdict(*columns))
     assert validate(parse_graph(data)).ok and validate(build_graph(*oracles.reference_records(data))).ok
     assert len(passes) == 1  # build_graph's own; none by validate
 
@@ -540,7 +540,9 @@ def test_build_graph_walks_no_item_of_valid_records(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_build_graph_keeps_valid_records_as_its_view_and_rejects_the_rest(document):
     activities, edges, unit = document
-    errors, loci = depmat.graph._structural_errors(activities, edges, unit)
+    nodes = [[getattr(a, name) for a in activities] for name in ("id", "label", "declared_kind")]
+    columns = [[getattr(e, name) for e in edges] for name in ("id", "tail", "head", "weight", "kind")]
+    _, errors, loci = depmat.graph._verdict(nodes, columns, unit)
     try:
         g = build_graph(activities, edges, unit=unit)
     except GraphBuildError as exc:

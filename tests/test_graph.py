@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import depmat.graph
 from depmat.graph import (
@@ -13,6 +14,7 @@ from depmat.graph import (
     EDGE_SCHEDULING,
     GraphBuildError,
     MAX_WEIGHT,
+    NODE_KINDS,
     SCHEDULING_KINDS,
     build_graph,
     condensation,
@@ -170,6 +172,59 @@ def test_build_rejects_a_label_or_unit_that_a_file_cannot_carry(activities, unit
     code = "invalid-unit" if locus == "unit" else "invalid-label"
     assert [(i.code, i.message) for i in exc.value.issues] == [(code, message)]
     assert validate(unchecked_graph(activities, [], unit)).errors == exc.value.issues
+
+
+@st.composite
+def _unchecked_records(draw):
+    """Activities, edges among declared ids and a unit, each free to break
+    a rule that ``unchecked_graph`` can hold: self-loops, repeated ids,
+    weights that are bool, float, negative or above the bound, unknown
+    kinds, odd labels, non-zero dummy edges and bad units."""
+    labels = st.one_of(st.none(), st.text(max_size=2), st.just("x\ud800"), st.integers(), st.booleans())
+    node_kinds = st.sampled_from([*sorted(NODE_KINDS), "odd", 7])
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "1x"]), min_size=1, max_size=4))
+    activities = [Activity(i, draw(labels), draw(node_kinds)) for i in ids]
+    weights = st.one_of(
+        st.integers(0, 3), st.booleans(), st.floats(allow_nan=False), st.integers(max_value=-1),
+        st.integers(MAX_WEIGHT, MAX_WEIGHT + 2),
+    )
+    edge_ids, ends = st.sampled_from(["e", "f", "g", "2e"]), st.sampled_from(ids)
+    edge_kinds = st.sampled_from([*sorted(EDGE_KINDS), "odd", None])
+    edges = [
+        ActivityEdge(draw(edge_ids), draw(ends), draw(ends), draw(weights), draw(edge_kinds))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return activities, edges, draw(st.sampled_from(["ms", "", "m\udfffs", 5, None]))
+
+
+@given(_unchecked_records())
+@settings(max_examples=300, deadline=None)
+def test_validate_lists_what_build_graph_raises_without_building_a_record(records):
+    try:
+        build_graph(*records)
+        issues = ()
+    except GraphBuildError as exc:
+        issues = exc.issues
+    report = validate(unchecked_graph(*records))
+    assert report.errors == issues
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depmat.graph, "Activity", no_record)
+        patch.setattr(depmat.graph, "ActivityEdge", no_record)
+        assert validate(unchecked_graph(*records)) == report
+
+
+def test_build_graph_passes_its_records_through_the_gate_once(robot, monkeypatch):
+    calls, gate = [], depmat.graph._checked_graph
+    monkeypatch.setattr(depmat.graph, "_checked_graph", lambda *columns: calls.append(columns) or gate(*columns))
+    build_graph(robot.activities, robot.edges, robot.unit)
+    assert len(calls) == 1
+    with pytest.raises(GraphBuildError):
+        build_graph([Activity("a"), Activity("a")], [ActivityEdge("x", "a", "a", -1)])
+    assert len(calls) == 2
 
 
 def test_build_rejects_nonzero_dummy():
