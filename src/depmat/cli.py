@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from operator import attrgetter
 from typing import Sequence
 
@@ -178,7 +179,10 @@ def cmd_export(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` keeps no state
+    between calls, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="depmat",
         description="Activity-graph dependency matrices, critical paths, "

@@ -409,18 +409,38 @@ def _id_faults(item_id, noun: str) -> Iterator[tuple]:
 
 def _named(value, form=shown) -> str:
     """``form(value)`` for a str; any other value, which may have no text
-    form at all (an int past the digit limit), by its type's name."""
-    return form(value) if isinstance(value, str) else f"<{type(value).__name__}>"
+    form at all (an int past the digit limit), by its type's name, and a
+    ``_NoPosition`` by its entry's."""
+    if isinstance(value, str):
+        return form(value)
+    return f"<{type(value.entry if isinstance(value, _NoPosition) else value).__name__}>"
+
+
+class _NoPosition:
+    """A tail or head entry of a graph that is no node position, where
+    ``validate`` walks an endpoint id: equal only to itself, so it is an
+    unknown endpoint and never taken for a node id."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
     """Every structural error of the graph's columns or, when there is
     none, every advisory warning (never raises). A graph from
     ``build_graph`` or ``parse_graph`` holds that it has none; any other
-    passes through ``_checked_graph`` and builds no record."""
+    passes through ``_checked_graph`` and builds no record. A tail or head
+    that is not an int (bool excluded) in ``range(len(g.node_ids))`` is an
+    unknown endpoint of its edge."""
     errors = []
     if not g.__dict__.get("_checked"):
-        ends = ([g.node_ids[v] for v in column] for column in (g.edge_tails, g.edge_heads))
+        ids, n = g.node_ids, len(g.node_ids)
+        ends = (
+            [ids[v] if type(v) is not bool and isinstance(v, int) and 0 <= v < n else _NoPosition(v) for v in column]
+            for column in (g.edge_tails, g.edge_heads)
+        )
         edges = (g.edge_ids, *ends, g.edge_weights, g.edge_kinds)
         errors = _verdict((g.node_ids, g.node_labels, g.node_kinds), edges, g.unit)[1]
     return ValidationReport(tuple(errors) if errors else tuple(_warnings(g)))

@@ -10,7 +10,9 @@ Three dense views share the graph's node/edge order:
 A dependency matrix stores each row as one packed int (bit j of row i is
 entry (i, j)). The closure is one ``Condensation.pull`` of the raw rows
 (Purdom 1970, Nuutila 1995): O(n + m) word-wide ORs, and only the n x n
-output itself is quadratic.
+output itself is quadratic. A matrix made from a graph condenses the
+graph's own ``dependency_view``, the successor lists its rows were packed
+from; any other unpacks its rows into such lists once, on first use.
 
 Dense representation is capped at MAX_DENSE_NODES nodes; bigger inputs
 are rejected rather than silently thrashing.
@@ -19,7 +21,9 @@ are rejected rather than silently thrashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
+from typing import Sequence
 
 from .graph import ActivityGraph, NodePositions, condensation
 
@@ -111,6 +115,13 @@ class DependencyMatrix(NodePositions):
         n = len(self.node_ids)
         return tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in self.masks)
 
+    @cached_property
+    def _succ(self) -> Sequence[Sequence[int]]:
+        """Per row, the positions of its 1 bits: the successor lists that
+        ``transitive_closure`` and ``condense_sccs`` condense. A matrix from
+        ``dependency_matrix`` starts with its graph's ``dependency_view``."""
+        return [_set_bits(m) for m in self.masks]
+
     def entry(self, tail: str, head: str) -> int:
         return self.masks[self.position(tail)] >> self.position(head) & 1
 
@@ -192,10 +203,17 @@ def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...]
 
 
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
-    """Boolean support of all edges, any kind; diagonal is all zero."""
-    _check_capacity(len(g.node_ids))
-    masks = tuple(sum(1 << w for w in set(heads)) for heads in g.dependency_view)
-    return DependencyMatrix.from_masks(g.node_ids, masks)
+    """Boolean support of all edges, any kind; diagonal is all zero. The
+    matrix keeps the graph's ``dependency_view`` as its successor lists."""
+    n = len(g.node_ids)
+    _check_capacity(n)
+    if g.edge_heads and not 0 <= min(g.edge_heads) <= max(g.edge_heads) < n:
+        raise DimensionMismatchError(f"dependency matrix edge heads must be positions below {n}")
+    bit = [1 << j for j in range(n)].__getitem__
+    view = g.dependency_view
+    matrix = DependencyMatrix.from_masks(g.node_ids, tuple(reduce(or_, map(bit, heads), 0) for heads in view))
+    matrix.__dict__["_succ"] = view
+    return matrix
 
 
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
@@ -205,8 +223,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     self-loop through its own raw bit."""
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    succ = [_set_bits(m) for m in d.masks]
-    masks = tuple(condensation(succ).pull(d.masks))
+    masks = tuple(condensation(d._succ).pull(d.masks))
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 
@@ -215,7 +232,7 @@ def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
     condensation edges."""
     if d.closed:
         raise AlreadyClosedError("condensation expects the raw matrix, not a closure")
-    succ = [_set_bits(m) for m in d.masks]
+    succ = d._succ
     cond = condensation(succ)
     ids, comp_of = d.node_ids, cond.component_of
     components = tuple(tuple(ids[i] for i in comp) for comp in cond.components)

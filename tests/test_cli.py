@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import depmat.graph
+import depmat.matrices
 import depmat.schedule
 from depmat import cli, fileio, simulation
 from depmat.cli import main
@@ -871,6 +872,55 @@ def test_matrix_renders_dependency_rows_from_masks(capsys, monkeypatch, kind, fm
     )
     assert (code, err) == (0, "")
     assert out.encode() == (MATRIX_GOLDENS / f"{kind}.{_MATRIX_SUFFIX[fmt]}").read_bytes()
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("path", [ROBOT, str(MATRIX_GOLDENS / "graph.json")], ids=["robot", "matrix_100n_seed5"])
+def test_closure_condenses_the_graph_view_in_one_pass_without_unpacking(capsys, monkeypatch, path, fmt):
+    """The closure condenses the successor lists its matrix was packed
+    from: one Tarjan pass, and no row unpacked into successor lists. The
+    raw dependency matrix condenses nothing."""
+    passes = count_calls(monkeypatch, depmat.graph, "_tarjan")
+    unpacked = count_calls(monkeypatch, depmat.matrices, "_set_bits")
+    assert run(capsys, "matrix", path, "--kind", "closure", "--format", fmt)[0] == 0
+    assert (len(passes), len(unpacked)) == (1, 0)
+    assert run(capsys, "matrix", path, "--kind", "dependency", "--format", fmt)[0] == 0
+    assert (len(passes), len(unpacked)) == (1, 0)
+
+
+_SIMULATE = ["simulate", "--nodes", "15", "--layers", "3", "--trials", "4", "--seed", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _every_command_on(ROBOT, "v4")
+    + [["localize", ROBOT, "--symptoms", "v2,v4", "--view", "scheduling", "--format", "json"]]
+    + [_SIMULATE + ["--format", fmt] for fmt in ("text", "csv", "json")],
+    ids=lambda argv: " ".join(argv).replace(ROBOT, "robot.json"),
+)
+def test_a_second_call_through_the_shared_parser_prints_the_same(capsys, argv):
+    """``main`` parses every call with one parser; a usage error and an
+    input error parsed in between leave no trace on the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, *argv)
+    code, out, err = run(capsys, "matrix", ROBOT, "--kind", "bogus")
+    assert (code, out) == (2, "") and err.startswith("usage: depmat matrix")
+    code, out, err = run(capsys, "cpm", "no-such-file.json")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and first[1]
 
 
 LOCALIZE_GOLDENS = GOLDENS / "localize_100n_seed5"

@@ -7,6 +7,7 @@ import depmat.graph
 from depmat.graph import (
     Activity,
     ActivityEdge,
+    ActivityGraph,
     CyclicScheduleError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
@@ -332,6 +333,23 @@ def test_validate_unknown_endpoint_not_ok():
 )
 def test_validate_unhashable_fields_are_issues(activities, edges, code):
     assert code in {i.code for i in build_issues(activities, edges)}
+
+
+@pytest.mark.parametrize(
+    "tail, head, entry",
+    [(0, 5, "<int>"), (-1, 0, "<int>"), ("b", 1, "<str>"), (True, 1, "<bool>")],
+    ids=["past-the-end", "negative", "node-id-string", "bool"],
+)
+def test_validate_reports_a_position_outside_the_node_list_as_an_unknown_endpoint(tail, head, entry):
+    """A tail or head that is not an int in ``range(len(node_ids))`` is
+    never indexed, counted from the end or taken for a node id."""
+    nodes = (["a", "b"], [None, None], ["auto", "auto"])
+    graph = ActivityGraph.from_columns(nodes, (["e"], [tail], [head], [1], ["scheduling"]))
+    report = validate(graph)  # returns a report rather than raising
+    assert not report.ok
+    assert [(i.code, i.message, i.ids) for i in report.issues] == [
+        ("unknown-endpoint", f"edge e: unknown node {entry}", ("e", entry))
+    ]
 
 
 def test_validate_isolated_node():

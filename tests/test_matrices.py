@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depmat.graph import EDGE_DUMMY, Activity, ActivityEdge, build_graph
+from depmat.graph import EDGE_DUMMY, EDGE_KINDS, Activity, ActivityEdge, ActivityGraph, build_graph
 from depmat.matrices import (
     AdjacencyMatrix,
     AlreadyClosedError,
@@ -407,3 +407,38 @@ def test_condensation_edges_match_reachability_oracle():
             if v and comp[i] != comp[j]
         }
         assert condensed.edges == tuple(sorted(expected))
+
+
+@st.composite
+def _unchecked_digraph(draw):
+    """A graph of up to 12 nodes whose edges, of any kind, may repeat a
+    pair, close cycles or loop on one node (``from_columns``, unchecked)."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)) if n else []
+    pairs += [pairs[i] for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=8))] if pairs else []
+    kinds = draw(st.lists(st.sampled_from(sorted(EDGE_KINDS)), min_size=len(pairs), max_size=len(pairs)))
+    nodes = ([f"n{i}" for i in range(n)], [None] * n, ["auto"] * n)
+    edges = ([f"e{k}" for k in range(len(pairs))], [t for t, _ in pairs], [h for _, h in pairs], [1] * len(pairs))
+    return ActivityGraph.from_columns(nodes, (*edges, kinds))
+
+
+@given(_unchecked_digraph())
+@settings(max_examples=150, deadline=None)
+def test_closing_the_graph_view_matches_closing_the_unpacked_masks(g):
+    """A matrix from a graph condenses the graph's own dependency view; one
+    from the same masks unpacks them. Both close and condense alike."""
+    packed = dependency_matrix(g)
+    assert packed._succ is g.dependency_view
+    unpacked = DependencyMatrix.from_masks(g.node_ids, packed.masks)
+    closed = transitive_closure(packed)
+    assert closed.masks == transitive_closure(unpacked).masks
+    assert [list(r) for r in closed.rows] == closure_by_powers([list(r) for r in packed.rows])
+    assert condense_sccs(packed) == condense_sccs(unpacked)
+
+
+@pytest.mark.parametrize("head", [2, -1], ids=["past-the-end", "negative"])
+def test_dependency_matrix_rejects_a_head_outside_the_node_list(head):
+    nodes = (["a", "b"], [None, None], ["auto", "auto"])
+    g = ActivityGraph.from_columns(nodes, (["e"], [0], [head], [1], ["scheduling"]))
+    with pytest.raises(DimensionMismatchError):
+        dependency_matrix(g)
