@@ -25,7 +25,8 @@ fail it, both as the loader reports it and as ``validate`` lists it.
 One Tarjan pass over node positions (``condensation``) answers every
 order and component question about a view, and one sweep of its
 ``Condensation`` (``pull`` or ``push``) every reachability question. A
-graph condenses each view at most once and keeps every derived fact.
+graph condenses each view at most once and keeps every derived fact; a
+dependency matrix built from it reads that condensation, not its own.
 
 Node order and edge order are significant: they fix matrix row/column
 order everywhere downstream.

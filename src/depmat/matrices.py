@@ -10,12 +10,12 @@ Three dense views share the graph's node/edge order:
 A dependency matrix stores each row as one packed int (bit j of row i is
 entry (i, j)). The closure is one ``Condensation.pull`` of the raw rows
 (Purdom 1970, Nuutila 1995): O(n + m) word-wide ORs, and only the n x n
-output itself is quadratic. A matrix made from a graph condenses the
-graph's own ``dependency_view``, the successor lists its rows were packed
-from; any other unpacks its rows into such lists once, on first use.
+output itself is quadratic. A matrix from a graph reads the graph's own
+``dependency_condensation``; any other condenses its rows' 1 bits once,
+on first use.
 
-Dense representation is capped at MAX_DENSE_NODES nodes; bigger inputs
-are rejected rather than silently thrashing.
+One gate, ``_checked_positions``, serves the three builders: at most
+MAX_DENSE_NODES nodes, and each edge tail and head a node position.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Sequence
 
-from .graph import ActivityGraph, NodePositions, condensation
+from .graph import ActivityGraph, Condensation, NodePositions, condensation
 
 MAX_DENSE_NODES = 4096
 
@@ -83,12 +82,14 @@ class DependencyMatrix(NodePositions):
     constructor packs explicit rows (any truthy cell is a 1); ``from_masks``
     takes packed rows, each in ``range(1 << n)``. The CSV and JSON renderers
     read the masks; ``rows`` unpacks them, once, only for library callers
-    that want int tuples.
+    that want int tuples. A matrix from ``dependency_matrix`` keeps its
+    graph (which never keeps it) and reads its ``dependency_condensation``.
     """
 
     node_ids: tuple[str, ...]
     masks: tuple[int, ...]
     closed: bool = False
+    _graph = None  # the graph ``dependency_matrix`` packed the rows from
 
     def __init__(self, node_ids, rows, closed: bool = False):
         _check_shape("dependency", rows, len(node_ids), len(node_ids))
@@ -116,11 +117,12 @@ class DependencyMatrix(NodePositions):
         return tuple(tuple(unpack_mask(m).ljust(n, b"\x00")) for m in self.masks)
 
     @cached_property
-    def _succ(self) -> Sequence[Sequence[int]]:
-        """Per row, the positions of its 1 bits: the successor lists that
-        ``transitive_closure`` and ``condense_sccs`` condense. A matrix from
-        ``dependency_matrix`` starts with its graph's ``dependency_view``."""
-        return [_set_bits(m) for m in self.masks]
+    def _condensation(self) -> Condensation:
+        """The condensation ``transitive_closure`` and ``condense_sccs``
+        read: the graph's own, else that of the rows' 1 bits."""
+        if self._graph is not None:
+            return self._graph.dependency_condensation
+        return condensation([_set_bits(m) for m in self.masks])
 
     def entry(self, tail: str, head: str) -> int:
         return self.masks[self.position(tail)] >> self.position(head) & 1
@@ -166,11 +168,15 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _check_capacity(count: int) -> None:
-    if count > MAX_DENSE_NODES:
-        raise CapacityError(
-            f"graph has {count} nodes; dense matrices are capped at {MAX_DENSE_NODES}"
-        )
+def _checked_positions(g: ActivityGraph) -> int:
+    """The node count, once it is at most MAX_DENSE_NODES and every edge
+    tail and head is a node position: the gate of every matrix builder."""
+    n = len(g.node_ids)
+    if n > MAX_DENSE_NODES:
+        raise CapacityError(f"graph has {n} nodes; dense matrices are capped at {MAX_DENSE_NODES}")
+    if any(ends and not 0 <= min(ends) <= max(ends) < n for ends in (g.edge_tails, g.edge_heads)):
+        raise DimensionMismatchError(f"matrix edge tails and heads must be node positions below {n}")
+    return n
 
 
 def incidence_matrix(g: ActivityGraph) -> IncidenceMatrix:
@@ -188,8 +194,7 @@ def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
 def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...], ...]:
     """Per node position, ``width`` cells, each the largest of 0 and the
     weights of the node's edges in that column (``columns``, per edge)."""
-    _check_capacity(len(g.node_ids))
-    cells: list[list[tuple[int, int]]] = [[] for _ in g.node_ids]
+    cells: list[list[tuple[int, int]]] = [[] for _ in range(_checked_positions(g))]
     for tail, column, weight in zip(g.edge_tails, columns, g.edge_weights):
         cells[tail].append((column, weight))
     rows = []
@@ -203,16 +208,11 @@ def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...]
 
 
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
-    """Boolean support of all edges, any kind; diagonal is all zero. The
-    matrix keeps the graph's ``dependency_view`` as its successor lists."""
-    n = len(g.node_ids)
-    _check_capacity(n)
-    if g.edge_heads and not 0 <= min(g.edge_heads) <= max(g.edge_heads) < n:
-        raise DimensionMismatchError(f"dependency matrix edge heads must be positions below {n}")
-    bit = [1 << j for j in range(n)].__getitem__
-    view = g.dependency_view
-    matrix = DependencyMatrix.from_masks(g.node_ids, tuple(reduce(or_, map(bit, heads), 0) for heads in view))
-    matrix.__dict__["_succ"] = view
+    """Boolean support of all edges, any kind; all-zero diagonal. Keeps ``g``."""
+    bit = [1 << j for j in range(_checked_positions(g))].__getitem__
+    masks = tuple(reduce(or_, map(bit, heads), 0) for heads in g.dependency_view)
+    matrix = DependencyMatrix.from_masks(g.node_ids, masks)
+    object.__setattr__(matrix, "_graph", g)
     return matrix
 
 
@@ -223,7 +223,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     self-loop through its own raw bit."""
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    masks = tuple(condensation(d._succ).pull(d.masks))
+    masks = tuple(d._condensation.pull(d.masks))
     return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
 
 
@@ -232,9 +232,8 @@ def condense_sccs(d: DependencyMatrix) -> CondensedGraph:
     condensation edges."""
     if d.closed:
         raise AlreadyClosedError("condensation expects the raw matrix, not a closure")
-    succ = d._succ
-    cond = condensation(succ)
-    ids, comp_of = d.node_ids, cond.component_of
+    cond = d._condensation
+    ids, comp_of, succ = d.node_ids, cond.component_of, cond.succ
     components = tuple(tuple(ids[i] for i in comp) for comp in cond.components)
     edges = {(comp_of[v], comp_of[w]) for v, heads in enumerate(succ) for w in heads}
     return CondensedGraph(components, tuple(sorted((c, s) for c, s in edges if c != s)))

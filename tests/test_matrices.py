@@ -425,10 +425,10 @@ def _unchecked_digraph(draw):
 @given(_unchecked_digraph())
 @settings(max_examples=150, deadline=None)
 def test_closing_the_graph_view_matches_closing_the_unpacked_masks(g):
-    """A matrix from a graph condenses the graph's own dependency view; one
-    from the same masks unpacks them. Both close and condense alike."""
+    """A matrix from a graph reads the graph's own dependency condensation;
+    one from the same masks unpacks them. Both close and condense alike."""
     packed = dependency_matrix(g)
-    assert packed._succ is g.dependency_view
+    assert packed._condensation is g.dependency_condensation
     unpacked = DependencyMatrix.from_masks(g.node_ids, packed.masks)
     closed = transitive_closure(packed)
     assert closed.masks == transitive_closure(unpacked).masks
@@ -436,9 +436,16 @@ def test_closing_the_graph_view_matches_closing_the_unpacked_masks(g):
     assert condense_sccs(packed) == condense_sccs(unpacked)
 
 
-@pytest.mark.parametrize("head", [2, -1], ids=["past-the-end", "negative"])
-def test_dependency_matrix_rejects_a_head_outside_the_node_list(head):
+@pytest.mark.parametrize("builder", [dependency_matrix, adjacency_matrix, incidence_matrix])
+@pytest.mark.parametrize(
+    "tail, head",
+    [(0, 2), (0, -1), (2, 0), (-1, 0)],
+    ids=["head-past-the-end", "head-negative", "tail-past-the-end", "tail-negative"],
+)
+def test_dependency_matrix_rejects_a_head_outside_the_node_list(builder, tail, head):
+    """Every matrix builder rejects an edge end that is not a node position
+    of an unchecked graph, rather than wrapping it round or failing late."""
     nodes = (["a", "b"], [None, None], ["auto", "auto"])
-    g = ActivityGraph.from_columns(nodes, (["e"], [0], [head], [1], ["scheduling"]))
-    with pytest.raises(DimensionMismatchError):
-        dependency_matrix(g)
+    g = ActivityGraph.from_columns(nodes, (["e"], [tail], [head], [1], ["scheduling"]))
+    with pytest.raises(DimensionMismatchError, match="tails and heads must be node positions below 2"):
+        builder(g)

@@ -27,7 +27,7 @@ from depmat.graph import (
     validate,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
-from depmat.matrices import dependency_matrix, transitive_closure
+from depmat.matrices import condense_sccs, dependency_matrix, transitive_closure
 from depmat.schedule import (
     EmptyGraphError,
     backward_pass,
@@ -35,7 +35,7 @@ from depmat.schedule import (
     compute_schedule,
     forward_pass,
 )
-from depmat.simulation import GeneratorParams, generate_graph, run_experiment
+from depmat.simulation import GeneratorParams, generate_graph, inject, run_experiment
 
 from oracles import (
     bfs_hops,
@@ -231,6 +231,44 @@ def test_validate_then_schedule_makes_one_tarjan_pass_per_view(robot, monkeypatc
     validate(g)
     compute_schedule(g)
     assert len(passes) == 2
+
+
+_PIPELINE = {
+    "localize": lambda g, node: localize(g, [node]),
+    "closure": lambda g, node: transitive_closure(dependency_matrix(g)),
+    "condense": lambda g, node: condense_sccs(dependency_matrix(g)),
+    "inject": lambda g, node: inject(g, node, 0.5, 7),
+    "validate": lambda g, node: validate(g),
+    "schedule": lambda g, node: compute_schedule(g),
+}
+
+
+@pytest.mark.parametrize(
+    "fresh, node",
+    [
+        (lambda robot: build_graph(robot.activities, robot.edges, unit=robot.unit), "v4"),
+        (lambda robot: generate_graph(GeneratorParams(12, 3, 0.4, feedback_edge_fraction=0.5)), "n11"),
+    ],
+    ids=["robot", "dependency-only-cycles"],
+)
+def test_every_call_order_condenses_each_view_at_most_once(robot, monkeypatch, fresh, node):
+    """Whatever the order of the library calls, a fresh graph's dependency
+    view and scheduling view are each condensed at most once: the matrices
+    read the graph's condensation rather than making their own."""
+    sample = fresh(robot)
+    assert len(sample.dependency_condensation.components) < len(sample.node_ids)  # a dependency cycle
+    passes = count_tarjan_passes(monkeypatch)
+    g = fresh(robot)
+    dependency_matrix(g)
+    assert passes == []
+    for order in itertools.permutations(_PIPELINE):
+        g = fresh(robot)
+        passes.clear()
+        for name in order:
+            _PIPELINE[name](g, node)
+        views = (g.dependency_view, g.scheduling_view[0])
+        assert [sum(p is view for p in passes) for view in views] == [1, 1], order
+        assert len(passes) == 2, order
 
 
 def test_scheduling_self_loop_is_a_cycle():
