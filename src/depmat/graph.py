@@ -148,6 +148,23 @@ class ActivityEdge:
     kind: str = EDGE_SCHEDULING
 
 
+class Value:
+    """A frozen dataclass whose state is its fields, made unchecked by ``_made``:
+    a pickle or deep copy carries only them, and a shallow copy shares every fact."""
+
+    @classmethod
+    def _made(cls, pairs=(), /, **fields):
+        value = cls.__new__(cls)
+        value.__dict__.update(pairs, **fields)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __copy__(self):
+        return self._made(self.__dict__)
+
+
 class NodePositions:
     """``position``: a node id's position in ``node_ids``."""
 
@@ -163,15 +180,14 @@ class NodePositions:
 
 
 @dataclass(frozen=True, init=False)
-class ActivityGraph(NodePositions):
+class ActivityGraph(Value, NodePositions):
     """Immutable activity digraph; safe to share across threads. Passes
     walk only its integer views; ``position`` maps an id to its position.
 
-    Its one form is its fields: position columns, each a tuple (the
-    declared ``node_kinds``; ``edge_tails`` and ``edge_heads`` as node
-    positions), and ``unit``. Its ``activities`` and ``edges`` records are a
-    view built on first read; records become a graph only through
-    ``build_graph``."""
+    Its fields are position columns, each a tuple (the declared
+    ``node_kinds``; ``edge_tails`` and ``edge_heads`` as node positions),
+    and ``unit``; its ``activities`` and ``edges`` records are a view built
+    on first read. Records become a graph only through ``build_graph``."""
 
     node_ids: tuple[str, ...]
     node_labels: tuple[str | None, ...]
@@ -187,19 +203,7 @@ class ActivityGraph(NodePositions):
     def from_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
         """The graph of node columns (ids, labels, declared kinds) and edge
         columns (ids, tail and head positions, weights, kinds), unchecked."""
-        graph = cls.__new__(cls)
-        graph.__dict__.update(zip(cls.__dataclass_fields__, (*map(tuple, (*nodes, *edges)), unit)))
-        return graph
-
-    def __getstate__(self) -> dict:
-        """The columns and the unit: no view or derived fact."""
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
-
-    def __copy__(self) -> ActivityGraph:
-        """A shallow copy shares every derived fact."""
-        clone = ActivityGraph.__new__(ActivityGraph)
-        clone.__dict__.update(self.__dict__)
-        return clone
+        return cls._made(zip(cls.__dataclass_fields__, (*map(tuple, (*nodes, *edges)), unit)))
 
     @cached_property
     def activities(self) -> tuple[Activity, ...]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL
+from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL, Value
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
@@ -58,7 +58,7 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(Value):
     """The candidates are columns in rank order: ``ranked`` their node
     positions, ``masks`` their explained symptoms (bit i for
     ``symptoms[i]``), then ``critical``, ``distances`` and ``sccs``; the

@@ -10,9 +10,10 @@ Three dense views share the graph's node/edge order:
 A dependency matrix stores each row as one packed int (bit j of row i is
 entry (i, j)). The closure is one ``Condensation.pull`` of the raw rows
 (Purdom 1970, Nuutila 1995): O(n + m) word-wide ORs, and only the n x n
-output itself is quadratic. A matrix from a graph reads the graph's own
-``dependency_condensation``; any other condenses its rows' 1 bits once,
-on first use.
+output itself is quadratic. A matrix from a graph keeps it as the declared
+``_graph`` and reads its ``dependency_condensation``; any other condenses
+its 1 bits once, on first use. Public constructors check their input and
+store tuples; builders call the unchecked ``Value._made``.
 
 One gate, ``_checked_positions``, serves the three builders: at most
 MAX_DENSE_NODES nodes, and each edge tail and head a node position.
@@ -20,11 +21,11 @@ MAX_DENSE_NODES nodes, and each edge tail and head a node position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 
-from .graph import ActivityGraph, Condensation, NodePositions, condensation
+from .graph import ActivityGraph, Condensation, NodePositions, Value, condensation
 
 MAX_DENSE_NODES = 4096
 
@@ -50,27 +51,29 @@ def _check_shape(kind: str, rows, n: int, width: int) -> None:
         raise DimensionMismatchError(f"{kind} matrix rows must be {n} x {width}")
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+@dataclass(frozen=True, init=False)
+class IncidenceMatrix(Value):
     node_ids: tuple[str, ...]
     edge_ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, node_ids, edge_ids, rows):
+        self.__dict__.update(node_ids=tuple(node_ids), edge_ids=tuple(edge_ids), rows=tuple(map(tuple, rows)))
         _check_shape("incidence", self.rows, len(self.node_ids), len(self.edge_ids))
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+@dataclass(frozen=True, init=False)
+class AdjacencyMatrix(Value):
     node_ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, node_ids, rows):
+        self.__dict__.update(node_ids=tuple(node_ids), rows=tuple(map(tuple, rows)))
         _check_shape("adjacency", self.rows, len(self.node_ids), len(self.node_ids))
 
 
 @dataclass(frozen=True, init=False)
-class DependencyMatrix(NodePositions):
+class DependencyMatrix(Value, NodePositions):
     """Boolean node x node matrix; entry (m, n) = 1 iff m depends on n.
 
     ``closed=False`` is the raw single-edge support (all-zero diagonal).
@@ -82,34 +85,29 @@ class DependencyMatrix(NodePositions):
     constructor packs explicit rows (any truthy cell is a 1); ``from_masks``
     takes packed rows, each in ``range(1 << n)``. The CSV and JSON renderers
     read the masks; ``rows`` unpacks them, once, only for library callers
-    that want int tuples. A matrix from ``dependency_matrix`` keeps its
-    graph (which never keeps it) and reads its ``dependency_condensation``.
+    that want int tuples. ``dependency_matrix`` gives ``_made`` its graph as
+    the declared ``_graph`` field, read for its ``dependency_condensation``.
     """
 
     node_ids: tuple[str, ...]
     masks: tuple[int, ...]
     closed: bool = False
-    _graph = None  # the graph ``dependency_matrix`` packed the rows from
+    _graph: ActivityGraph | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, node_ids, rows, closed: bool = False):
         _check_shape("dependency", rows, len(node_ids), len(node_ids))
-        self._fill(node_ids, tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows), closed)
+        masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
+        self.__dict__.update(node_ids=tuple(node_ids), masks=masks, closed=closed)
 
     @classmethod
     def from_masks(cls, node_ids, masks: tuple[int, ...], closed: bool = False) -> DependencyMatrix:
         """A matrix over already packed rows: one per node, none negative
         and none with a bit at or above the node count."""
-        matrix = cls.__new__(cls)
-        matrix._fill(node_ids, masks, closed)
-        return matrix
-
-    def _fill(self, node_ids, masks, closed) -> None:
+        node_ids, masks = tuple(node_ids), tuple(masks)
         n = len(node_ids)
         if len(masks) != n or masks and not (0 <= min(masks) and max(masks) >> n == 0):
             raise DimensionMismatchError(f"dependency matrix masks must be {n} rows of {n} bits")
-        object.__setattr__(self, "node_ids", node_ids)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "closed", closed)
+        return cls._made(node_ids=node_ids, masks=masks, closed=closed)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -129,7 +127,7 @@ class DependencyMatrix(NodePositions):
 
 
 @dataclass(frozen=True)
-class CondensedGraph:
+class CondensedGraph(Value):
     """Strongly connected components and the acyclic component digraph.
 
     Components are ordered by the input position of their first member;
@@ -182,13 +180,14 @@ def _checked_positions(g: ActivityGraph) -> int:
 def incidence_matrix(g: ActivityGraph) -> IncidenceMatrix:
     """Node x edge matrix with each edge's weight in its tail row; every
     other entry in the column is zero."""
-    return IncidenceMatrix(g.node_ids, g.edge_ids, _weight_rows(g, range(len(g.edge_ids)), len(g.edge_ids)))
+    rows = _weight_rows(g, range(len(g.edge_ids)), len(g.edge_ids))
+    return IncidenceMatrix._made(node_ids=g.node_ids, edge_ids=g.edge_ids, rows=rows)
 
 
 def adjacency_matrix(g: ActivityGraph) -> AdjacencyMatrix:
     """Square weight matrix; parallel edges collapse to their max weight
     (longest-path semantics). Includes dependency-only edges."""
-    return AdjacencyMatrix(g.node_ids, _weight_rows(g, g.edge_heads, len(g.node_ids)))
+    return AdjacencyMatrix._made(node_ids=g.node_ids, rows=_weight_rows(g, g.edge_heads, len(g.node_ids)))
 
 
 def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...], ...]:
@@ -211,9 +210,7 @@ def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
     """Boolean support of all edges, any kind; all-zero diagonal. Keeps ``g``."""
     bit = [1 << j for j in range(_checked_positions(g))].__getitem__
     masks = tuple(reduce(or_, map(bit, heads), 0) for heads in g.dependency_view)
-    matrix = DependencyMatrix.from_masks(g.node_ids, masks)
-    object.__setattr__(matrix, "_graph", g)
-    return matrix
+    return DependencyMatrix._made(node_ids=g.node_ids, masks=masks, closed=False, _graph=g)
 
 
 def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
@@ -223,8 +220,7 @@ def transitive_closure(d: DependencyMatrix) -> DependencyMatrix:
     self-loop through its own raw bit."""
     if d.closed:
         raise AlreadyClosedError("matrix is already a transitive closure")
-    masks = tuple(d._condensation.pull(d.masks))
-    return DependencyMatrix.from_masks(d.node_ids, masks, closed=True)
+    return DependencyMatrix._made(node_ids=d.node_ids, masks=tuple(d._condensation.pull(d.masks)), closed=True)
 
 
 def condense_sccs(d: DependencyMatrix) -> CondensedGraph:

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import compress
 from operator import ne, not_, sub
 
-from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL
+from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL, Value
 
 
 class EmptyGraphError(ValueError):
@@ -26,7 +26,7 @@ def _by_id(column: str) -> cached_property:
 
 
 @dataclass(frozen=True)
-class Schedule:
+class Schedule(Value):
     """Per node position (node input order): earliest and latest event
     times and slack, whose id-keyed dicts are ``earliest``, ``latest`` and
     ``slack``; the duration, the critical nodes (input order) and every
@@ -50,7 +50,7 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Per node position, the final critical/non-critical class and whether
     the declared kind changed it; ``kinds`` and ``overrides`` by id."""
 

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depmat.graph import EDGE_DUMMY, EDGE_KINDS, Activity, ActivityEdge, ActivityGraph, build_graph
+from depmat.localization import annotate_matrix, localize
 from depmat.matrices import (
     AdjacencyMatrix,
     AlreadyClosedError,
@@ -372,6 +373,20 @@ def test_non_square_rows_are_rejected():
 def test_weight_rows_that_are_not_one_cell_per_column_label_are_rejected(build):
     with pytest.raises(DimensionMismatchError):
         build()
+
+
+def test_matrices_built_from_lists_equal_the_tuple_built_ones_and_hash(robot):
+    d = dependency_matrix(robot)
+    pairs = [
+        (DependencyMatrix(list(d.node_ids), [list(row) for row in d.rows]), DependencyMatrix(d.node_ids, d.rows)),
+        (DependencyMatrix.from_masks(list(d.node_ids), list(d.masks)), d),
+        (IncidenceMatrix(["a"], ["e"], [[1]]), IncidenceMatrix(("a",), ("e",), ((1,),))),
+        (AdjacencyMatrix(["a", "b"], [[0, 2], [0, 0]]), AdjacencyMatrix(("a", "b"), ((0, 2), (0, 0)))),
+    ]
+    for listed, tupled in pairs:
+        assert listed == tupled and hash(listed) == hash(tupled)
+    marked = annotate_matrix(pairs[0][0], localize(robot, ["v0"]))
+    assert marked == annotate_matrix(d, localize(robot, ["v0"]))
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from depmat.graph import (
     validate,
 )
 from depmat.localization import VIEW_SCHEDULING, localize
-from depmat.matrices import condense_sccs, dependency_matrix, transitive_closure
+from depmat.matrices import adjacency_matrix, condense_sccs, dependency_matrix, incidence_matrix, transitive_closure
 from depmat.schedule import (
     EmptyGraphError,
     backward_pass,
@@ -185,6 +185,45 @@ def test_pickle_carries_only_the_form_the_graph_was_built_in(form):
     assert restored.dependency_condensation == g.dependency_condensation
     assert compute_schedule(restored) == compute_schedule(g)
     assert compute_schedule(restored).paths == compute_schedule(g).paths
+
+
+def _read_matrix_facts(d) -> None:
+    transitive_closure(d).rows
+    condense_sccs(d).component_of
+    d.rows, d.position(d.node_ids[-1]), d.entry(d.node_ids[0], d.node_ids[-1])
+
+
+# (value of a graph, reading every fact it caches), per frozen result class
+VALUES = {
+    "graph": (lambda g: g, lambda g: (_read_derived_facts(g), g.activities, g.edges, g.position("n5"))),
+    "dependency-matrix": (dependency_matrix, _read_matrix_facts),
+    "closure": (lambda g: transitive_closure(dependency_matrix(g)), lambda d: (d.rows, d.position("n5"))),
+    "incidence-matrix": (incidence_matrix, lambda m: m.rows),
+    "adjacency-matrix": (adjacency_matrix, lambda m: m.rows),
+    "condensed-graph": (lambda g: condense_sccs(dependency_matrix(g)), lambda c: c.component_of),
+    "schedule": (compute_schedule, lambda s: (s.paths, s.earliest, s.latest, s.slack)),
+    "classification": (classify_activities, lambda c: (c.kinds, c.overrides)),
+    "localization-report": (lambda g: localize(g, ["n5", "n150"]), lambda r: (r.explains, r.candidates)),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_value_pickles_its_fields_alone_and_a_shallow_copy_shares_every_fact(name):
+    g = generate_graph(
+        GeneratorParams(node_count=200, layer_count=10, edge_density=0.1, feedback_edge_fraction=0.05, seed=1)
+    )
+    make, read = VALUES[name]
+    value = make(g)
+    fresh = pickle.dumps(value)
+    read(value)
+    assert pickle.dumps(value) == fresh
+    restored = pickle.loads(fresh)
+    assert restored == value and copy.deepcopy(value) == value
+    if name == "dependency-matrix":
+        assert restored._graph == g and restored._condensation == value._condensation
+    clone = copy.copy(value)
+    assert clone == value and clone.__dict__.keys() == value.__dict__.keys()
+    assert all(clone.__dict__[key] is fact for key, fact in value.__dict__.items())
 
 
 def test_build_rejects_the_edge_no_column_could_hold():

@@ -9,18 +9,55 @@ from an unchecked graph, from explicit rows, from packed masks, and from a
 pickle round trip of the graph-built one. Every route must close to the
 boolean-power closure and condense alike; on at most 3 nodes, every
 symptom set is localized against the docstring definitions.
+
+Every 3-node graph whose ordered pairs each hold no edge, a scheduling edge
+of weight 1 or 2, a dummy edge or a dependency-only edge (5**6 = 15,625)
+is scheduled against the enumeration oracles. A state machine mixes the
+library's calls on one graph with copies, pickles and re-parses, in any
+order: each answer must equal the same call's on a fresh graph.
 """
 
+import copy
 import pickle
+import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from depmat.graph import EDGE_KINDS, ActivityGraph
-from depmat.localization import candidate_set, independent_faults
-from depmat.matrices import DependencyMatrix, condense_sccs, dependency_matrix, transitive_closure
+from depmat.fileio import export_dot, parse_graph, serialize_graph
+from depmat.graph import (
+    EDGE_DEPENDENCY_ONLY,
+    EDGE_DUMMY,
+    EDGE_KINDS,
+    EDGE_SCHEDULING,
+    SCHEDULING_KINDS,
+    ActivityGraph,
+    CyclicScheduleError,
+    scheduling_subgraph,
+    validate,
+)
+from depmat.localization import VIEWS, candidate_set, independent_faults, localize
+from depmat.matrices import (
+    DependencyMatrix,
+    adjacency_matrix,
+    condense_sccs,
+    dependency_matrix,
+    incidence_matrix,
+    transitive_closure,
+)
+from depmat.schedule import classify_activities, compute_schedule
 
-from oracles import closure_by_powers
+from oracles import (
+    closure_by_powers,
+    cpm_by_enumeration,
+    critical_paths_by_enumeration,
+    graph_succ,
+    has_cycle,
+    random_kinded_digraph,
+)
 
 
 def _matrices(n: int, loops: bool):
@@ -101,3 +138,94 @@ def test_every_small_matrix_closes_condenses_and_localizes_alike_on_every_route(
         _check_condensation(ids, rows, reach, condensed["graph"])
         if n <= 3:
             _check_localization(ids, reach, transitive_closure(routes["graph"]))
+
+
+# what an ordered pair of nodes may hold: (kind, weight) of one edge, or none
+PAIR_EDGES = (None, (EDGE_SCHEDULING, 1), (EDGE_SCHEDULING, 2), (EDGE_DUMMY, 0), (EDGE_DEPENDENCY_ONLY, 1))
+
+
+def test_every_3_node_graph_schedules_as_enumeration_does_or_names_its_cycle():
+    ids = ("a", "b", "c")
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    cyclic = 0
+    for held in product(PAIR_EDGES, repeat=len(pairs)):
+        edges = [(f"e{k}", i, j, weight, kind) for k, ((i, j), (kind, weight)) in enumerate(
+            (pair, edge) for pair, edge in zip(pairs, held) if edge
+        )]
+        g = ActivityGraph.from_columns((ids, [None] * 3, ["auto"] * 3), list(zip(*edges)) or [()] * 5)
+        if has_cycle(ids, graph_succ(g, SCHEDULING_KINDS)):
+            cyclic += 1
+            with pytest.raises(CyclicScheduleError):
+                compute_schedule(g)
+            continue
+        schedule = compute_schedule(g)
+        duration, earliest, latest, critical = cpm_by_enumeration(g)
+        assert (schedule.duration, schedule.earliest, schedule.latest) == (duration, earliest, latest), held
+        assert set(schedule.critical_nodes) == critical, held
+        assert schedule.paths == critical_paths_by_enumeration(g), held
+    assert cyclic == 11_961
+
+
+def _answer(call, g):
+    """``call(g)``, or the type and message of the ValueError it raises."""
+    try:
+        return call(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# one library call per name, each answer comparable with ``==``
+CALLS = {
+    "schedule": lambda g: (compute_schedule(g), compute_schedule(g).paths),
+    "classify": classify_activities,
+    "closure": lambda g: transitive_closure(dependency_matrix(g)),
+    "condense": lambda g: condense_sccs(dependency_matrix(g)),
+    "validate": validate,
+    "dot": export_dot,
+    "serialize": serialize_graph,
+    "scheduling-subgraph": scheduling_subgraph,
+    "incidence": incidence_matrix,
+    "adjacency": adjacency_matrix,
+    "order": lambda g: g.scheduling_order,
+}
+
+# the ways to carry a graph on, each keeping or dropping what it derived
+CARRIES = {
+    "shallow-copy": copy.copy,
+    "deep-copy": copy.deepcopy,
+    "pickle": lambda g: pickle.loads(pickle.dumps(g)),
+    "re-parse": lambda g: parse_graph(serialize_graph(g)),
+}
+
+
+class CallOrders(RuleBasedStateMachine):
+    """Library calls on one small graph, carried on by copies, pickles and
+    re-parses between them: every answer equals that of a fresh graph of
+    the same columns, whatever the graph derived and kept before."""
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def draw_graph(self, seed):
+        self.graph = g = random_kinded_digraph(random.Random(seed), max_nodes=6)
+        nodes = (g.node_ids, g.node_labels, g.node_kinds)
+        self.columns = nodes, (g.edge_ids, g.edge_tails, g.edge_heads, g.edge_weights, g.edge_kinds), g.unit
+
+    def _check(self, call):
+        assert _answer(call, self.graph) == _answer(call, ActivityGraph.from_columns(*self.columns))
+
+    @rule(name=st.sampled_from(sorted(CALLS)))
+    def call(self, name):
+        self._check(CALLS[name])
+
+    @rule(view=st.sampled_from(sorted(VIEWS)), picks=st.sets(st.integers(0, 5), min_size=1, max_size=3))
+    def localize(self, view, picks):
+        ids = self.graph.node_ids
+        symptoms = sorted({ids[i % len(ids)] for i in picks})
+        self._check(lambda g: localize(g, symptoms, view))
+
+    @rule(name=st.sampled_from(sorted(CARRIES)))
+    def carry(self, name):
+        self.graph = CARRIES[name](self.graph)
+
+
+TestCallOrders = CallOrders.TestCase
+TestCallOrders.settings = settings(max_examples=300, stateful_step_count=12, deadline=None)
