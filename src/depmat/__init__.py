@@ -6,6 +6,7 @@ from .graph import (
     ActivityEdge,
     ActivityGraph,
     CyclicScheduleError,
+    DimensionMismatchError,
     GraphBuildError,
     UnknownNodeError,
     ValidationIssue,
@@ -20,7 +21,6 @@ from .matrices import (
     CapacityError,
     CondensedGraph,
     DependencyMatrix,
-    DimensionMismatchError,
     IncidenceMatrix,
     NotClosedError,
     adjacency_matrix,

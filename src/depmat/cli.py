@@ -172,7 +172,7 @@ def cmd_simulate(args) -> int:
 def cmd_export(args) -> int:
     graph = _load(args.file)
     report = None
-    if args.symptoms:
+    if args.symptoms is not None:
         symptoms = [s for s in args.symptoms.split(",") if s]
         report = localize(graph, symptoms, view=_VIEWS[args.view])
     sys.stdout.write(export_dot(graph, report).decode("utf-8"))

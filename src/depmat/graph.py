@@ -113,6 +113,10 @@ class CyclicScheduleError(ValueError):
         super().__init__("scheduling cycle: " + "->".join(self.cycle))
 
 
+class DimensionMismatchError(ValueError):
+    """Columns, rows or masks that do not fit the nodes and edges they hold."""
+
+
 class UnknownNodeError(ValueError):
     def __init__(self, node: str):
         self.node = node
@@ -202,7 +206,24 @@ class ActivityGraph(Value, NodePositions):
     @classmethod
     def from_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
         """The graph of node columns (ids, labels, declared kinds) and edge
-        columns (ids, tail and head positions, weights, kinds), unchecked."""
+        columns (ids, tail and head positions, weights, kinds). Raises
+        DimensionMismatchError unless each node column is as long as the
+        node ids, each edge column as long as the edge ids, and each tail
+        and head an int (not a bool) in ``range(len(node ids))``. Every
+        other input rule is ``validate``'s."""
+        nodes, edges = [list(map(tuple, columns)) for columns in (nodes, edges)]
+        n, m = (len(columns[0]) if columns else 0 for columns in (nodes, edges))
+        if [*map(len, nodes), *map(len, edges)] != [n] * 3 + [m] * 5:
+            raise DimensionMismatchError(f"graph columns must be 3 of {n} nodes and 5 of {m} edges")
+        ends = edges[1] + edges[2]
+        if not {int}.issuperset(map(type, ends)) or ends and not 0 <= min(ends) <= max(ends) < n:
+            raise DimensionMismatchError(f"edge tails and heads must be node positions below {n}")
+        return cls._of_columns(nodes, edges, unit)
+
+    @classmethod
+    def _of_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
+        """``from_columns`` without its shape check, for the builders whose
+        columns have that shape by construction."""
         return cls._made(zip(cls.__dataclass_fields__, (*map(tuple, (*nodes, *edges)), unit)))
 
     @cached_property
@@ -310,7 +331,7 @@ def _checked_graph(nodes: Sequence[Sequence], edges: Sequence[Sequence], unit) -
             and EDGE_KINDS.issuperset(edge_kinds)
             and not any(compress(weights, map(EDGE_DUMMY.__eq__, edge_kinds)))
         ):
-            graph = ActivityGraph.from_columns(nodes, (edge_ids, tails, heads, weights, edge_kinds), unit)
+            graph = ActivityGraph._of_columns(nodes, (edge_ids, tails, heads, weights, edge_kinds), unit)
             graph.__dict__["_checked"] = True  # not ``_positions``: only a lookup by id needs it
             return graph
     return None
@@ -414,38 +435,19 @@ def _id_faults(item_id, noun: str) -> Iterator[tuple]:
 
 def _named(value, form=shown) -> str:
     """``form(value)`` for a str; any other value, which may have no text
-    form at all (an int past the digit limit), by its type's name, and a
-    ``_NoPosition`` by its entry's."""
-    if isinstance(value, str):
-        return form(value)
-    return f"<{type(value.entry if isinstance(value, _NoPosition) else value).__name__}>"
-
-
-class _NoPosition:
-    """A tail or head entry of a graph that is no node position, where
-    ``validate`` walks an endpoint id: equal only to itself, so it is an
-    unknown endpoint and never taken for a node id."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
+    form at all (an int past the digit limit), by its type's name."""
+    return form(value) if isinstance(value, str) else f"<{type(value).__name__}>"
 
 
 def validate(g: ActivityGraph) -> ValidationReport:
     """Every structural error of the graph's columns or, when there is
     none, every advisory warning (never raises). A graph from
     ``build_graph`` or ``parse_graph`` holds that it has none; any other
-    passes through ``_checked_graph`` and builds no record. A tail or head
-    that is not an int (bool excluded) in ``range(len(g.node_ids))`` is an
-    unknown endpoint of its edge."""
+    passes through ``_checked_graph`` and builds no record. Its shape is
+    the graph's own, so each tail and head names the node at its position."""
     errors = []
     if not g.__dict__.get("_checked"):
-        ids, n = g.node_ids, len(g.node_ids)
-        ends = (
-            [ids[v] if type(v) is not bool and isinstance(v, int) and 0 <= v < n else _NoPosition(v) for v in column]
-            for column in (g.edge_tails, g.edge_heads)
-        )
+        ends = (tuple(map(g.node_ids.__getitem__, column)) for column in (g.edge_tails, g.edge_heads))
         edges = (g.edge_ids, *ends, g.edge_weights, g.edge_kinds)
         errors = _verdict((g.node_ids, g.node_labels, g.node_kinds), edges, g.unit)[1]
     return ValidationReport(tuple(errors) if errors else tuple(_warnings(g)))
@@ -499,7 +501,7 @@ def scheduling_subgraph(g: ActivityGraph) -> ActivityGraph:
     g.scheduling_order  # raises CyclicScheduleError with the witness
     kept = list(map(SCHEDULING_KINDS.__contains__, g.edge_kinds))
     edges = (g.edge_ids, g.edge_tails, g.edge_heads, g.edge_weights, g.edge_kinds)
-    return ActivityGraph.from_columns(
+    return ActivityGraph._of_columns(
         (g.node_ids, g.node_labels, g.node_kinds), [compress(column, kept) for column in edges], g.unit
     )
 

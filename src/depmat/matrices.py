@@ -16,7 +16,7 @@ its 1 bits once, on first use. Public constructors check their input and
 store tuples; builders call the unchecked ``Value._made``.
 
 One gate, ``_checked_positions``, serves the three builders: at most
-MAX_DENSE_NODES nodes, and each edge tail and head a node position.
+MAX_DENSE_NODES nodes. A graph's edge ends are node positions by its shape.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 
-from .graph import ActivityGraph, Condensation, NodePositions, Value, condensation
+from .graph import ActivityGraph, Condensation, DimensionMismatchError, NodePositions, Value, condensation
 
 MAX_DENSE_NODES = 4096
 
@@ -39,10 +39,6 @@ class AlreadyClosedError(ValueError):
 
 
 class NotClosedError(ValueError):
-    pass
-
-
-class DimensionMismatchError(ValueError):
     pass
 
 
@@ -167,13 +163,11 @@ def _set_bits(mask: int) -> list[int]:
 
 
 def _checked_positions(g: ActivityGraph) -> int:
-    """The node count, once it is at most MAX_DENSE_NODES and every edge
-    tail and head is a node position: the gate of every matrix builder."""
+    """The node count, once it is at most MAX_DENSE_NODES: the gate of
+    every matrix builder."""
     n = len(g.node_ids)
     if n > MAX_DENSE_NODES:
         raise CapacityError(f"graph has {n} nodes; dense matrices are capped at {MAX_DENSE_NODES}")
-    if any(ends and not 0 <= min(ends) <= max(ends) < n for ends in (g.edge_tails, g.edge_heads)):
-        raise DimensionMismatchError(f"matrix edge tails and heads must be node positions below {n}")
     return n
 
 
@@ -207,7 +201,9 @@ def _weight_rows(g: ActivityGraph, columns, width: int) -> tuple[tuple[int, ...]
 
 
 def dependency_matrix(g: ActivityGraph) -> DependencyMatrix:
-    """Boolean support of all edges, any kind; all-zero diagonal. Keeps ``g``."""
+    """Boolean support of all edges, any kind; all-zero diagonal but for a
+    self-loop. Keeps ``g``. Row i sets bit j for each head j of node i's
+    edges, a node position by the graph's shape (never a bool)."""
     bit = [1 << j for j in range(_checked_positions(g))].__getitem__
     masks = tuple(reduce(or_, map(bit, heads), 0) for heads in g.dependency_view)
     return DependencyMatrix._made(node_ids=g.node_ids, masks=masks, closed=False, _graph=g)

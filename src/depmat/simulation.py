@@ -261,7 +261,7 @@ def generate_graph(params: GeneratorParams) -> ActivityGraph:
     # valid by construction: ids, kinds and weights need no check
     kinds = [EDGE_SCHEDULING] * scheduling_edges + [EDGE_DEPENDENCY_ONLY] * (len(tails) - scheduling_edges)
     edge_ids = [f"e{k}" for k in range(len(tails))]
-    return ActivityGraph.from_columns((ids, [None] * n, [KIND_AUTO] * n), (edge_ids, tails, heads, weights, kinds))
+    return ActivityGraph._of_columns((ids, [None] * n, [KIND_AUTO] * n), (edge_ids, tails, heads, weights, kinds))
 
 
 def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultScenario:

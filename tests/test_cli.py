@@ -419,6 +419,14 @@ def test_export_with_symptom_marks(capsys):
     assert "independent fault" in out
 
 
+@pytest.mark.parametrize("symptoms", ["", ","])
+def test_export_with_an_empty_symptom_set_exits_2(capsys, symptoms):
+    """``--symptoms ""`` is an empty set, as in ``localize``, not a missing
+    option: it never prints the unmarked graph."""
+    code, out, err = run(capsys, "export", ROBOT, "--symptoms", symptoms)
+    assert (code, out, err) == (2, "", "error: symptom set must be non-empty\n")
+
+
 def test_cyclic_schedule_exits_2(tmp_path, capsys):
     doc = {
         "format_version": 1,
@@ -1062,6 +1070,57 @@ def test_bad_document_matches_golden(capsys, name, command):
     code, out, err = run(capsys, subcommand, str(BAD_DOCUMENTS / f"{name}.json"), *options)
     actual = {"code": code, "stdout": out, "stderr": err}
     assert {key: actual[key] for key in expected} == expected
+
+
+# the bad documents that load: their exit 2 is cpm's alone, and the
+# scheduling cycle's other commands have cases of their own
+_LOADING_BAD_DOCUMENTS = {"empty_graph", "scheduling_cycle"}
+_CYCLE = str(BAD_DOCUMENTS / "scheduling_cycle.json")
+_ABOVE_CAP = "<4,097-node file>"  # stands for the path of the ``just_above_dense_cap`` file
+_EXIT_2_ARGV = [
+    *(["cpm", str(BAD_DOCUMENTS / f"{name}.json")] for name in _BAD_DOCUMENT_RUNS),
+    *(
+        [*command[:1], str(BAD_DOCUMENTS / f"{name}.json"), *command[1:]]
+        for name in _BAD_DOCUMENT_RUNS if name not in _LOADING_BAD_DOCUMENTS
+        for command in (["matrix"], ["localize", "--symptoms", "a"], ["export"])
+    ),
+    *(
+        ["matrix", _ABOVE_CAP, "--kind", kind, "--format", fmt]
+        for kind in ("incidence", "adjacency", "dependency", "closure") for fmt in ("text", "csv", "json")
+    ),
+    *(
+        [command, ROBOT, "--symptoms", symptoms]
+        for command in ("localize", "export") for symptoms in ("nope", "v1,nope", "v4,v4", "", ",")
+    ),
+    ["localize", _CYCLE, "--symptoms", "a", "--view", "scheduling"],
+    ["export", _CYCLE, "--symptoms", "a", "--view", "scheduling"],
+    ["simulate", "--nodes", "0"],
+    ["simulate", "--nodes", "20000", "--layers", "2"],
+    *([*command, str(REPO_ROOT / "no_such_graph.json"), *options] for command, options in (
+        (["cpm"], []), (["validate"], []), (["matrix"], []), (["localize"], ["--symptoms", "a"]), (["export"], [])
+    )),
+]
+
+
+@pytest.fixture(scope="module")
+def just_above_dense_cap(tmp_path_factory):
+    g = generate_graph(GeneratorParams(node_count=MAX_DENSE_NODES + 1, layer_count=40, edge_density=0.01, seed=2))
+    assert len(g.node_ids) == MAX_DENSE_NODES + 1
+    path = tmp_path_factory.mktemp("cap") / "just_above.json"
+    path.write_bytes(serialize_graph(g))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", _EXIT_2_ARGV, ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_every_input_error_exits_2_before_any_stdout_byte(capsys, request, argv):
+    """Every input error is raised before the first byte of output: the bad
+    documents, the dense cap, unknown, repeated and empty symptom sets, the
+    empty graph and the scheduling cycle, simulator bounds, a missing file."""
+    if _ABOVE_CAP in argv:
+        argv = [request.getfixturevalue("just_above_dense_cap") if a == _ABOVE_CAP else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("name", ["edge_to_lone_surrogate", "node_id_lone_surrogate"])

@@ -3,12 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import depmat
 import depmat.graph
+import depmat.matrices
 from depmat.graph import (
     Activity,
     ActivityEdge,
     ActivityGraph,
     CyclicScheduleError,
+    DimensionMismatchError,
     EDGE_DEPENDENCY_ONLY,
     EDGE_DUMMY,
     EDGE_KINDS,
@@ -23,6 +26,10 @@ from depmat.graph import (
     strongly_connected_components,
     validate,
 )
+from depmat.localization import VIEWS, localize
+from depmat.matrices import adjacency_matrix, dependency_matrix, incidence_matrix
+from depmat.schedule import EmptyGraphError, compute_schedule
+from depmat.simulation import inject
 
 from oracles import (
     bfs_hops,
@@ -335,21 +342,94 @@ def test_validate_unhashable_fields_are_issues(activities, edges, code):
     assert code in {i.code for i in build_issues(activities, edges)}
 
 
+_NODES = (["a", "b"], [None, None], ["auto", "auto"])
+_EDGES = (["e"], [0], [1], [1], ["scheduling"])
+
+
 @pytest.mark.parametrize(
-    "tail, head, entry",
-    [(0, 5, "<int>"), (-1, 0, "<int>"), ("b", 1, "<str>"), (True, 1, "<bool>")],
-    ids=["past-the-end", "negative", "node-id-string", "bool"],
+    "tail, head",
+    [(0, 5), (-1, 0), ("b", 1), (True, 1), (0, 2), (0, -1), (False, 1), (0, True), (1.0, 0), (0, "a"), (None, 0),
+     (0, None)],
+    ids=["past-the-end", "negative", "node-id-string", "bool", "head-past-the-end", "head-negative", "false",
+         "head-bool", "float", "head-node-id-string", "none", "head-none"],
 )
-def test_validate_reports_a_position_outside_the_node_list_as_an_unknown_endpoint(tail, head, entry):
-    """A tail or head that is not an int in ``range(len(node_ids))`` is
-    never indexed, counted from the end or taken for a node id."""
-    nodes = (["a", "b"], [None, None], ["auto", "auto"])
-    graph = ActivityGraph.from_columns(nodes, (["e"], [tail], [head], [1], ["scheduling"]))
-    report = validate(graph)  # returns a report rather than raising
-    assert not report.ok
-    assert [(i.code, i.message, i.ids) for i in report.issues] == [
-        ("unknown-endpoint", f"edge e: unknown node {entry}", ("e", entry))
-    ]
+def test_from_columns_refuses_a_position_outside_the_node_list(tail, head):
+    """A tail or head that is not an int (not a bool) in
+    ``range(len(node_ids))`` never makes a graph, so no reader (``validate``
+    included) indexes it, counts it from the end or takes it for a node id."""
+    with pytest.raises(DimensionMismatchError, match="tails and heads must be node positions below 2"):
+        ActivityGraph.from_columns(_NODES, (["e"], [tail], [head], [1], ["scheduling"]))
+
+
+@pytest.mark.parametrize(
+    "column", [1, 2, 4, 5, 6, 7], ids=["label", "kind", "tail", "head", "weight", "edge-kind"]
+)
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_from_columns_refuses_a_column_of_another_length(column, change):
+    """Each node column is as long as the node ids, each edge column as
+    long as the edge ids."""
+    columns = [list(c) for c in (*_NODES, *_EDGES)]
+    if change == "long":
+        columns[column].append(0)
+    else:
+        columns[column].pop()
+    with pytest.raises(DimensionMismatchError, match="graph columns must be 3 of 2 nodes and 5 of 1 edges"):
+        ActivityGraph.from_columns(columns[:3], columns[3:])
+
+
+def test_dimension_mismatch_is_one_class_wherever_it_is_imported():
+    assert depmat.DimensionMismatchError is depmat.graph.DimensionMismatchError is depmat.matrices.DimensionMismatchError
+
+
+@st.composite
+def _shaped_columns(draw):
+    """Node and edge columns of one shape: ids may repeat, and edges of any
+    kind or weight may repeat a pair, close cycles or loop on one node."""
+    n = draw(st.integers(0, 6))
+    nodes = (
+        draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n)),
+        draw(st.lists(st.none() | st.text(max_size=3), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(sorted(NODE_KINDS)), min_size=n, max_size=n)),
+    )
+    m = draw(st.integers(0, 12)) if n else 0
+
+    def column(values):
+        return draw(st.lists(values, min_size=m, max_size=m))
+
+    ends = st.integers(0, max(n - 1, 0))
+    edges = (
+        column(st.sampled_from(["e0", "e1", "e2"])),
+        column(ends),
+        column(ends),
+        column(st.integers(-3, 9)),
+        column(st.sampled_from(sorted(EDGE_KINDS) + ["odd"])),
+    )
+    return nodes, edges
+
+
+@given(_shaped_columns(), st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_every_reader_of_a_shaped_graph_raises_only_its_documented_errors(columns, seed):
+    """A graph that ``from_columns`` accepts, however odd, gets an answer
+    or a documented error from every reader, never an IndexError or a
+    TypeError from a bad position."""
+    g = ActivityGraph.from_columns(*columns)
+    n, m = len(g.node_ids), len(g.edge_ids)
+    assert len(g.dependency_view) == len(g.scheduling_view[0]) == n
+    assert sum(map(len, g.dependency_view)) == len(g.edges) == m
+    validate(g)  # a report, never an error
+    for matrix in incidence_matrix, adjacency_matrix, dependency_matrix:
+        assert len(matrix(g).rows) == n
+    documented = (CyclicScheduleError, EmptyGraphError)
+    symptoms = sorted(set(g.node_ids))
+    calls = [lambda: compute_schedule(g)]
+    calls += [lambda view=view: localize(g, symptoms, view) for view in sorted(VIEWS) if symptoms]
+    calls += [lambda root=root: inject(g, root, 1.0, seed) for root in symptoms]
+    for call in calls:
+        try:
+            call()
+        except documented:
+            pass
 
 
 def test_validate_isolated_node():

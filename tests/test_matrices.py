@@ -458,9 +458,9 @@ def test_closing_the_graph_view_matches_closing_the_unpacked_masks(g):
     ids=["head-past-the-end", "head-negative", "tail-past-the-end", "tail-negative"],
 )
 def test_dependency_matrix_rejects_a_head_outside_the_node_list(builder, tail, head):
-    """Every matrix builder rejects an edge end that is not a node position
-    of an unchecked graph, rather than wrapping it round or failing late."""
+    """No matrix builder sees an edge end that is not a node position:
+    ``from_columns`` refuses the graph, rather than a builder wrapping the
+    end round or failing late."""
     nodes = (["a", "b"], [None, None], ["auto", "auto"])
-    g = ActivityGraph.from_columns(nodes, (["e"], [tail], [head], [1], ["scheduling"]))
     with pytest.raises(DimensionMismatchError, match="tails and heads must be node positions below 2"):
-        builder(g)
+        builder(ActivityGraph.from_columns(nodes, (["e"], [tail], [head], [1], ["scheduling"])))

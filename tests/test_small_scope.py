@@ -12,7 +12,8 @@ symptom set is localized against the docstring definitions.
 
 Every 3-node graph whose ordered pairs each hold no edge, a scheduling edge
 of weight 1 or 2, a dummy edge or a dependency-only edge (5**6 = 15,625)
-is scheduled against the enumeration oracles. A state machine mixes the
+is scheduled against the enumeration oracles, and localized, injected and
+validated against definitions built on BFS and ``has_cycle``. A state machine mixes the
 library's calls on one graph with copies, pickles and re-parses, in any
 order: each answer must equal the same call's on a fresh graph.
 """
@@ -49,8 +50,10 @@ from depmat.matrices import (
     transitive_closure,
 )
 from depmat.schedule import classify_activities, compute_schedule
+from depmat.simulation import inject
 
 from oracles import (
+    bfs_hops,
     closure_by_powers,
     cpm_by_enumeration,
     critical_paths_by_enumeration,
@@ -144,16 +147,21 @@ def test_every_small_matrix_closes_condenses_and_localizes_alike_on_every_route(
 PAIR_EDGES = (None, (EDGE_SCHEDULING, 1), (EDGE_SCHEDULING, 2), (EDGE_DUMMY, 0), (EDGE_DEPENDENCY_ONLY, 1))
 
 
-def test_every_3_node_graph_schedules_as_enumeration_does_or_names_its_cycle():
+def _every_3_node_graph():
+    """Each 3-node graph of the ``PAIR_EDGES`` family, with what its pairs hold."""
     ids = ("a", "b", "c")
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    cyclic = 0
     for held in product(PAIR_EDGES, repeat=len(pairs)):
         edges = [(f"e{k}", i, j, weight, kind) for k, ((i, j), (kind, weight)) in enumerate(
             (pair, edge) for pair, edge in zip(pairs, held) if edge
         )]
-        g = ActivityGraph.from_columns((ids, [None] * 3, ["auto"] * 3), list(zip(*edges)) or [()] * 5)
-        if has_cycle(ids, graph_succ(g, SCHEDULING_KINDS)):
+        yield held, ActivityGraph.from_columns((ids, [None] * 3, ["auto"] * 3), list(zip(*edges)) or [()] * 5)
+
+
+def test_every_3_node_graph_schedules_as_enumeration_does_or_names_its_cycle():
+    cyclic = 0
+    for held, g in _every_3_node_graph():
+        if has_cycle(g.node_ids, graph_succ(g, SCHEDULING_KINDS)):
             cyclic += 1
             with pytest.raises(CyclicScheduleError):
                 compute_schedule(g)
@@ -164,6 +172,63 @@ def test_every_3_node_graph_schedules_as_enumeration_does_or_names_its_cycle():
         assert set(schedule.critical_nodes) == critical, held
         assert schedule.paths == critical_paths_by_enumeration(g), held
     assert cyclic == 11_961
+
+
+def _expected_report(ids, reach, critical, scc, symptoms):
+    """``localize``'s all-edges answer by definition: ``reach[s]`` maps each
+    node that s depends on, s included, to its hop count. A candidate
+    explains the symptoms that reach it and ranks by ``RANK_KEYS``."""
+    explains = {v: tuple(s for s in symptoms if v in reach[s]) for v in ids}
+    distance = {v: min((reach[s][v] for s in explains[v]), default=None) for v in ids}
+    ranked = sorted(
+        (v for v in ids if explains[v]),
+        key=lambda v: (-len(explains[v]), not critical[v], distance[v], ids.index(v)),
+    )
+    independent = tuple(
+        s for s in symptoms if set(reach[s]) == {s} and not any(s in reach[t] for t in symptoms if t != s)
+    )
+    return (
+        tuple(ranked),
+        tuple(explains[v] for v in ranked),
+        tuple(critical[v] for v in ranked),
+        tuple(distance[v] for v in ranked),
+        tuple(scc[v] for v in ranked),
+        independent,
+        len({v for v in ids if explains[v] or critical[v]}),
+    )
+
+
+def test_every_3_node_graph_localizes_injects_and_validates_by_definition():
+    """On each 3-node graph of the family: ``localize`` (all-edges view) on
+    every symptom set against ``_expected_report``, with criticality from
+    ``cpm_by_enumeration`` or, on a scheduling cycle, the declared kinds (all
+    auto, so none critical) and components as classes of mutual
+    reachability, numbered by first member; ``inject`` with certain
+    detection from every root against the nodes that reach it, in node
+    order; ``validate``'s cycle warnings against ``has_cycle`` in each view."""
+    symptom_sets = [s for size in (1, 2, 3) for s in combinations("abc", size)]
+    for held, g in _every_3_node_graph():
+        ids, succ = g.node_ids, graph_succ(g)
+        reach = {v: bfs_hops(succ, v) for v in ids}
+        scheduling_cycle = has_cycle(ids, graph_succ(g, SCHEDULING_KINDS))
+        critical_set = set() if scheduling_cycle else cpm_by_enumeration(g)[3]
+        critical = {v: v in critical_set for v in ids}
+        mutual = {frozenset(w for w in ids if w in reach[v] and v in reach[w]) for v in ids}
+        classes = sorted(mutual, key=min)  # "a" < "b" < "c": by first member
+        scc = {v: c for c, members in enumerate(classes) for v in members}
+        for symptoms in symptom_sets:
+            report = localize(g, symptoms)
+            actual = (
+                tuple(ids[v] for v in report.ranked), report.explains, report.critical,
+                report.distances, report.sccs, report.independent, report.nodes_examined,
+            )
+            assert actual == _expected_report(ids, reach, critical, scc, symptoms), (held, symptoms)
+        for root in ids:
+            expected = tuple(v for v in ids if root in reach[v])
+            assert inject(g, root, 1.0, seed=7).symptoms == expected, (held, root)
+        warned = {issue.code for issue in validate(g).warnings}
+        assert ("scheduling-cycle" in warned) == scheduling_cycle, held
+        assert bool(warned & {"scheduling-cycle", "dependency-only-cycle"}) == has_cycle(ids, succ), held
 
 
 def _answer(call, g):
