@@ -27,7 +27,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -42,9 +41,11 @@ from .graph import (
     EDGE_DUMMY,
     EDGE_SCHEDULING,
     KIND_AUTO,
+    Value,
     _checked_graph,
     _item_faults,
     _unit_faults,
+    record,
     shown,
 )
 from .localization import LocalizationReport
@@ -207,8 +208,8 @@ _MATRIX_TYPES = frozenset({IncidenceMatrix, AdjacencyMatrix, DependencyMatrix})
 _COLUMN_RENDERERS = {str: encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
 
 
-@dataclass(frozen=True)
-class Records:
+@record
+class Records(Value):
     """A list of records given as column data: ``dumps_json`` renders it as
     the list ``[dict(zip(keys, row)) for row in zip(*columns)]``."""
 

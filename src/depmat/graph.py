@@ -34,13 +34,17 @@ order everywhere downstream.
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import reprlib
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from inspect import Parameter, Signature
 from itertools import chain, compress
 from operator import attrgetter, eq, itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ID_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -67,16 +71,103 @@ SEVERITY_WARNING = "warning"
 MISSING = object()  # the value of a required field that a graph document leaves out
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class Value:
+    """The base of every frozen record of depmat (``ValidationIssue``,
+    ``ValidationReport``, ``Activity``, ``ActivityEdge``, ``ActivityGraph``,
+    ``fileio.Records``, ``Candidate``, ``LocalizationReport``,
+    ``AnnotatedMatrix``, the three matrices, ``CondensedGraph``,
+    ``Schedule``, ``Classification``, ``GeneratorParams``, ``FaultScenario``
+    and ``ExperimentReport``), each declared under ``record``. Its state is
+    its fields, and it alone gives every record its methods, each read off
+    the class's fields: a constructor of positional and keyword arguments
+    with the field defaults, a repr, an equality and a hash of the stdlib
+    dataclass forms, and freezing. ``_made`` makes a record unchecked; a
+    pickle or deep copy carries only its fields, and a shallow copy shares
+    every fact."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self._layout.init
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    def _arguments(self, args: tuple, kwargs: dict) -> Iterator:
+        """Each constructor field's value, in field order, bound from the
+        arguments as a function of the fields binds them; else the TypeError
+        that it raises for a missing, unknown or repeated argument."""
+        fields, defaults = self._layout.init, self._layout.defaults
+        values = dict(zip(fields, args))
+        values.update(kwargs)
+        if len(values) == len(args) + len(kwargs) and set(fields).issuperset(values):
+            values = {**defaults, **values}
+            if len(values) == len(fields):
+                return map(values.__getitem__, fields)
+        kind, empty = Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty
+        parameters = [Parameter(name, kind, default=defaults.get(name, empty)) for name in fields]
+        Signature(parameters).bind(*args, **kwargs)  # always raises here: these arguments do not bind
+
+    @classmethod
+    def _made(cls, pairs=(), /, **fields):
+        value = cls.__new__(cls)
+        value.__dict__.update(pairs, **fields)
+        return value
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._layout.shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._layout.compared)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __copy__(self):
+        return self._made(self.__dict__)
+
+
+def record(cls: type) -> type:
+    """Declare a ``Value`` subclass's fields: ``dataclass`` reads them and
+    generates no method. The class keeps the layout that ``Value``'s methods
+    read, each in field order: its constructor fields (``init``) and their
+    ``defaults`` by name, its repr fields (``shown``) and its ``compared``
+    fields."""
+    fields = dataclasses.fields(dataclass(init=False, repr=False, eq=False)(cls))
+    init = [f for f in fields if f.init]
+    cls._layout = SimpleNamespace(
+        init=tuple(f.name for f in init),
+        defaults={f.name: f.default for f in init if f.default is not dataclasses.MISSING},
+        shown=tuple(f.name for f in fields if f.repr),
+        compared=tuple(f.name for f in fields if f.compare),
+    )
+    return cls
+
+
+@record
+class ValidationIssue(Value):
     severity: str
     code: str
     message: str
     ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@record
+class ValidationReport(Value):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -130,8 +221,8 @@ def shown(value) -> str:
     return text if text.isprintable() else repr(text)
 
 
-@dataclass(frozen=True)
-class Activity:
+@record
+class Activity(Value):
     """A unit of project work. ``declared_kind`` overrides the computed
     critical/non-critical classification but never the schedule itself."""
 
@@ -140,8 +231,8 @@ class Activity:
     declared_kind: str = KIND_AUTO
 
 
-@dataclass(frozen=True)
-class ActivityEdge:
+@record
+class ActivityEdge(Value):
     """Directed edge ``tail -> head``: tail depends on head, and in the
     scheduling view tail precedes head by ``weight`` time units."""
 
@@ -150,23 +241,6 @@ class ActivityEdge:
     head: str
     weight: int
     kind: str = EDGE_SCHEDULING
-
-
-class Value:
-    """A frozen dataclass whose state is its fields, made unchecked by ``_made``:
-    a pickle or deep copy carries only them, and a shallow copy shares every fact."""
-
-    @classmethod
-    def _made(cls, pairs=(), /, **fields):
-        value = cls.__new__(cls)
-        value.__dict__.update(pairs, **fields)
-        return value
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def __copy__(self):
-        return self._made(self.__dict__)
 
 
 class NodePositions:
@@ -183,7 +257,7 @@ class NodePositions:
             raise UnknownNodeError(node) from None
 
 
-@dataclass(frozen=True, init=False)
+@record
 class ActivityGraph(Value, NodePositions):
     """Immutable activity digraph; safe to share across threads. Passes
     walk only its integer views; ``position`` maps an id to its position.
@@ -202,6 +276,8 @@ class ActivityGraph(Value, NodePositions):
     edge_weights: tuple[int, ...]
     edge_kinds: tuple[str, ...]
     unit: str
+
+    __init__ = object.__init__  # no arguments: a graph is made by ``from_columns``
 
     @classmethod
     def from_columns(cls, nodes: Sequence[Sequence], edges: Sequence[Sequence], unit: str = "ms") -> ActivityGraph:
@@ -368,7 +444,7 @@ def _item_faults(nodes: Iterable[Sequence], edges: Iterable[Sequence]) -> Iterat
 
 
 def _error(code: str, message: str, *ids) -> ValidationIssue:
-    return ValidationIssue(SEVERITY_ERROR, code, message, ids)
+    return ValidationIssue._made(severity=SEVERITY_ERROR, code=code, message=message, ids=ids)
 
 
 def _unit_faults(unit) -> list[ValidationIssue]:

@@ -25,11 +25,10 @@ symptom row once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL, Value
+from .graph import ActivityGraph, CyclicScheduleError, KIND_CRITICAL, Value, record
 from .matrices import (
     AlreadyClosedError,
     DependencyMatrix,
@@ -48,8 +47,8 @@ VIEWS = frozenset({VIEW_ALL, VIEW_SCHEDULING})
 RANK_KEYS = ("explains", "critical", "distance", "input_order")
 
 
-@dataclass(frozen=True)
-class Candidate:
+@record
+class Candidate(Value):
     node: str
     explains: tuple[str, ...]
     is_critical: bool
@@ -57,7 +56,7 @@ class Candidate:
     scc: int
 
 
-@dataclass(frozen=True)
+@record
 class LocalizationReport(Value):
     """The candidates are columns in rank order: ``ranked`` their node
     positions, ``masks`` their explained symptoms (bit i for
@@ -88,8 +87,8 @@ class LocalizationReport(Value):
         return tuple(map(Candidate, nodes, self.explains, self.critical, self.distances, self.sccs))
 
 
-@dataclass(frozen=True)
-class AnnotatedMatrix:
+@record
+class AnnotatedMatrix(Value):
     """Raw dependency matrix plus localization marks: independent faults on
     the diagonal, direct symptom->candidate edges as suspect paths."""
 
@@ -205,7 +204,7 @@ def localize(g: ActivityGraph, symptoms, view: str = VIEW_ALL) -> LocalizationRe
         if masks[v] == 1 << bit and all(w == v for w in cond.succ[v])
     )
     examined = sum(1 for v, mask in enumerate(masks) if mask or critical[v])
-    return LocalizationReport(
+    return LocalizationReport._made(
         symptoms=ordered,
         ranked=ranked,
         masks=tuple(map(masks.__getitem__, ranked)),

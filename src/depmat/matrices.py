@@ -21,11 +21,11 @@ MAX_DENSE_NODES nodes. A graph's edge ends are node positions by its shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property, reduce
 from operator import or_
 
-from .graph import ActivityGraph, Condensation, DimensionMismatchError, NodePositions, Value, condensation
+from .graph import ActivityGraph, Condensation, DimensionMismatchError, NodePositions, Value, condensation, record
 
 MAX_DENSE_NODES = 4096
 
@@ -47,7 +47,7 @@ def _check_shape(kind: str, rows, n: int, width: int) -> None:
         raise DimensionMismatchError(f"{kind} matrix rows must be {n} x {width}")
 
 
-@dataclass(frozen=True, init=False)
+@record
 class IncidenceMatrix(Value):
     node_ids: tuple[str, ...]
     edge_ids: tuple[str, ...]
@@ -58,7 +58,7 @@ class IncidenceMatrix(Value):
         _check_shape("incidence", self.rows, len(self.node_ids), len(self.edge_ids))
 
 
-@dataclass(frozen=True, init=False)
+@record
 class AdjacencyMatrix(Value):
     node_ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -68,7 +68,7 @@ class AdjacencyMatrix(Value):
         _check_shape("adjacency", self.rows, len(self.node_ids), len(self.node_ids))
 
 
-@dataclass(frozen=True, init=False)
+@record
 class DependencyMatrix(Value, NodePositions):
     """Boolean node x node matrix; entry (m, n) = 1 iff m depends on n.
 
@@ -122,7 +122,7 @@ class DependencyMatrix(Value, NodePositions):
         return self.masks[self.position(tail)] >> self.position(head) & 1
 
 
-@dataclass(frozen=True)
+@record
 class CondensedGraph(Value):
     """Strongly connected components and the acyclic component digraph.
 

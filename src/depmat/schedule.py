@@ -8,12 +8,12 @@ All arithmetic is exact integer arithmetic in the graph's declared unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from itertools import compress
 from operator import ne, not_, sub
 
-from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL, Value
+from .graph import ActivityGraph, KIND_AUTO, KIND_CRITICAL, KIND_NON_CRITICAL, Value, record
 
 
 class EmptyGraphError(ValueError):
@@ -25,7 +25,7 @@ def _by_id(column: str) -> cached_property:
     return cached_property(lambda self: dict(zip(self.node_ids, getattr(self, column))))
 
 
-@dataclass(frozen=True)
+@record
 class Schedule(Value):
     """Per node position (node input order): earliest and latest event
     times and slack, whose id-keyed dicts are ``earliest``, ``latest`` and
@@ -49,7 +49,7 @@ class Schedule(Value):
         return _critical_paths(self)
 
 
-@dataclass(frozen=True)
+@record
 class Classification(Value):
     """Per node position, the final critical/non-critical class and whether
     the declared kind changed it; ``kinds`` and ``overrides`` by id."""
@@ -108,7 +108,8 @@ def compute_schedule(g: ActivityGraph) -> Schedule:
     latest = backward_pass(g, duration)
     slack = tuple(map(sub, latest, earliest))
     critical = tuple(compress(g.node_ids, map(not_, slack)))
-    schedule = Schedule(earliest, latest, slack, duration, critical, g.node_ids, g.scheduling_view)
+    fields = (earliest, latest, slack, duration, critical, g.node_ids, g.scheduling_view)
+    schedule = Schedule._made(zip(Schedule.__dataclass_fields__, fields))
     g.__dict__["_schedule"] = schedule
     return schedule
 
@@ -149,4 +150,5 @@ def classify_activities(g: ActivityGraph) -> Classification:
     slack = compute_schedule(g).node_slack
     computed = [KIND_NON_CRITICAL if s else KIND_CRITICAL for s in slack]
     classes = tuple(c if d == KIND_AUTO else d for c, d in zip(computed, g.node_kinds))
-    return Classification(classes, tuple(map(ne, classes, computed)), g.node_ids)
+    fields = (classes, tuple(map(ne, classes, computed)), g.node_ids)
+    return Classification._made(zip(Classification.__dataclass_fields__, fields))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from itertools import accumulate, pairwise
 from operator import mul
 from typing import NamedTuple
@@ -28,6 +28,8 @@ from .graph import (
     EDGE_SCHEDULING,
     KIND_AUTO,
     MAX_WEIGHT,
+    Value,
+    record,
 )
 from .localization import VIEW_ALL, localize
 from .rng import SplitMix64, bounded, derive_seed, stream, threshold
@@ -52,8 +54,8 @@ class InvalidParamsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+@record
+class GeneratorParams(Value):
     """Layered-graph generator parameters.
 
     Nodes are spread over ``layer_count`` contiguous layers; scheduling
@@ -98,8 +100,8 @@ class GeneratorParams:
             )
 
 
-@dataclass(frozen=True)
-class FaultScenario:
+@record
+class FaultScenario(Value):
     root: str
     symptoms: tuple[str, ...]
 
@@ -129,8 +131,8 @@ class TrialRow(NamedTuple):
     hit: bool
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+@record
+class ExperimentReport(Value):
     """The trial rows of one experiment and what it ran with; the trial
     count and the aggregates are read off the rows. The mean examined
     ratio is mean(baseline) / mean(localizer)."""
@@ -283,7 +285,7 @@ def inject(g: ActivityGraph, root: str, detect_prob: float, seed: int) -> FaultS
         node for v, node in enumerate(g.node_ids)
         if v == r or (affected[v] and next(draws) < detected_below)
     )
-    return FaultScenario(root, symptoms)
+    return FaultScenario._made(root=root, symptoms=symptoms)
 
 
 def run_trial(g: ActivityGraph, scenario: FaultScenario) -> TrialMetrics:
@@ -326,7 +328,7 @@ def run_experiment(
     rows: list[TrialRow] = []
     for index in range(trials):
         trial_seed = derive_seed(params.seed, index)
-        graph = generate_graph(replace(params, seed=derive_seed(trial_seed, 0)))
+        graph = generate_graph(params._made(vars(params), seed=derive_seed(trial_seed, 0)))  # params checked above
         root_rng = SplitMix64(derive_seed(trial_seed, 1))
         pool = compute_schedule(graph).critical_nodes if root_policy == ROOT_CRITICAL_ONLY else graph.node_ids
         root = pool[root_rng.below(len(pool))]

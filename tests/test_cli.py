@@ -1211,3 +1211,16 @@ def test_output_is_byte_identical_across_processes(argv):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0]
+
+
+def test_importing_the_cli_loads_every_module():
+    """A fresh interpreter's ``import depmat.cli`` loads all eight modules:
+    the benchmark's tracer (``bench/tracing.py``) looks up the functions it
+    wraps, ``depmat.simulation``'s and ``depmat.rng``'s among them, in
+    ``sys.modules`` right after that import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, depmat.cli; print(' '.join(sorted(m for m in sys.modules if m.startswith('depmat.'))))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True)
+    modules = "cli fileio graph localization matrices rng schedule simulation"
+    assert result.stdout.split() == [f"depmat.{name}" for name in modules.split()]

@@ -13,21 +13,25 @@ symptom set is localized against the docstring definitions.
 Every 3-node graph whose ordered pairs each hold no edge, a scheduling edge
 of weight 1 or 2, a dummy edge or a dependency-only edge (5**6 = 15,625)
 is scheduled against the enumeration oracles, and localized, injected and
-validated against definitions built on BFS and ``has_cycle``. A state machine mixes the
-library's calls on one graph with copies, pickles and re-parses, in any
-order: each answer must equal the same call's on a fresh graph.
+validated against definitions built on BFS and ``has_cycle``; so is every
+2-node graph whose ordered pairs each hold up to two parallel such edges
+(15**2 = 225), which also goes through ``cpm`` and ``validate`` on the
+command line. A state machine mixes the library's calls on one graph with
+copies, pickles and re-parses, in any order: each answer must equal the
+same call's on a fresh graph.
 """
 
 import copy
 import pickle
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from depmat.cli import main
 from depmat.fileio import export_dot, parse_graph, serialize_graph
 from depmat.graph import (
     EDGE_DEPENDENCY_ONLY,
@@ -294,3 +298,77 @@ class CallOrders(RuleBasedStateMachine):
 
 TestCallOrders = CallOrders.TestCase
 TestCallOrders.settings = settings(max_examples=300, stateful_step_count=12, deadline=None)
+
+
+# what an ordered pair of 2 nodes may hold: up to two parallel edges from ``PAIR_EDGES``
+PARALLEL_PAIR_EDGES = [held for size in (0, 1, 2) for held in combinations_with_replacement(PAIR_EDGES[1:], size)]
+
+
+def _every_2_node_graph_with_parallel_edges():
+    """Each 2-node graph whose ordered pairs each hold a multiset of at most
+    two ``PAIR_EDGES`` edges (15 choices per pair, 225 graphs), with what
+    its pairs hold."""
+    ids = ("a", "b")
+    for held in product(PARALLEL_PAIR_EDGES, repeat=2):
+        ends = [(i, 1 - i, kind, weight) for i, edges in enumerate(held) for kind, weight in edges]
+        edges = [(f"e{k}", i, j, weight, kind) for k, (i, j, kind, weight) in enumerate(ends)]
+        yield held, ActivityGraph.from_columns((ids, [None] * 2, ["auto"] * 2), list(zip(*edges)) or [()] * 5)
+
+
+def test_every_2_node_graph_with_parallel_edges_schedules_localizes_injects_and_validates_by_definition():
+    """The 3-node checks on the parallel-edge family: the schedule against
+    the enumeration oracles, whose paths are distinct node sequences, so
+    parallel tight edges give one path; ``localize`` on every symptom set,
+    ``inject`` from every root and ``validate``'s cycle warnings against the
+    definitions."""
+    assert len(PARALLEL_PAIR_EDGES) == 15
+    tight_pairs = 0
+    for held, g in _every_2_node_graph_with_parallel_edges():
+        ids, succ = g.node_ids, graph_succ(g)
+        scheduling_cycle = has_cycle(ids, graph_succ(g, SCHEDULING_KINDS))
+        if scheduling_cycle:
+            with pytest.raises(CyclicScheduleError):
+                compute_schedule(g)
+            critical_set = set()
+        else:
+            schedule = compute_schedule(g)
+            duration, earliest, latest, critical_set = cpm_by_enumeration(g)
+            assert (schedule.duration, schedule.earliest, schedule.latest) == (duration, earliest, latest), held
+            assert set(schedule.critical_nodes) == critical_set, held
+            assert schedule.paths == critical_paths_by_enumeration(g), held
+            if held[0] in {((EDGE_SCHEDULING, 1),) * 2, ((EDGE_SCHEDULING, 2),) * 2} and not held[1]:
+                tight_pairs += 1
+                assert schedule.paths == (("a", "b"),), held
+        reach = {v: bfs_hops(succ, v) for v in ids}
+        critical = {v: v in critical_set for v in ids}
+        mutual = {frozenset(w for w in ids if w in reach[v] and v in reach[w]) for v in ids}
+        scc = {v: c for c, members in enumerate(sorted(mutual, key=min)) for v in members}
+        for symptoms in (("a",), ("b",), ("a", "b")):
+            report = localize(g, symptoms)
+            actual = (
+                tuple(ids[v] for v in report.ranked), report.explains, report.critical,
+                report.distances, report.sccs, report.independent, report.nodes_examined,
+            )
+            assert actual == _expected_report(ids, reach, critical, scc, symptoms), (held, symptoms)
+        for root in ids:
+            assert inject(g, root, 1.0, seed=7).symptoms == tuple(v for v in ids if root in reach[v]), (held, root)
+        warned = {issue.code for issue in validate(g).warnings}
+        assert ("scheduling-cycle" in warned) == scheduling_cycle, held
+        assert bool(warned & {"scheduling-cycle", "dependency-only-cycle"}) == has_cycle(ids, succ), held
+    assert tight_pairs == 2
+
+
+def test_every_2_node_graph_with_parallel_edges_exits_as_its_scheduling_view_says(tmp_path, capsys):
+    """``cpm`` exits 2 with no stdout exactly on a scheduling cycle, else 0;
+    ``validate`` exits 0, for the family holds no structural error."""
+    cyclic = 0
+    for k, (held, g) in enumerate(_every_2_node_graph_with_parallel_edges()):
+        path = tmp_path / f"g{k}.json"
+        path.write_bytes(serialize_graph(g))
+        scheduling_cycle = has_cycle(g.node_ids, graph_succ(g, SCHEDULING_KINDS))
+        cyclic += scheduling_cycle
+        code, out = main(["cpm", str(path)]), capsys.readouterr().out
+        assert (code, out == "") == ((2, True) if scheduling_cycle else (0, False)), held
+        assert main(["validate", str(path)]) == 0, held
+        capsys.readouterr()
+    assert cyclic == 12 * 12  # both pairs hold a scheduling or dummy edge
